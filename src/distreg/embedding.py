@@ -11,6 +11,7 @@ cost of one inner product is O(N_a * N_b).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -20,6 +21,10 @@ from .errors import ConfigError, InputError
 # All supported families take the value 1 at zero distance, so the embedding
 # kernel bound is a shared constant.
 KERNEL_BOUND = 1.0
+
+# Upper bound on the number of pointwise kernel values held in memory by one
+# chunk of the double-sum reduction (~64 MB of float64).
+_CHUNK_BUDGET = 8_000_000
 
 # Holder exponent of the feature map s -> k(., s) in the embedding norm,
 # per family: ||k(.,s) - k(.,t)||^2 = 2 - 2 k(s,t).
@@ -59,10 +64,6 @@ class EmbeddingKernelSpec:
     @property
     def holder_exponent(self) -> float:
         return HOLDER_EXPONENT[self.family]
-
-    @property
-    def bound(self) -> float:
-        return KERNEL_BOUND
 
     def to_dict(self) -> dict:
         return {"family": self.family, "bandwidth": self.bandwidth, "dim": self.dim}
@@ -126,23 +127,33 @@ class Bag:
         return (self.id, self.points.shape, self.points.tobytes())
 
 
-def _check_dims(spec: EmbeddingKernelSpec, *bags: Bag) -> None:
+def check_dims(spec: EmbeddingKernelSpec, bags: Iterable[Bag]) -> None:
     for b in bags:
         if b.dim != spec.dim:
-            raise InputError(
-                f"bag {b.id!r} has dimension {b.dim}, kernel expects {spec.dim}"
-            )
+            raise InputError(f"bag {b.id!r} has dimension {b.dim}, kernel expects {spec.dim}")
 
 
 def kernel_matrix(spec: EmbeddingKernelSpec, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Pointwise kernel values k(s_i, t_j) as an (len(s), len(t)) matrix."""
-    d2 = cdist(s, t, "sqeuclidean")
+    """Pointwise kernel values k(s_i, t_j) as an (len(s), len(t)) matrix.
+
+    Evaluated in place on the squared distances; k(s_i, t_j) == k(t_j, s_i) bitwise.
+    """
+    if s.shape[1] == 1:
+        d2 = np.subtract.outer(s[:, 0], t[:, 0])
+        d2 *= d2
+    else:
+        d2 = cdist(s, t, "sqeuclidean")
     if spec.family == "gaussian":
-        return np.exp(-0.5 * d2 / spec.bandwidth**2)
-    if spec.family == "exponential":
-        return np.exp(-np.sqrt(d2) / spec.bandwidth)
-    # cauchy
-    return 1.0 / (1.0 + d2 / spec.bandwidth**2)
+        d2 *= -0.5
+        d2 /= spec.bandwidth**2
+    elif spec.family == "exponential":
+        np.sqrt(d2, out=d2)
+        d2 /= -spec.bandwidth
+    else:  # cauchy
+        d2 /= spec.bandwidth**2
+        d2 += 1.0
+        return np.reciprocal(d2, out=d2)
+    return np.exp(d2, out=d2)
 
 
 def kernel_eval(spec: EmbeddingKernelSpec, s: np.ndarray, t: np.ndarray) -> float:
@@ -156,16 +167,49 @@ def kernel_eval(spec: EmbeddingKernelSpec, s: np.ndarray, t: np.ndarray) -> floa
     return float(kernel_matrix(spec, s[None, :], t[None, :])[0, 0])
 
 
+def pair_sums(
+    spec: EmbeddingKernelSpec, row: Bag, points: np.ndarray, bounds: np.ndarray, row_first: bool
+) -> np.ndarray:
+    """Double sums of kernel values of `row` against each bag of a packed run.
+
+    Bag c of the run is points[bounds[c]:bounds[c + 1]]. The one reduction
+    behind every embedding inner product: for a pair (first, second), the
+    values of each point of `first` against `second` are summed, then those
+    sums in the point order of `first`, both as np.add.reduceat segments along
+    a last axis, whose value depends on the segment alone. Callers set
+    `row_first` by Bag._order_key, so a pair's sum is fixed by its two bags,
+    whatever the argument order, the rest of the run, chunking or threads.
+    """
+    out = np.empty(len(bounds) - 1)
+    cap = max(1, _CHUNK_BUDGET // row.size)
+    start = 0
+    while start < len(out):
+        # Whole bags only: as many as the budget holds, and at least one.
+        stop = max(start + 1, int(np.searchsorted(bounds, bounds[start] + cap, "right")) - 1)
+        lo, hi = bounds[start], bounds[stop]
+        offsets = bounds[start:stop] - lo
+        if row_first:
+            kmat = kernel_matrix(spec, row.points, points[lo:hi])
+            per_point = np.add.reduceat(kmat, offsets, axis=1).T.copy()
+            out[start:stop] = np.add.reduceat(per_point, [0], axis=1)[:, 0]
+        else:
+            kmat = kernel_matrix(spec, points[lo:hi], row.points)
+            per_point = np.add.reduceat(kmat, [0], axis=1).ravel()
+            out[start:stop] = np.add.reduceat(per_point, offsets)
+        start = stop
+    return out
+
+
 def embed_inner(spec: EmbeddingKernelSpec, a: Bag, b: Bag) -> float:
     """Inner product of the empirical mean embeddings of two bags.
 
-    <mu_a, mu_b> = (1/(N_a N_b)) sum_i sum_j k(a_i, b_j). The two bags are put
-    in a canonical order before summing, so embed_inner(a, b) and
-    embed_inner(b, a) run the identical reduction and agree bit for bit.
+    <mu_a, mu_b> = (1/(N_a N_b)) sum_i sum_j k(a_i, b_j), by `pair_sums` on a
+    one-bag run with the smaller Bag._order_key first. So embed_inner(a, b)
+    and embed_inner(b, a) agree bit for bit, and equal the Gram entries.
     """
-    _check_dims(spec, a, b)
-    first, second = (a, b) if a._order_key() <= b._order_key() else (b, a)
-    total = np.sum(kernel_matrix(spec, first.points, second.points))
+    check_dims(spec, (a, b))
+    row_first = a._order_key() <= b._order_key()
+    total = pair_sums(spec, a, b.points, np.array([0, b.size]), row_first)[0]
     return float(total) / (a.size * b.size)
 
 

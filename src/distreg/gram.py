@@ -2,9 +2,12 @@
 
 Entries are outer-kernel values on empirical mean embeddings, with the row
 bag always in the first kernel slot. Assembly reduces every entry to
-embedding inner products, computed as exact double sums in a fixed canonical
-order (chunked vectorized reductions); identical inputs therefore produce
-bitwise-identical matrices regardless of thread count. Dense storage only.
+embedding inner products, each an exact double sum by the one canonical
+reduction, `embedding.pair_sums`: the bag with the smaller Bag._order_key
+is first, and the value of a pair depends on its two bags alone. The Gram,
+the cross-Gram (in either argument order), the self inner products,
+`embed_inner` and `outer_eval` therefore agree bit for bit on every pair,
+whatever the thread count or the chunk budget. Dense storage only.
 """
 
 from __future__ import annotations
@@ -14,18 +17,15 @@ import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg
 
-from .embedding import Bag, EmbeddingKernelSpec, embed_inner, kernel_matrix
+from .embedding import Bag, EmbeddingKernelSpec, check_dims, embed_inner, pair_sums
+from .embedding import kernel_matrix  # noqa: F401  (bench/spans.py wraps gram.kernel_matrix)
 from .errors import InputError
-from .outer import OuterKernelSpec
-
-# Upper bound on the number of pointwise kernel values held in memory by one
-# chunk of the double-sum reduction (~64 MB of float64).
-_CHUNK_BUDGET = 8_000_000
+from .outer import OuterKernelSpec, apply_outer
 
 _SCALE_NOTE = (
     "singular values and eigenvalues are those of (1/m) * gram; empirical "
@@ -82,134 +82,88 @@ class SpectrumReport:
     scale_note: str = _SCALE_NOTE
 
 
-def _check_bag_dims(espec: EmbeddingKernelSpec, bags: Sequence[Bag]) -> None:
-    for b in bags:
-        if b.dim != espec.dim:
-            raise InputError(
-                f"bag {b.id!r} has dimension {b.dim}, kernel expects {espec.dim}"
-            )
-
-
-def _row_block_sums(
-    espec: EmbeddingKernelSpec, row: Bag, cols: Sequence[Bag]
-) -> np.ndarray:
-    """Sum of pointwise kernel values between `row` and each bag in `cols`.
-
-    Column bags are concatenated and processed in chunks; per-bag segments are
-    reduced with np.add.reduceat, so the reduction order for any (row, col)
-    pair does not depend on how bags are grouped into chunks.
-    """
-    out = np.empty(len(cols))
-    chunk_cap = max(1, _CHUNK_BUDGET // row.size)
-    start = 0
-    while start < len(cols):
-        stop = start
-        total_pts = 0
-        while stop < len(cols) and (total_pts + cols[stop].size <= chunk_cap or stop == start):
-            total_pts += cols[stop].size
-            stop += 1
-        block = cols[start:stop]
-        pts = np.concatenate([b.points for b in block], axis=0)
-        kmat = kernel_matrix(espec, row.points, pts)
-        offsets = np.cumsum([0] + [b.size for b in block[:-1]])
-        out[start:stop] = np.add.reduceat(kmat, offsets, axis=1).sum(axis=0)
-        start = stop
-    return out
-
-
-def _embedding_inner_symmetric(
-    espec: EmbeddingKernelSpec, bags: Sequence[Bag], threads: int
-) -> np.ndarray:
-    """Matrix of embedding inner products over one bag list, exactly symmetric.
-
-    Only the upper triangle (row i vs bags j >= i) is computed; the lower
-    triangle is mirrored.
-    """
-    m = len(bags)
-    sizes = np.array([b.size for b in bags], dtype=np.float64)
-    inner = np.zeros((m, m))
-
-    def fill_row(i: int) -> None:
-        sums = _row_block_sums(espec, bags[i], bags[i:])
-        inner[i, i:] = sums / (sizes[i] * sizes[i:])
-
-    if threads > 1 and m > 1:
+def _parallel_rows(fill: Callable[[int], None], n: int, threads: int) -> None:
+    """Call fill(i) for i in range(n), on `threads` pool threads; fill(i) owns row i."""
+    if threads > 1 and n > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill_row, range(m)))
+            list(pool.map(fill, range(n)))
     else:
-        for i in range(m):
-            fill_row(i)
-    upper = np.triu(inner)
-    return upper + np.triu(inner, k=1).T
+        for i in range(n):
+            fill(i)
 
 
-def _embedding_inner_cross(
+def _embedding_inners(
     espec: EmbeddingKernelSpec,
     row_bags: Sequence[Bag],
     col_bags: Sequence[Bag],
     threads: int,
+    symmetric: bool,
 ) -> np.ndarray:
-    row_sizes = np.array([b.size for b in row_bags], dtype=np.float64)
-    col_sizes = np.array([b.size for b in col_bags], dtype=np.float64)
+    """Embedding inner products <mu_r, mu_c> of every row bag with every column bag.
+
+    Order keys are ranked once over both lists and the column bags packed once
+    in rank order, so a row bag meets two runs: bags ranked below it (column
+    bag first in the pair) and the rest (row bag first). Equal keys mean equal
+    points, so ties may break either way. With `symmetric` (one list) only
+    the second run is reduced and the rest is mirrored.
+    """
+    union = list(row_bags) if symmetric else [*row_bags, *col_bags]
+    rank = np.argsort(sorted(range(len(union)), key=lambda k: union[k]._order_key()))
+    row_rank, col_rank = rank[: len(row_bags)], rank[len(union) - len(col_bags) :]
+    col_order = np.argsort(col_rank)
+    cols = [col_bags[j] for j in col_order]
+    points = np.concatenate([b.points for b in cols])
+    bounds = np.cumsum([0] + [b.size for b in cols])
+    splits = np.searchsorted(col_rank[col_order], row_rank)
+    col_sizes = np.array([b.size for b in col_bags])
     inner = np.zeros((len(row_bags), len(col_bags)))
 
-    def fill_row(i: int) -> None:
-        inner[i, :] = _row_block_sums(espec, row_bags[i], col_bags) / (
-            row_sizes[i] * col_sizes
-        )
+    def fill(i: int) -> None:
+        row, split = row_bags[i], splits[i]
+        if not symmetric:
+            inner[i, col_order[:split]] = pair_sums(espec, row, points, bounds[: split + 1], False)
+        inner[i, col_order[split:]] = pair_sums(espec, row, points, bounds[split:], True)
+        inner[i] /= row.size * col_sizes
 
-    if threads > 1 and len(row_bags) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill_row, range(len(row_bags))))
-    else:
-        for i in range(len(row_bags)):
-            fill_row(i)
+    _parallel_rows(fill, len(row_bags), threads)
+    if symmetric:
+        lower = row_rank[:, None] > col_rank[None, :]
+        inner[lower] = inner.T[lower]
     return inner
 
 
-def _self_inners(
-    espec: EmbeddingKernelSpec, bags: Sequence[Bag], threads: int
-) -> np.ndarray:
+def _self_inners(espec: EmbeddingKernelSpec, bags: Sequence[Bag], threads: int) -> np.ndarray:
     out = np.empty(len(bags))
 
     def fill(i: int) -> None:
         b = bags[i]
-        out[i] = _row_block_sums(espec, b, [b])[0] / (b.size * b.size)
+        out[i] = pair_sums(espec, b, b.points, np.array([0, b.size]), True)[0] / b.size**2
 
-    if threads > 1 and len(bags) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, range(len(bags))))
-    else:
-        for i in range(len(bags)):
-            fill(i)
+    _parallel_rows(fill, len(bags), threads)
     return out
 
 
-def _apply_outer(
+def _outer_block(
     kspec: OuterKernelSpec,
     espec: EmbeddingKernelSpec,
-    inner: np.ndarray,
-    row_self: np.ndarray,
-    col_self: np.ndarray,
     row_bags: Sequence[Bag],
+    col_bags: Sequence[Bag],
+    threads: int | None,
+    symmetric: bool = False,
 ) -> np.ndarray:
-    """Map embedding geometry to outer-kernel values, row bag in first slot."""
-    if kspec.family == "linear_embedding":
-        return inner.copy()
-    if kspec.family == "tanh_indefinite":
-        return np.tanh(kspec.scale * inner + kspec.offset)
-    d2 = np.clip(row_self[:, None] + col_self[None, :] - 2.0 * inner, 0.0, None)
-    if kspec.family == "gaussian_on_embedding":
-        return np.exp(-0.5 * d2 / kspec.sigma**2)
-    if kspec.family == "dog_indefinite":
-        return np.exp(-0.5 * d2 / kspec.sigma1**2) - kspec.c * np.exp(
-            -0.5 * d2 / kspec.sigma2**2
-        )
-    # tilted_asymmetric: the tilt is a function of the row bag only
-    tilt = np.array(
-        [1.0 + kspec.c * embed_inner(espec, b, kspec.ref_bag) for b in row_bags]
-    )
-    return np.exp(-0.5 * d2 / kspec.sigma**2) * tilt[:, None]
+    check_dims(espec, [*row_bags, *col_bags])
+    threads = default_threads() if threads is None else max(1, threads)
+    inner = _embedding_inners(espec, row_bags, col_bags, threads, symmetric)
+    if symmetric:
+        row_self = col_self = np.diag(inner).copy()
+    else:
+        row_self = _self_inners(espec, row_bags, threads)
+        col_self = _self_inners(espec, col_bags, threads)
+    row_ref = None
+    if kspec.family == "tilted_asymmetric":
+        # Called through this module's name, which bench/spans.py wraps as the tilt.
+        row_ref = np.array([embed_inner(espec, b, kspec.ref_bag) for b in row_bags])
+    return apply_outer(kspec, inner, row_self, col_self, row_ref)
 
 
 def build_gram(
@@ -220,19 +174,15 @@ def build_gram(
 ) -> GramMatrix:
     """Assemble the m x m training Gram matrix K(mu_i, mu_j).
 
-    For symmetric outer kernels the embedding geometry is computed on the
-    upper triangle and mirrored, making the result exactly symmetric.
+    Embedding inner products are reduced once per unordered pair and
+    mirrored, so for symmetric outer kernels the result is exactly symmetric.
+    It equals build_cross_gram(bags, bags) bit for bit.
     """
     if len(bags) < 1:
         raise InputError("build_gram needs at least one bag")
-    _check_bag_dims(espec, bags)
-    threads = default_threads() if threads is None else max(1, threads)
-    inner = _embedding_inner_symmetric(espec, bags, threads)
-    self_inners = np.diag(inner).copy()
-    values = _apply_outer(kspec, espec, inner, self_inners, self_inners, bags)
     ids = tuple(b.id for b in bags)
     return GramMatrix(
-        values=values,
+        values=_outer_block(kspec, espec, bags, bags, threads, symmetric=True),
         row_ids=ids,
         col_ids=ids,
         kernel_fingerprint=kernel_fingerprint(kspec, espec),
@@ -253,12 +203,7 @@ def build_cross_gram(
     """
     if len(test_bags) < 1 or len(train_bags) < 1:
         raise InputError("build_cross_gram needs nonempty bag lists")
-    _check_bag_dims(espec, list(test_bags) + list(train_bags))
-    threads = default_threads() if threads is None else max(1, threads)
-    inner = _embedding_inner_cross(espec, test_bags, train_bags, threads)
-    row_self = _self_inners(espec, test_bags, threads)
-    col_self = _self_inners(espec, train_bags, threads)
-    return _apply_outer(kspec, espec, inner, row_self, col_self, test_bags)
+    return _outer_block(kspec, espec, test_bags, train_bags, threads)
 
 
 def spectrum(g: GramMatrix, symmetry_tol: float = 1e-10) -> SpectrumReport:

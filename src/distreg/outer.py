@@ -10,36 +10,24 @@ depends on the first argument only.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
-from .embedding import Bag, EmbeddingKernelSpec, embed_inner, embed_sq_dist
+import numpy as np
+
+from .embedding import Bag, EmbeddingKernelSpec, embed_inner
 from .errors import ConfigError, InputError
 
-OUTER_FAMILIES = (
-    "gaussian_on_embedding",
-    "linear_embedding",
-    "dog_indefinite",
-    "tanh_indefinite",
-    "tilted_asymmetric",
-)
-
-_SYMMETRIC = {
-    "gaussian_on_embedding": True,
-    "linear_embedding": True,
-    "dog_indefinite": True,
-    "tanh_indefinite": True,
-    "tilted_asymmetric": False,
+# family -> (symmetric, PSD claimed)
+_FLAGS = {
+    "gaussian_on_embedding": (True, True),
+    "linear_embedding": (True, True),
+    "dog_indefinite": (True, False),
+    "tanh_indefinite": (True, False),
+    "tilted_asymmetric": (False, False),
 }
 
-_PSD_CLAIMED = {
-    "gaussian_on_embedding": True,
-    "linear_embedding": True,
-    "dog_indefinite": False,
-    "tanh_indefinite": False,
-    "tilted_asymmetric": False,
-}
+OUTER_FAMILIES = tuple(_FLAGS)
 
 
 def _require_positive(name: str, value: float | None) -> float:
@@ -98,11 +86,11 @@ class OuterKernelSpec:
 
     @property
     def symmetric(self) -> bool:
-        return _SYMMETRIC[self.family]
+        return _FLAGS[self.family][0]
 
     @property
     def psd_claimed(self) -> bool:
-        return _PSD_CLAIMED[self.family]
+        return _FLAGS[self.family][1]
 
     # Convenience constructors mirroring the family menu.
     @classmethod
@@ -153,24 +141,49 @@ class OuterKernelSpec:
         return cls(family=family, ref_bag=ref_bag, **{k: float(v) for k, v in d.items()})
 
 
+def apply_outer(
+    kspec: OuterKernelSpec,
+    inner: np.ndarray,
+    row_self: np.ndarray,
+    col_self: np.ndarray,
+    row_ref: np.ndarray | None = None,
+) -> np.ndarray:
+    """Map embedding geometry to outer-kernel values, row bag in the first slot.
+
+    The one table of outer-kernel formulas: `inner[i, j]` = <mu_i, mu_j>,
+    `row_self`/`col_self` the self inner products, and `row_ref[i]` =
+    <mu_i, mu_ref> for the tilted family's reference bag.
+    """
+    if kspec.family == "linear_embedding":
+        return inner.copy()
+    if kspec.family == "tanh_indefinite":
+        return np.tanh(kspec.scale * inner + kspec.offset)
+    d2 = np.clip(row_self[:, None] + col_self[None, :] - 2.0 * inner, 0.0, None)
+    if kspec.family == "gaussian_on_embedding":
+        return np.exp(-0.5 * d2 / kspec.sigma**2)
+    if kspec.family == "dog_indefinite":
+        return np.exp(-0.5 * d2 / kspec.sigma1**2) - kspec.c * np.exp(
+            -0.5 * d2 / kspec.sigma2**2
+        )
+    # tilted_asymmetric: the tilt is a function of the row bag only
+    tilt = 1.0 + kspec.c * row_ref
+    return np.exp(-0.5 * d2 / kspec.sigma**2) * tilt[:, None]
+
+
 def outer_eval(
     kspec: OuterKernelSpec, espec: EmbeddingKernelSpec, a: Bag, b: Bag
 ) -> float:
-    """Evaluate K(mu_a, mu_b) with `a` in the first kernel slot."""
-    if kspec.family == "linear_embedding":
-        return embed_inner(espec, a, b)
-    if kspec.family == "tanh_indefinite":
-        return math.tanh(kspec.scale * embed_inner(espec, a, b) + kspec.offset)
-    d2 = embed_sq_dist(espec, a, b)
-    if kspec.family == "gaussian_on_embedding":
-        return math.exp(-0.5 * d2 / kspec.sigma**2)
-    if kspec.family == "dog_indefinite":
-        return math.exp(-0.5 * d2 / kspec.sigma1**2) - kspec.c * math.exp(
-            -0.5 * d2 / kspec.sigma2**2
-        )
-    # tilted_asymmetric: tilt through the first argument only
-    tilt = 1.0 + kspec.c * embed_inner(espec, a, kspec.ref_bag)
-    return math.exp(-0.5 * d2 / kspec.sigma**2) * tilt
+    """Evaluate K(mu_a, mu_b) with `a` in the first kernel slot.
+
+    The table of `apply_outer` on 1 x 1 geometry, so the value equals the
+    matching Gram or cross-Gram entry bit for bit.
+    """
+    row_ref = None
+    if kspec.family == "tilted_asymmetric":
+        row_ref = np.array([embed_inner(espec, a, kspec.ref_bag)])
+    inner = np.array([[embed_inner(espec, a, b)]])
+    self_a, self_b = np.array([embed_inner(espec, a, a)]), np.array([embed_inner(espec, b, b)])
+    return float(apply_outer(kspec, inner, self_a, self_b, row_ref)[0, 0])
 
 
 class SymmetryCheck(NamedTuple):
@@ -186,16 +199,13 @@ def check_symmetry(
 ) -> SymmetryCheck:
     """Empirically validate the symmetric flag on a bag set.
 
-    Evaluates K in both argument orders over all pairs and reports the largest
-    discrepancy. Diagnostic only: cost is O(m^2) full kernel evaluations.
+    Evaluates K in both argument orders over all pairs, as one cross-Gram of
+    the bags with themselves, and reports its largest gap to its transpose.
     """
+    from .gram import build_cross_gram  # gram builds on this module
+
     if len(bags) < 2:
         raise InputError("check_symmetry needs at least 2 bags")
-    worst = 0.0
-    for i, a in enumerate(bags):
-        for b in bags[i + 1 :]:
-            gap = abs(
-                outer_eval(kspec, espec, a, b) - outer_eval(kspec, espec, b, a)
-            )
-            worst = max(worst, gap)
+    values = build_cross_gram(kspec, espec, bags, bags)
+    worst = float(np.max(np.abs(values - values.T)))
     return SymmetryCheck(symmetric=worst <= tol, max_asymmetry=worst)

@@ -19,14 +19,10 @@ import numpy as np
 
 from .embedding import EmbeddingKernelSpec
 from .errors import ConfigError, ContractError, InputError
-from .gram import GramMatrix, SpectrumReport, build_gram, spectrum
+from .gram import SpectrumReport, build_gram
 from .outer import OuterKernelSpec
-from .solver import (
-    excess_error,
-    fit_coefficient,
-    fit_krr,
-    solve_alpha,
-)
+from .solver import alpha_path, check_scheme, excess_error, fit_coefficient, fit_krr
+from .solver import solve_alpha  # noqa: F401  (bench/spans.py wraps analysis.solve_alpha)
 from .synth import MetaDistributionSpec, generate
 
 # Singular values at or below this are treated as numerical noise.
@@ -175,7 +171,10 @@ def select_lambda_holdout(
     Splits the training set once (seeded permutation), fits on the kept part
     at every grid value, scores label MSE on the held-out part, and returns
     the best lambda plus the (lambda, mse) table. Ties break toward the
-    smaller lambda via first-minimum selection on an ascending grid.
+    smaller lambda via first-minimum selection on an ascending grid. The fits
+    come from one eigendecomposition of the kept part (`solver.alpha_path`),
+    so they agree with per-lambda solves to rounding, not bit for bit.
+    `g_values` must be finite, as a GramMatrix's values are.
     """
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     m = y.shape[0]
@@ -189,11 +188,8 @@ def select_lambda_holdout(
     hold_idx, fit_idx = perm[:n_hold], perm[n_hold:]
     sub = g_values[np.ix_(fit_idx, fit_idx)]
     cross = g_values[np.ix_(hold_idx, fit_idx)]
-    table = []
-    for lam in grid:
-        alpha = solve_alpha(scheme, sub, y[fit_idx], lam)
-        mse = float(np.mean((cross @ alpha - y[hold_idx]) ** 2))
-        table.append((lam, mse))
+    residuals = cross @ alpha_path(scheme, sub, y[fit_idx], grid) - y[hold_idx][:, None]
+    table = [(lam, float(mse)) for lam, mse in zip(grid, np.mean(residuals**2, axis=0))]
     best = min(range(len(table)), key=lambda i: table[i][1])
     return table[best][0], table
 
@@ -223,6 +219,7 @@ class SweepConfig:
     threads: int | None = None
 
     def __post_init__(self):
+        check_scheme(self.scheme)
         if self.lambda_mode not in ("grid", "schedule", "fixed"):
             raise ConfigError(f"unknown lambda mode {self.lambda_mode!r}")
         if self.lambda_mode == "fixed" and self.lambda_fixed is None:
@@ -415,13 +412,3 @@ def saturation_compare(config: SaturationConfig) -> SaturationReport:
         winner=winner,
     )
 
-
-def spectrum_of_bags(
-    kspec: OuterKernelSpec,
-    espec: EmbeddingKernelSpec,
-    bags,
-    threads: int | None = None,
-) -> tuple[GramMatrix, SpectrumReport]:
-    """Convenience: Gram plus spectrum in one call (used by the CLI)."""
-    g = build_gram(kspec, espec, bags, threads=threads)
-    return g, spectrum(g)

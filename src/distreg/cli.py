@@ -21,7 +21,7 @@ from .embedding import EmbeddingKernelSpec
 from .errors import ConfigError, ContractError, InputError, NumericalError
 from .gram import build_gram, kernel_fingerprint, spectrum
 from .outer import OuterKernelSpec
-from .solver import fit_coefficient, fit_krr, predict
+from .solver import check_scheme, fit_coefficient, fit_krr, predict
 from .synth import MetaDistributionSpec, generate
 
 EXIT_OK = 0
@@ -144,9 +144,9 @@ def _print_fit_report(report, as_json: bool) -> None:
 
 def cmd_fit(args) -> int:
     cfg = _load_config(args.config, args.seed)
+    scheme = check_scheme(cfg.get("scheme", "coefficient_l2"))
     kspec, espec = _kernels(cfg)
     bags = _load_bags(cfg, require_labels=True)
-    scheme = cfg.get("scheme", "coefficient_l2")
     y = np.array([b.label for b in bags], dtype=np.float64)
     g = build_gram(kspec, espec, bags, threads=args.threads)
     lam = _resolve_lambda(cfg, g.values, y, scheme)

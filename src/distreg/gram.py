@@ -16,7 +16,7 @@ import hashlib
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,7 +24,7 @@ import scipy.linalg
 
 from .embedding import Bag, EmbeddingKernelSpec, check_dims, embed_inner, pair_sums
 from .embedding import kernel_matrix  # noqa: F401  (bench/spans.py wraps gram.kernel_matrix)
-from .errors import InputError
+from .errors import InputError, NumericalError
 from .outer import OuterKernelSpec, apply_outer
 
 _SCALE_NOTE = (
@@ -54,12 +54,25 @@ def kernel_fingerprint(kspec: OuterKernelSpec, espec: EmbeddingKernelSpec) -> st
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """An m x m outer-kernel matrix plus provenance."""
+    """An m x m outer-kernel matrix plus provenance.
+
+    The values must be finite: everything downstream (lambda selection, the
+    solves, the spectrum) assumes it. `self_inners` are the bags' embedding
+    self inner products when the matrix was built from bags, else None.
+    """
 
     values: np.ndarray
     row_ids: tuple[str, ...]
     col_ids: tuple[str, ...]
     kernel_fingerprint: str
+    self_inners: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not np.all(np.isfinite(self.values)):
+            raise NumericalError(
+                "Gram matrix has non-finite entries; the outer kernel's parameters "
+                "are out of floating-point range for these embeddings"
+            )
 
     @property
     def m(self) -> int:
@@ -150,7 +163,13 @@ def _outer_block(
     col_bags: Sequence[Bag],
     threads: int | None,
     symmetric: bool = False,
-) -> np.ndarray:
+    col_self: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Outer-kernel block and the column bags' self inner products.
+
+    `col_self`, when given, must be those self inner products; they are then
+    not recomputed.
+    """
     check_dims(espec, [*row_bags, *col_bags])
     threads = default_threads() if threads is None else max(1, threads)
     inner = _embedding_inners(espec, row_bags, col_bags, threads, symmetric)
@@ -158,12 +177,13 @@ def _outer_block(
         row_self = col_self = np.diag(inner).copy()
     else:
         row_self = _self_inners(espec, row_bags, threads)
-        col_self = _self_inners(espec, col_bags, threads)
+        if col_self is None:
+            col_self = _self_inners(espec, col_bags, threads)
     row_ref = None
     if kspec.family == "tilted_asymmetric":
         # Called through this module's name, which bench/spans.py wraps as the tilt.
         row_ref = np.array([embed_inner(espec, b, kspec.ref_bag) for b in row_bags])
-    return apply_outer(kspec, inner, row_self, col_self, row_ref)
+    return apply_outer(kspec, inner, row_self, col_self, row_ref), col_self
 
 
 def build_gram(
@@ -176,16 +196,20 @@ def build_gram(
 
     Embedding inner products are reduced once per unordered pair and
     mirrored, so for symmetric outer kernels the result is exactly symmetric.
-    It equals build_cross_gram(bags, bags) bit for bit.
+    It equals build_cross_gram(bags, bags) bit for bit. The self inner
+    products (the inner-product diagonal) are kept as `self_inners`. Raises
+    NumericalError if an entry is not finite.
     """
     if len(bags) < 1:
         raise InputError("build_gram needs at least one bag")
     ids = tuple(b.id for b in bags)
+    values, self_inners = _outer_block(kspec, espec, bags, bags, threads, symmetric=True)
     return GramMatrix(
-        values=_outer_block(kspec, espec, bags, bags, threads, symmetric=True),
+        values=values,
         row_ids=ids,
         col_ids=ids,
         kernel_fingerprint=kernel_fingerprint(kspec, espec),
+        self_inners=self_inners,
     )
 
 
@@ -195,15 +219,21 @@ def build_cross_gram(
     test_bags: Sequence[Bag],
     train_bags: Sequence[Bag],
     threads: int | None = None,
+    train_self_inners: np.ndarray | None = None,
 ) -> np.ndarray:
     """Test-vs-train block K(mu_test_t, mu_train_i), test embedding first.
 
     For asymmetric kernels the argument order matters and is test-first,
-    matching the prediction formula.
+    matching the prediction formula. `train_self_inners`, if given, are the
+    training bags' self inner products (a GramMatrix's `self_inners`), which
+    are then not recomputed; the result is the same bit for bit.
     """
     if len(test_bags) < 1 or len(train_bags) < 1:
         raise InputError("build_cross_gram needs nonempty bag lists")
-    return _outer_block(kspec, espec, test_bags, train_bags, threads)
+    values, _ = _outer_block(
+        kspec, espec, test_bags, train_bags, threads, col_self=train_self_inners
+    )
+    return values
 
 
 def spectrum(g: GramMatrix, symmetry_tol: float = 1e-10) -> SpectrumReport:

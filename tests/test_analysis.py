@@ -13,6 +13,7 @@ from distreg import (
     EmbeddingKernelSpec,
     InputError,
     MetaDistributionSpec,
+    NumericalError,
     OuterKernelSpec,
     SaturationConfig,
     ScheduleParams,
@@ -29,7 +30,9 @@ from distreg import (
     spectrum,
 )
 
-from conftest import make_bags
+from distreg.solver import solve_alpha
+
+from conftest import INDEFINITE_DOG, INDEFINITE_EMBEDDING, make_bags
 
 
 def report_from_values(sv) -> SpectrumReport:
@@ -252,6 +255,58 @@ class TestSelectLambda:
     def test_empty_grid(self):
         with pytest.raises(ConfigError):
             select_lambda_holdout(np.eye(5), np.ones(5), [], "krr", 0.3, seed=0)
+
+    @pytest.mark.parametrize("scheme", ["coefficient_l2", "krr"])
+    @pytest.mark.parametrize("kind", ["random_spd", "dog_indefinite", "tilted_asymmetric"])
+    def test_table_matches_per_lambda_solves(self, kind, scheme):
+        values, y = _selection_gram(kind)
+        grid = list(np.logspace(-8, 0, 10))
+        if scheme == "krr" and kind != "random_spd":
+            grid = list(np.logspace(0, 2, 9))  # where every ridge system is PD
+        lam, table = select_lambda_holdout(values, y, grid, scheme, 0.3, seed=13)
+        oracle_lam, oracle = holdout_oracle(values, y, grid, scheme, 0.3, seed=13)
+        assert lam == oracle_lam
+        assert [t[0] for t in table] == [t[0] for t in oracle]
+        for (_, mse), (_, want) in zip(table, oracle):
+            assert mse == pytest.approx(want, rel=1e-8, abs=0)
+
+    @pytest.mark.parametrize("kind", ["dog_indefinite", "tilted_asymmetric"])
+    def test_ridge_grid_with_indefinite_system_raises(self, kind):
+        values, y = _selection_gram(kind)
+        grid = list(np.logspace(-8, 0, 10))
+        with pytest.raises(NumericalError):
+            holdout_oracle(values, y, grid, "krr", 0.3, seed=13)
+        with pytest.raises(NumericalError):
+            select_lambda_holdout(values, y, grid, "krr", 0.3, seed=13)
+
+
+def holdout_oracle(values, y, grid, scheme, holdout_frac, seed):
+    """Reference lambda selection: the same split, one Cholesky solve per grid value."""
+    m = len(y)
+    n_hold = min(m - 2, max(1, round(holdout_frac * m)))
+    perm = np.random.default_rng(np.random.SeedSequence(entropy=seed)).permutation(m)
+    hold, kept = perm[:n_hold], perm[n_hold:]
+    table = []
+    for lam in sorted(grid):
+        alpha = solve_alpha(scheme, values[np.ix_(kept, kept)], y[kept], lam)
+        table.append((lam, float(np.mean((values[np.ix_(hold, kept)] @ alpha - y[hold]) ** 2))))
+    return min(table, key=lambda t: t[1])[0], table
+
+
+def _selection_gram(kind: str):
+    """A 30 x 30 Gram of the given kind, with labels smooth in the bags."""
+    bags = make_bags(5, 30, 8, 2, spread=0.3, box=3.0)
+    y = np.array([np.sin(b.points.mean()) for b in bags])
+    y += 0.05 * np.random.default_rng(6).normal(size=30)
+    if kind == "random_spd":
+        a = np.random.default_rng(21).normal(size=(30, 30))
+        return a @ a.T / 30, y
+    espec = EmbeddingKernelSpec(**INDEFINITE_EMBEDDING)
+    if kind == "dog_indefinite":
+        kspec = OuterKernelSpec.dog(**INDEFINITE_DOG)
+    else:
+        kspec = OuterKernelSpec.tilted(1.0, 0.5, bags[0])
+    return build_gram(kspec, espec, bags).values, y
 
 
 def _sweep_config(**overrides):

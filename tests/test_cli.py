@@ -251,6 +251,31 @@ class TestCmdFit:
         assert main(["fit", "--config", cfg]) == 3
         assert "positive semi-definite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["fit", "sweep"])
+    def test_unknown_scheme_exits_3(self, tmp_path, capsys, command):
+        # A fixed lambda skips lambda selection, which never sees the scheme.
+        make = base_sections if command == "fit" else sweep_sections
+        cfg = write_config(tmp_path, **make(scheme="bogus", **{"lambda": {"fixed": 0.01}}))
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: unknown scheme 'bogus'")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, lam",
+        [("fit", {"fixed": 0.01}), ("fit", {"grid": [1e-4, 1e-2]}), ("spectrum", {"fixed": 0.01})],
+    )
+    def test_non_finite_gram_exits_4(self, tmp_path, capsys, command, lam):
+        # sigma**2 underflows to 0, so the outer kernel divides 0 by 0.
+        sections = base_sections(
+            outer_kernel={"family": "gaussian_on_embedding", "sigma": 1e-300}, **{"lambda": lam}
+        )
+        cfg = write_config(tmp_path, **sections)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: Gram matrix has non-finite entries")
+
     def test_missing_bag_file_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, **base_sections(data={"path": str(tmp_path / "gone.ndjson")}))
         assert main(["fit", "--config", cfg]) == 2

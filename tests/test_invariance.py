@@ -125,3 +125,23 @@ def test_embed_inner_and_outer_eval_equal_gram_entries(case):
         for i, a in enumerate(test):
             for j, b in enumerate(train):
                 assert outer_eval(kspec, espec, a, b) == cross[i, j]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_predict_reusing_fit_self_inners_equals_recomputing(case, threads, tmp_path):
+    from dataclasses import replace
+
+    from distreg import fit_coefficient, io, predict
+
+    espec, train, test = case
+    y = np.linspace(-1.0, 1.0, len(train))
+    for kspec in outer_specs(train[5]):
+        g = build_gram(kspec, espec, train, threads=threads)
+        model, _ = fit_coefficient(g, y, 1e-3, train, kspec, espec)
+        assert model.train_self_inners is g.self_inners is not None
+        recomputed = replace(model, train_self_inners=None)
+        reused = predict(model, test, threads=threads)
+        assert np.array_equal(reused, predict(recomputed, test, threads=threads))
+        io.save_model(model, tmp_path / "model.json")
+        loaded = io.load_model(tmp_path / "model.json")
+        assert np.array_equal(reused, predict(loaded, test, threads=threads))

@@ -19,7 +19,7 @@ from distreg import (
     fit_krr,
     predict,
 )
-from distreg.solver import coefficient_objective, krr_objective
+from distreg.solver import assemble_system, coefficient_objective, krr_objective
 
 from conftest import gram_from_matrix, make_bags, make_indefinite_fixture
 from test_gram import naive_outer
@@ -341,6 +341,26 @@ def test_condition_warning_on_near_singular():
             gram_from_matrix(values), rng.normal(size=10), 1e-14, _dummy_bags(10),
             PSD_KSPEC, ESPEC,
         )
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("scheme", ["coefficient_l2", "krr"])
+def test_condition_estimate_brackets_two_norm_condition(scheme, seed):
+    # dpocon estimates the 1-norm condition number, which lies within a
+    # factor m of the 2-norm one; the estimate is rarely below a third of it.
+    m = 40
+    espec = EmbeddingKernelSpec("gaussian", 0.25, 1)
+    bags = make_bags(300 + seed, m, 6, 1, spread=0.1)
+    kspec = OuterKernelSpec.gaussian(1.0) if seed % 2 else OuterKernelSpec.dog(0.3, 1.1, 0.8)
+    if scheme == "krr":
+        kspec = OuterKernelSpec.gaussian(0.5 + 0.2 * seed)
+    g = build_gram(kspec, espec, bags)
+    y = np.random.default_rng(seed).normal(size=m)
+    fit = fit_coefficient if scheme == "coefficient_l2" else fit_krr
+    for lam in (1e-8, 1e-4, 1e-1):
+        _, report = fit(g, y, lam, bags, kspec, espec)
+        kappa2 = np.linalg.cond(assemble_system(scheme, g.values, y, lam)[0])
+        assert kappa2 / 3 <= report.condition_estimate <= m * kappa2
 
 
 def test_alpha_length_validation():

@@ -18,10 +18,10 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .embedding import EmbeddingKernelSpec
-from .errors import ConfigError, ContractError, InputError
+from .errors import ConfigError, InputError
 from .gram import SpectrumReport, build_gram
 from .outer import OuterKernelSpec
-from .solver import alpha_path, check_scheme, excess_error, fit_coefficient, fit_krr
+from .solver import alpha_paths, check_scheme, excess_error, fit_coefficient, fit_krr
 from .solver import solve_alpha  # noqa: F401  (bench/spans.py wraps analysis.solve_alpha)
 from .synth import MetaDistributionSpec, generate
 
@@ -162,19 +162,21 @@ def select_lambda_holdout(
     g_values: np.ndarray,
     y: np.ndarray,
     grid: Sequence[float],
-    scheme: str,
+    schemes: Sequence[str],
     holdout_frac: float,
     seed: int,
-) -> tuple[float, list[tuple[float, float]]]:
-    """Pick lambda from a grid by held-out mean squared error.
+) -> dict[str, tuple[float, list[tuple[float, float]]]]:
+    """Pick lambda from a grid by held-out mean squared error, for each scheme.
 
     Splits the training set once (seeded permutation), fits on the kept part
     at every grid value, scores label MSE on the held-out part, and returns
-    the best lambda plus the (lambda, mse) table. Ties break toward the
-    smaller lambda via first-minimum selection on an ascending grid. The fits
-    come from one eigendecomposition of the kept part (`solver.alpha_path`),
-    so they agree with per-lambda solves to rounding, not bit for bit.
-    `g_values` must be finite, as a GramMatrix's values are.
+    {scheme: (best lambda, (lambda, mse) table)}. Every scheme sees the same
+    split. Ties break toward the smaller lambda via first-minimum selection
+    on an ascending grid. The fits come from `solver.alpha_paths`, which
+    decomposes the kept block once for every lambda and, when the block is
+    exactly symmetric, for both schemes; they agree with per-lambda solves to
+    rounding, not bit for bit. `g_values` must be finite, as a GramMatrix's
+    values are.
     """
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     m = y.shape[0]
@@ -188,10 +190,13 @@ def select_lambda_holdout(
     hold_idx, fit_idx = perm[:n_hold], perm[n_hold:]
     sub = g_values[np.ix_(fit_idx, fit_idx)]
     cross = g_values[np.ix_(hold_idx, fit_idx)]
-    residuals = cross @ alpha_path(scheme, sub, y[fit_idx], grid) - y[hold_idx][:, None]
-    table = [(lam, float(mse)) for lam, mse in zip(grid, np.mean(residuals**2, axis=0))]
-    best = min(range(len(table)), key=lambda i: table[i][1])
-    return table[best][0], table
+    picks = {}
+    for scheme, alphas in alpha_paths(schemes, sub, y[fit_idx], grid).items():
+        residuals = cross @ alphas - y[hold_idx][:, None]
+        table = [(lam, float(mse)) for lam, mse in zip(grid, np.mean(residuals**2, axis=0))]
+        best = min(range(len(table)), key=lambda i: table[i][1])
+        picks[scheme] = (table[best][0], table)
+    return picks
 
 
 def _derived_seed(master: int, *key: int) -> int:
@@ -219,7 +224,7 @@ class SweepConfig:
     threads: int | None = None
 
     def __post_init__(self):
-        check_scheme(self.scheme)
+        check_scheme(self.scheme, self.outer_kernel)
         if self.lambda_mode not in ("grid", "schedule", "fixed"):
             raise ConfigError(f"unknown lambda mode {self.lambda_mode!r}")
         if self.lambda_mode == "fixed" and self.lambda_fixed is None:
@@ -296,10 +301,10 @@ def run_rate_experiment(config: SweepConfig) -> SweepResult:
                     g.values,
                     y,
                     config.lambda_grid,
-                    config.scheme,
+                    (config.scheme,),
                     config.holdout_frac,
                     _derived_seed(master, m, rep, 2),
-                )
+                )[config.scheme]
             fitter = fit_coefficient if config.scheme == "coefficient_l2" else fit_krr
             model, _ = fitter(
                 g, y, lam, train.bags, config.outer_kernel, config.embedding_kernel
@@ -363,15 +368,12 @@ def saturation_compare(config: SaturationConfig) -> SaturationReport:
     """Fit both schemes on a shared problem and lambda grid; report both errors.
 
     Both schemes see the same data, the same holdout split, and the same
-    grid; each picks its own lambda and is refit on the full training set.
-    Requires a PSD outer kernel (the ridge baseline is undefined otherwise)
-    and the smooth target family this comparison is about.
+    grid; one lambda selection serves both, each scheme picks its own lambda
+    and is refit on the full training set. Requires a PSD outer kernel (the
+    ridge baseline is undefined otherwise) and the smooth target family this
+    comparison is about.
     """
-    if not (config.outer_kernel.psd_claimed and config.outer_kernel.symmetric):
-        raise ContractError(
-            "saturation comparison requires a symmetric PSD outer kernel; "
-            f"got {config.outer_kernel.family!r}"
-        )
+    check_scheme("krr", config.outer_kernel)
     if config.meta.target != "smooth_composite":
         raise ConfigError(
             f"saturation comparison expects the smooth_composite target, "
@@ -388,18 +390,18 @@ def saturation_compare(config: SaturationConfig) -> SaturationReport:
         config.outer_kernel, config.embedding_kernel, train.bags, threads=config.threads
     )
     y = train.labels()
-    split_seed = _derived_seed(master, 2)
+    fitters = {"coefficient_l2": fit_coefficient, "krr": fit_krr}
+    picks = select_lambda_holdout(
+        g.values, y, config.lambda_grid, tuple(fitters), config.holdout_frac,
+        _derived_seed(master, 2),
+    )
+    lams = {scheme: lam for scheme, (lam, _) in picks.items()}
     errors: dict[str, float] = {}
-    lams: dict[str, float] = {}
-    for scheme, fitter in (("coefficient_l2", fit_coefficient), ("krr", fit_krr)):
-        lam, _ = select_lambda_holdout(
-            g.values, y, config.lambda_grid, scheme, config.holdout_frac, split_seed
-        )
+    for scheme, fitter in fitters.items():
         model, _ = fitter(
-            g, y, lam, train.bags, config.outer_kernel, config.embedding_kernel
+            g, y, lams[scheme], train.bags, config.outer_kernel, config.embedding_kernel
         )
         errors[scheme] = excess_error(model, test.with_targets(), threads=config.threads)
-        lams[scheme] = lam
     ratio = errors["coefficient_l2"] / errors["krr"] if errors["krr"] > 0 else math.inf
     winner = "coefficient_l2" if errors["coefficient_l2"] <= errors["krr"] else "krr"
     return SaturationReport(

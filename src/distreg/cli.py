@@ -116,10 +116,10 @@ def _resolve_lambda(cfg: dict, g_values: np.ndarray, y: np.ndarray, scheme: str)
         g_values,
         y,
         grid,
-        scheme,
+        (scheme,),
         float(cfg.get("holdout_frac", analysis.DEFAULT_HOLDOUT_FRAC)),
         int(seed),
-    )
+    )[scheme]
     return lam
 
 
@@ -144,8 +144,8 @@ def _print_fit_report(report, as_json: bool) -> None:
 
 def cmd_fit(args) -> int:
     cfg = _load_config(args.config, args.seed)
-    scheme = check_scheme(cfg.get("scheme", "coefficient_l2"))
     kspec, espec = _kernels(cfg)
+    scheme = check_scheme(cfg.get("scheme", "coefficient_l2"), kspec)
     bags = _load_bags(cfg, require_labels=True)
     y = np.array([b.label for b in bags], dtype=np.float64)
     g = build_gram(kspec, espec, bags, threads=args.threads)

@@ -52,6 +52,14 @@ def kernel_fingerprint(kspec: OuterKernelSpec, espec: EmbeddingKernelSpec) -> st
     return hashlib.sha256(doc.encode()).hexdigest()[:16]
 
 
+def _check_finite(values: np.ndarray) -> None:
+    if not np.all(np.isfinite(values)):
+        raise NumericalError(
+            "Gram matrix has non-finite entries; the outer kernel's parameters "
+            "are out of floating-point range for these embeddings"
+        )
+
+
 @dataclass(frozen=True)
 class GramMatrix:
     """An m x m outer-kernel matrix plus provenance.
@@ -68,11 +76,7 @@ class GramMatrix:
     self_inners: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.values)):
-            raise NumericalError(
-                "Gram matrix has non-finite entries; the outer kernel's parameters "
-                "are out of floating-point range for these embeddings"
-            )
+        _check_finite(self.values)
 
     @property
     def m(self) -> int:
@@ -226,13 +230,15 @@ def build_cross_gram(
     For asymmetric kernels the argument order matters and is test-first,
     matching the prediction formula. `train_self_inners`, if given, are the
     training bags' self inner products (a GramMatrix's `self_inners`), which
-    are then not recomputed; the result is the same bit for bit.
+    are then not recomputed; the result is the same bit for bit. Raises
+    NumericalError if an entry is not finite.
     """
     if len(test_bags) < 1 or len(train_bags) < 1:
         raise InputError("build_cross_gram needs nonempty bag lists")
     values, _ = _outer_block(
         kspec, espec, test_bags, train_bags, threads, col_self=train_self_inners
     )
+    _check_finite(values)
     return values
 
 

@@ -99,9 +99,10 @@ def save_model(model: CoefficientModel, path: str | Path) -> None:
         "alpha": [float(a) for a in model.alpha],
         "train_bags": [bag_to_record(b) for b in model.train_bags],
     }
+    # One json.dumps goes through the C encoder; json.dump streams through the
+    # pure-Python one. The bytes are the same.
     with open(path, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        fh.write(json.dumps(doc) + "\n")
 
 
 def load_model(path: str | Path) -> CoefficientModel:

@@ -152,22 +152,25 @@ def apply_outer(
 
     The one table of outer-kernel formulas: `inner[i, j]` = <mu_i, mu_j>,
     `row_self`/`col_self` the self inner products, and `row_ref[i]` =
-    <mu_i, mu_ref> for the tilted family's reference bag.
+    <mu_i, mu_ref> for the tilted family's reference bag. Parameters out of
+    floating-point range (a sigma whose square underflows) give non-finite
+    values without a numpy warning; the Gram builders reject them.
     """
-    if kspec.family == "linear_embedding":
-        return inner.copy()
-    if kspec.family == "tanh_indefinite":
-        return np.tanh(kspec.scale * inner + kspec.offset)
-    d2 = np.clip(row_self[:, None] + col_self[None, :] - 2.0 * inner, 0.0, None)
-    if kspec.family == "gaussian_on_embedding":
-        return np.exp(-0.5 * d2 / kspec.sigma**2)
-    if kspec.family == "dog_indefinite":
-        return np.exp(-0.5 * d2 / kspec.sigma1**2) - kspec.c * np.exp(
-            -0.5 * d2 / kspec.sigma2**2
-        )
-    # tilted_asymmetric: the tilt is a function of the row bag only
-    tilt = 1.0 + kspec.c * row_ref
-    return np.exp(-0.5 * d2 / kspec.sigma**2) * tilt[:, None]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if kspec.family == "linear_embedding":
+            return inner.copy()
+        if kspec.family == "tanh_indefinite":
+            return np.tanh(kspec.scale * inner + kspec.offset)
+        d2 = np.clip(row_self[:, None] + col_self[None, :] - 2.0 * inner, 0.0, None)
+        if kspec.family == "gaussian_on_embedding":
+            return np.exp(-0.5 * d2 / kspec.sigma**2)
+        if kspec.family == "dog_indefinite":
+            return np.exp(-0.5 * d2 / kspec.sigma1**2) - kspec.c * np.exp(
+                -0.5 * d2 / kspec.sigma2**2
+            )
+        # tilted_asymmetric: the tilt is a function of the row bag only
+        tilt = 1.0 + kspec.c * row_ref
+        return np.exp(-0.5 * d2 / kspec.sigma**2) * tilt[:, None]
 
 
 def outer_eval(

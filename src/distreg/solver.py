@@ -9,10 +9,13 @@ scheme survive indefinite and asymmetric kernels. The ridge baseline solves
 
 A fit factors its system once (Cholesky) and solves with that factor; the
 same factor gives the fit report's condition estimate. A lambda search
-decomposes once for the whole grid: `alpha_path` diagonalizes G^T G
-(coefficient) or G (ridge) and reads every alpha(lam) off that one
-eigendecomposition, since lam only shifts the eigenvalues (the ridge path,
-Hastie, Tibshirani & Friedman, ESL 3.4.1). No inverses are formed.
+decomposes once for the whole grid, since lam only shifts eigenvalues (the
+ridge path, Hastie, Tibshirani & Friedman, ESL 3.4.1): `alpha_paths`
+diagonalizes G and reads every alpha(lam) of the ridge scheme off it, and,
+when G is exactly symmetric, of the coefficient scheme too (G^T G = G^2, so
+no product is formed and the condition number is not squared). Only an
+asymmetric G makes the coefficient scheme diagonalize G^T G instead. No
+inverses are formed.
 """
 
 from __future__ import annotations
@@ -42,10 +45,25 @@ class IllConditionedWarning(UserWarning):
     pass
 
 
-def check_scheme(scheme: str) -> str:
-    """Return `scheme` if it names one of SCHEMES, else raise ConfigError."""
+def check_scheme(scheme: str, outer_kernel: OuterKernelSpec | None = None) -> str:
+    """Return `scheme` if it names one of SCHEMES, else raise ConfigError.
+
+    Given `outer_kernel`, also check the scheme's contract with it: the ridge
+    baseline is defined only for a symmetric PSD outer kernel, and any other
+    gets ContractError. Callers pass the kernel before they build a Gram or
+    select a lambda, so the contract fails first.
+    """
     if scheme not in SCHEMES:
         raise ConfigError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    if (
+        scheme == "krr"
+        and outer_kernel is not None
+        and not (outer_kernel.psd_claimed and outer_kernel.symmetric)
+    ):
+        raise ContractError(
+            f"KRR requires positive semi-definite K; outer kernel family "
+            f"{outer_kernel.family!r} is not symmetric PSD"
+        )
     return scheme
 
 
@@ -135,34 +153,52 @@ def solve_alpha(scheme: str, g_values: np.ndarray, y: np.ndarray, lam: float) ->
     return scipy.linalg.cho_solve(_cho_factor(system), rhs)
 
 
-def alpha_path(
-    scheme: str, g_values: np.ndarray, y: np.ndarray, lams: Sequence[float]
-) -> np.ndarray:
-    """solve_alpha at every lam of `lams`, as the columns of an (m, len(lams)) array.
+def _eigh(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # evr needs no 2 m^2 workspace, unlike the divide-and-conquer default.
+    return scipy.linalg.eigh(sym, lower=False, driver="evr", check_finite=False)
 
-    One symmetric eigendecomposition serves the whole path: the coefficient
-    system is Q diag(E + lam m^2) Q^T where G^T G = Q diag(E) Q^T, and the
-    ridge system is Q diag(e + lam m) Q^T where G = Q diag(e) Q^T, read from
-    its upper triangle as the Cholesky solve reads it. A ridge system that is
-    not positive definite at some lam raises NumericalError. `g_values` must
-    be finite, as a GramMatrix's values are; they are not checked here.
+
+def alpha_paths(
+    schemes: Sequence[str], g_values: np.ndarray, y: np.ndarray, lams: Sequence[float]
+) -> dict[str, np.ndarray]:
+    """solve_alpha at every lam of `lams` for each scheme of `schemes`.
+
+    Returns {scheme: (m, len(lams)) array of alphas, one column per lam}.
+    With G = Q diag(e) Q^T, read from its upper triangle as the Cholesky
+    solve reads it, the ridge alphas are Q diag(1/(e + lam m)) Q^T y. When G
+    is exactly symmetric, G^T G = G^2 and the coefficient alphas come from
+    the same decomposition: Q diag(e/(e^2 + lam m^2)) Q^T y. Otherwise the
+    coefficient scheme decomposes G^T G = Q diag(E) Q^T and takes
+    Q diag(1/(E + lam m^2)) Q^T G^T y. A ridge system that is not positive
+    definite at some lam raises NumericalError. `g_values` must be finite,
+    as a GramMatrix's values are; they are not checked here.
     """
     lams = np.asarray(lams, dtype=np.float64)
     if np.any(lams <= 0):
         raise ConfigError(f"lambda must be positive, got {lams.min()}")
     y = np.asarray(y, dtype=np.float64)
     m = len(y)
-    if check_scheme(scheme) == "coefficient_l2":
-        sym, rhs, shifts = g_values.T @ g_values, g_values.T @ y, lams * m * m
-    else:
-        sym, rhs, shifts = g_values, y, lams * m
-    # evr needs no 2 m^2 workspace, unlike the divide-and-conquer default.
-    evals, q = scipy.linalg.eigh(sym, lower=False, driver="evr", check_finite=False)
-    denom = evals[:, None] + shifts[None, :]
-    if not np.all(denom > 0):
-        bad = lams[np.any(denom <= 0, axis=0)]
-        raise NumericalError(f"{scheme} system is not positive definite at lambda {bad[0]:g}")
-    return q @ ((q.T @ rhs)[:, None] / denom)
+    eig_g = None
+    paths = {}
+    for scheme in schemes:
+        if check_scheme(scheme) == "coefficient_l2" and not np.array_equal(g_values, g_values.T):
+            evals, q = _eigh(g_values.T @ g_values)
+            num, denom = (q.T @ (g_values.T @ y))[:, None], evals[:, None] + lams * m * m
+        else:
+            if eig_g is None:
+                eig_g = _eigh(g_values)
+            evals, q = eig_g
+            if scheme == "coefficient_l2":
+                num, denom = (evals * (q.T @ y))[:, None], evals[:, None] ** 2 + lams * m * m
+            else:
+                num, denom = (q.T @ y)[:, None], evals[:, None] + lams * m
+                if not np.all(denom > 0):
+                    bad = lams[np.any(denom <= 0, axis=0)]
+                    raise NumericalError(
+                        f"{scheme} system is not positive definite at lambda {bad[0]:g}"
+                    )
+        paths[scheme] = q @ (num / denom)
+    return paths
 
 
 def _report(
@@ -217,11 +253,7 @@ def _fit(
     outer_kernel: OuterKernelSpec,
     embedding_kernel: EmbeddingKernelSpec,
 ) -> tuple[CoefficientModel, FitReport]:
-    if scheme == "krr" and not (outer_kernel.psd_claimed and outer_kernel.symmetric):
-        raise ContractError(
-            f"KRR requires positive semi-definite K; outer kernel family "
-            f"{outer_kernel.family!r} is not symmetric PSD"
-        )
+    check_scheme(scheme, outer_kernel)
     y = _validate_fit_inputs(g, y, lam)
     if len(train_bags) != g.m:
         raise InputError("train_bags must match the Gram matrix dimension")

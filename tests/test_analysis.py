@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -237,7 +238,7 @@ class TestSelectLambda:
         values = a @ a.T / 20
         y = rng.normal(size=20)
         grid = list(np.logspace(-6, 0, 7))
-        lam, table = select_lambda_holdout(values, y, grid, "krr", 0.3, seed=4)
+        lam, table = select_lambda_holdout(values, y, grid, ("krr",), 0.3, seed=4)["krr"]
         assert lam in [t[0] for t in table]
         assert len(table) == 7
         assert all(mse >= 0 for _, mse in table)
@@ -248,13 +249,13 @@ class TestSelectLambda:
         values = a @ a.T / 15
         y = rng.normal(size=15)
         grid = list(np.logspace(-5, 0, 5))
-        first = select_lambda_holdout(values, y, grid, "coefficient_l2", 0.3, seed=9)
-        second = select_lambda_holdout(values, y, grid, "coefficient_l2", 0.3, seed=9)
+        first = select_lambda_holdout(values, y, grid, ("coefficient_l2",), 0.3, seed=9)
+        second = select_lambda_holdout(values, y, grid, ("coefficient_l2",), 0.3, seed=9)
         assert first == second
 
     def test_empty_grid(self):
         with pytest.raises(ConfigError):
-            select_lambda_holdout(np.eye(5), np.ones(5), [], "krr", 0.3, seed=0)
+            select_lambda_holdout(np.eye(5), np.ones(5), [], ("krr",), 0.3, seed=0)
 
     @pytest.mark.parametrize("scheme", ["coefficient_l2", "krr"])
     @pytest.mark.parametrize("kind", ["random_spd", "dog_indefinite", "tilted_asymmetric"])
@@ -263,7 +264,7 @@ class TestSelectLambda:
         grid = list(np.logspace(-8, 0, 10))
         if scheme == "krr" and kind != "random_spd":
             grid = list(np.logspace(0, 2, 9))  # where every ridge system is PD
-        lam, table = select_lambda_holdout(values, y, grid, scheme, 0.3, seed=13)
+        lam, table = select_lambda_holdout(values, y, grid, (scheme,), 0.3, seed=13)[scheme]
         oracle_lam, oracle = holdout_oracle(values, y, grid, scheme, 0.3, seed=13)
         assert lam == oracle_lam
         assert [t[0] for t in table] == [t[0] for t in oracle]
@@ -277,7 +278,53 @@ class TestSelectLambda:
         with pytest.raises(NumericalError):
             holdout_oracle(values, y, grid, "krr", 0.3, seed=13)
         with pytest.raises(NumericalError):
-            select_lambda_holdout(values, y, grid, "krr", 0.3, seed=13)
+            select_lambda_holdout(values, y, grid, ("krr",), 0.3, seed=13)
+
+
+    @pytest.mark.parametrize("kind", ["random_spd", "dog_indefinite"])
+    def test_both_schemes_share_one_decomposition(self, kind, eigh_calls):
+        values, y = _selection_gram(kind)
+        grid = list(np.logspace(-8, 0, 10))
+        if kind != "random_spd":
+            grid = list(np.logspace(0, 2, 9))  # where every ridge system is PD
+        both = select_lambda_holdout(values, y, grid, ("coefficient_l2", "krr"), 0.3, seed=13)
+        assert len(eigh_calls) == 1
+        for scheme in ("coefficient_l2", "krr"):
+            lam, table = both[scheme]
+            assert lam == select_lambda_holdout(values, y, grid, (scheme,), 0.3, seed=13)[scheme][0]
+            oracle_lam, oracle = holdout_oracle(values, y, grid, scheme, 0.3, seed=13)
+            assert lam == oracle_lam
+            for (_, mse), (_, want) in zip(table, oracle):
+                assert mse == pytest.approx(want, rel=1e-8, abs=0)
+
+    def test_one_asymmetric_entry_takes_the_gram_product_route(self, eigh_calls):
+        values, y = _selection_gram("random_spd")
+        n_hold = round(0.3 * len(y))
+        kept = np.random.default_rng(np.random.SeedSequence(entropy=13)).permutation(len(y))[n_hold:]
+        values[kept[0], kept[1]] += 1e-3
+        grid = list(np.logspace(-8, 0, 10))
+        both = select_lambda_holdout(values, y, grid, ("coefficient_l2", "krr"), 0.3, seed=13)
+        assert len(eigh_calls) == 2  # G for the ridge scheme, G^T G for the coefficient one
+        for scheme in ("coefficient_l2", "krr"):
+            lam, table = both[scheme]
+            oracle_lam, oracle = holdout_oracle(values, y, grid, scheme, 0.3, seed=13)
+            assert lam == oracle_lam
+            for (_, mse), (_, want) in zip(table, oracle):
+                assert mse == pytest.approx(want, rel=1e-8, abs=0)
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """Count scipy.linalg.eigh calls; the list holds one entry per call."""
+    calls = []
+    original = scipy.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", counted)
+    return calls
 
 
 def holdout_oracle(values, y, grid, scheme, holdout_frac, seed):
@@ -406,6 +453,10 @@ class TestSaturationCompare:
         assert report.lambda_coefficient in report.lambda_grid
         assert report.lambda_krr in report.lambda_grid
 
+    def test_one_eigendecomposition_selects_both_lambdas(self, eigh_calls):
+        saturation_compare(self._config())
+        assert len(eigh_calls) == 1
+
     def test_deterministic(self):
         a = saturation_compare(self._config())
         b = saturation_compare(self._config())
@@ -450,8 +501,8 @@ def test_krr_beats_noise_floor_on_easy_fixture():
     g = build_gram(kspec, espec, train.bags, threads=2)
     y = train.labels()
     lam, _ = select_lambda_holdout(
-        g.values, y, list(np.logspace(-8, 0, 10)), "krr", 0.3, _derived_seed(meta.seed, 2)
-    )
+        g.values, y, list(np.logspace(-8, 0, 10)), ("krr",), 0.3, _derived_seed(meta.seed, 2)
+    )["krr"]
     model, _ = fit_krr(g, y, lam, train.bags, kspec, espec)
     err = excess_error(model, test.with_targets(), threads=2)
     assert err <= 1.2 * noise_sd

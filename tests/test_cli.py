@@ -6,15 +6,21 @@ the contract 0 / 2 (I/O) / 3 (config, contract) / 4 (numerical).
 
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import distreg
 from distreg import (
     Bag,
+    CoefficientModel,
     EmbeddingKernelSpec,
     InputError,
     MetaDistributionSpec,
+    NumericalError,
     OuterKernelSpec,
     build_gram,
     fit_coefficient,
@@ -105,6 +111,37 @@ class TestModelDocument:
         io.save_model(model, path)
         loaded = io.load_model(path)
         assert np.array_equal(loaded.outer_kernel.ref_bag.points, bags[0].points)
+
+    def test_saved_bytes_unchanged(self, tmp_path):
+        # data/model_small.json was written by the json.dump-streaming save_model.
+        meta = MetaDistributionSpec(
+            dim=2, scale=0.1, target="linear_mean", noise_sd=0.1, noise_bound=2.0, seed=5
+        )
+        bags = generate(meta, 3, 2).bags
+        model = CoefficientModel(
+            alpha=np.array([1 / 3, -2.5e-7, 1e300]),
+            lam=0.01,
+            train_bags=tuple(bags),
+            outer_kernel=OuterKernelSpec.tilted(1.0, 0.5, bags[0]),
+            embedding_kernel=EmbeddingKernelSpec("gaussian", 0.5, 2),
+            scheme="coefficient_l2",
+        )
+        path = tmp_path / "model.json"
+        io.save_model(model, path)
+        assert path.read_bytes() == (Path(__file__).parent / "data" / "model_small.json").read_bytes()
+
+    def test_non_finite_cross_gram_raises(self, gaussian_embedding):
+        bags = make_bags(74, 3, 3, 2)
+        model = CoefficientModel(
+            alpha=np.ones(3),
+            lam=0.1,
+            train_bags=tuple(bags),
+            outer_kernel=OuterKernelSpec.gaussian(1e-300),
+            embedding_kernel=gaussian_embedding,
+            scheme="coefficient_l2",
+        )
+        with pytest.raises(NumericalError, match="non-finite"):
+            predict(model, bags)
 
     def test_wrong_format_rejected(self, tmp_path):
         path = tmp_path / "model.json"
@@ -252,6 +289,23 @@ class TestCmdFit:
         assert "positive semi-definite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["fit", "sweep"])
+    def test_krr_on_indefinite_with_grid_exits_3(self, tmp_path, capsys, command):
+        # The contract is checked before lambda selection, whose ridge
+        # systems are not positive definite on this kernel.
+        make = base_sections if command == "fit" else sweep_sections
+        sections = make(
+            scheme="krr",
+            outer_kernel={"family": "dog_indefinite", "sigma1": 0.5, "sigma2": 1.5, "c": 0.9},
+            **{"lambda": {"grid": [1e-3, 1e-2, 1e-1]}},
+        )
+        cfg = write_config(tmp_path, **sections)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "positive semi-definite" in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fit", "sweep"])
     def test_unknown_scheme_exits_3(self, tmp_path, capsys, command):
         # A fixed lambda skips lambda selection, which never sees the scheme.
         make = base_sections if command == "fit" else sweep_sections
@@ -275,6 +329,22 @@ class TestCmdFit:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 4
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: Gram matrix has non-finite entries")
+
+    def test_sigma_underflow_prints_one_stderr_line(self, tmp_path):
+        # numpy warnings go straight to the process's stderr, so run a real process.
+        sections = base_sections(outer_kernel={"family": "gaussian_on_embedding", "sigma": 1e-300})
+        cfg = write_config(tmp_path, **sections)
+        src = str(Path(distreg.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "distreg", "fit", "--config", cfg,
+             "--out", str(tmp_path / "m.json")],
+            capture_output=True, text=True, env={"PYTHONPATH": src}, timeout=120,
+        )
+        assert proc.returncode == 4
+        assert proc.stderr.splitlines() == [
+            "error: Gram matrix has non-finite entries; the outer kernel's parameters "
+            "are out of floating-point range for these embeddings"
+        ]
 
     def test_missing_bag_file_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, **base_sections(data={"path": str(tmp_path / "gone.ndjson")}))

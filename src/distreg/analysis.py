@@ -369,9 +369,9 @@ def saturation_compare(config: SaturationConfig) -> SaturationReport:
 
     Both schemes see the same data, the same holdout split, and the same
     grid; one lambda selection serves both, each scheme picks its own lambda
-    and is refit on the full training set. Requires a PSD outer kernel (the
-    ridge baseline is undefined otherwise) and the smooth target family this
-    comparison is about.
+    and is refit on the full training set, and one test cross-Gram scores
+    both fits. Requires a PSD outer kernel (the ridge baseline is undefined
+    otherwise) and the smooth target family this comparison is about.
     """
     check_scheme("krr", config.outer_kernel)
     if config.meta.target != "smooth_composite":
@@ -396,12 +396,14 @@ def saturation_compare(config: SaturationConfig) -> SaturationReport:
         _derived_seed(master, 2),
     )
     lams = {scheme: lam for scheme, (lam, _) in picks.items()}
-    errors: dict[str, float] = {}
-    for scheme, fitter in fitters.items():
-        model, _ = fitter(
-            g, y, lams[scheme], train.bags, config.outer_kernel, config.embedding_kernel
-        )
-        errors[scheme] = excess_error(model, test.with_targets(), threads=config.threads)
+    models = [
+        fitter(g, y, lams[scheme], train.bags, config.outer_kernel, config.embedding_kernel)[0]
+        for scheme, fitter in fitters.items()
+    ]
+    # One cross-Gram of the test bags serves both models.
+    errors = dict(
+        zip(fitters, excess_error(models, test.with_targets(), threads=config.threads))
+    )
     ratio = errors["coefficient_l2"] / errors["krr"] if errors["krr"] > 0 else math.inf
     winner = "coefficient_l2" if errors["coefficient_l2"] <= errors["krr"] else "krr"
     return SaturationReport(

@@ -102,15 +102,24 @@ class Bag:
     params: BagParams | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        pts = np.array(self.points, dtype=np.float64, order="C")
+        shape_error = f"bag {self.id!r}: points must be a nonempty (N, d) array of numbers"
+        try:
+            pts = np.array(self.points, dtype=np.float64, order="C")
+        except (TypeError, ValueError) as exc:  # ragged rows, strings, objects
+            raise InputError(shape_error) from exc
         if pts.ndim == 1:
             pts = pts.reshape(-1, 1)
         if pts.ndim != 2 or pts.shape[0] < 1:
-            raise InputError(f"bag {self.id!r}: points must be a nonempty (N, d) array")
+            raise InputError(shape_error)
         if not np.all(np.isfinite(pts)):
             raise InputError(f"bag {self.id!r}: points contain non-finite values")
-        if self.label is not None and not np.isfinite(self.label):
-            raise InputError(f"bag {self.id!r}: label is not finite")
+        if self.label is not None:
+            try:
+                finite = bool(np.isfinite(self.label))
+            except (TypeError, ValueError) as exc:
+                raise InputError(f"bag {self.id!r}: label {self.label!r} is not a number") from exc
+            if not finite:
+                raise InputError(f"bag {self.id!r}: label is not finite")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
@@ -137,6 +146,11 @@ def kernel_matrix(spec: EmbeddingKernelSpec, s: np.ndarray, t: np.ndarray) -> np
     """Pointwise kernel values k(s_i, t_j) as an (len(s), len(t)) matrix.
 
     Evaluated in place on the squared distances; k(s_i, t_j) == k(t_j, s_i) bitwise.
+    Each family's constants are folded into one multiplier, so a value costs
+    one multiply and no division before exp or reciprocal. The values are
+    those of the two-pass form (x * -0.5 / bw**2, x / -bw, x / bw**2) bit for
+    bit when bw**2 (for the exponential family, bw) is a power of two, since
+    then the multiplier is exact; otherwise they can differ in the last bit.
     """
     if s.shape[1] == 1:
         d2 = np.subtract.outer(s[:, 0], t[:, 0])
@@ -144,13 +158,12 @@ def kernel_matrix(spec: EmbeddingKernelSpec, s: np.ndarray, t: np.ndarray) -> np
     else:
         d2 = cdist(s, t, "sqeuclidean")
     if spec.family == "gaussian":
-        d2 *= -0.5
-        d2 /= spec.bandwidth**2
+        d2 *= -0.5 / spec.bandwidth**2
     elif spec.family == "exponential":
         np.sqrt(d2, out=d2)
-        d2 /= -spec.bandwidth
+        d2 *= -1.0 / spec.bandwidth
     else:  # cauchy
-        d2 /= spec.bandwidth**2
+        d2 *= 1.0 / spec.bandwidth**2
         d2 += 1.0
         return np.reciprocal(d2, out=d2)
     return np.exp(d2, out=d2)

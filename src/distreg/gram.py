@@ -32,6 +32,14 @@ _SCALE_NOTE = (
     "proxies for the integral-operator spectrum"
 )
 
+# Mean pointwise kernel evaluations per row task from which a thread pool
+# gains. Measured on 2 cores, symmetric d=1 Gaussian Grams, 2 threads against
+# one: tasks of 8e3-6.4e4 evaluations (1000 bags of 4 or 8 points, 500-800
+# of 12 or 16) ran 7-65% slower; break-even lay between 8e4 and 1.3e5,
+# depending on the bag size; 25 bags of 100 points (1.3e5 per task) ran
+# 10-18% faster.
+_POOL_MIN_EVALS = 100_000
+
 
 def default_threads() -> int:
     """Thread count for Gram assembly: DISTREG_THREADS if set, else 1."""
@@ -99,9 +107,14 @@ class SpectrumReport:
     scale_note: str = _SCALE_NOTE
 
 
-def _parallel_rows(fill: Callable[[int], None], n: int, threads: int) -> None:
-    """Call fill(i) for i in range(n), on `threads` pool threads; fill(i) owns row i."""
-    if threads > 1 and n > 1:
+def _parallel_rows(fill: Callable[[int], None], n: int, threads: int, evals: int) -> None:
+    """Call fill(i) for i in range(n); fill(i) owns row i and `evals` is the
+    pointwise kernel evaluations of all n calls together.
+
+    The calls go to a pool of `threads` threads only when they average at
+    least _POOL_MIN_EVALS evaluations; smaller tasks run in a serial loop.
+    """
+    if threads > 1 and n > 1 and evals >= _POOL_MIN_EVALS * n:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(fill, range(n)))
     else:
@@ -142,7 +155,11 @@ def _embedding_inners(
         inner[i, col_order[split:]] = pair_sums(espec, row, points, bounds[split:], True)
         inner[i] /= row.size * col_sizes
 
-    _parallel_rows(fill, len(row_bags), threads)
+    # Row i reduces against every column point after its split point (all of
+    # them unless symmetric).
+    reach = bounds[-1] - (bounds[splits] if symmetric else 0)
+    evals = int(np.sum(np.array([b.size for b in row_bags]) * reach))
+    _parallel_rows(fill, len(row_bags), threads, evals)
     if symmetric:
         lower = row_rank[:, None] > col_rank[None, :]
         inner[lower] = inner.T[lower]
@@ -156,7 +173,7 @@ def _self_inners(espec: EmbeddingKernelSpec, bags: Sequence[Bag], threads: int) 
         b = bags[i]
         out[i] = pair_sums(espec, b, b.points, np.array([0, b.size]), True)[0] / b.size**2
 
-    _parallel_rows(fill, len(bags), threads)
+    _parallel_rows(fill, len(bags), threads, sum(b.size**2 for b in bags))
     return out
 
 

@@ -39,19 +39,24 @@ def bag_from_record(rec: dict, where: str = "") -> Bag:
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed bag record{where}: missing {exc}") from exc
     label = rec.get("y")
+    if label is not None and (isinstance(label, bool) or not isinstance(label, (int, float))):
+        raise InputError(f"malformed bag record{where}: y must be a number or null, got {label!r}")
     params = None
     if rec.get("params") is not None:
         p = rec["params"]
         try:
             params = BagParams(theta=np.asarray(p["theta"], dtype=np.float64), scale=float(p["s"]))
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed bag params{where}: {exc}") from exc
-    return Bag(
-        id=str(bag_id),
-        points=points,
-        label=None if label is None else float(label),
-        params=params,
-    )
+    try:
+        return Bag(
+            id=str(bag_id),
+            points=points,
+            label=None if label is None else float(label),
+            params=params,
+        )
+    except InputError as exc:
+        raise InputError(f"{exc}{where}") from exc
 
 
 def write_bags(bags: Iterable[Bag], path: str | Path) -> None:
@@ -113,18 +118,24 @@ def load_model(path: str | Path) -> CoefficientModel:
         raise InputError(f"cannot read model file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"model file {path} is not valid JSON: {exc}") from exc
-    if doc.get("format") != MODEL_FORMAT:
-        raise InputError(
-            f"model file {path} has format {doc.get('format')!r}, expected {MODEL_FORMAT!r}"
+    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
+        found = doc.get("format") if isinstance(doc, dict) else type(doc).__name__
+        raise InputError(f"model file {path} has format {found!r}, expected {MODEL_FORMAT!r}")
+    try:
+        return CoefficientModel(
+            alpha=np.asarray(doc["alpha"], dtype=np.float64),
+            lam=float(doc["lambda"]),
+            train_bags=tuple(
+                bag_from_record(r, where=f" in model file {path}") for r in doc["train_bags"]
+            ),
+            outer_kernel=OuterKernelSpec.from_dict(doc["outer_kernel"]),
+            embedding_kernel=EmbeddingKernelSpec.from_dict(doc["embedding_kernel"]),
+            scheme=doc["scheme"],
         )
-    return CoefficientModel(
-        alpha=np.asarray(doc["alpha"], dtype=np.float64),
-        lam=float(doc["lambda"]),
-        train_bags=tuple(bag_from_record(r) for r in doc["train_bags"]),
-        outer_kernel=OuterKernelSpec.from_dict(doc["outer_kernel"]),
-        embedding_kernel=EmbeddingKernelSpec.from_dict(doc["embedding_kernel"]),
-        scheme=doc["scheme"],
-    )
+    except KeyError as exc:
+        raise InputError(f"model file {path} has no field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"malformed model file {path}: {exc}") from exc
 
 
 def format_cell(value) -> str:

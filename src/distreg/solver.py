@@ -305,36 +305,64 @@ def fit_krr(
     return _fit("krr", g, y, lam, train_bags, outer_kernel, embedding_kernel)
 
 
-def predict(
-    model: CoefficientModel, test_bags: Sequence[Bag], threads: int | None = None
-) -> np.ndarray:
-    """Predictions sum_i alpha_i K(mu_test, mu_train_i), test embedding first."""
-    if len(test_bags) == 0:
-        return np.zeros(0)
-    cross = build_cross_gram(
-        model.outer_kernel,
-        model.embedding_kernel,
-        test_bags,
-        model.train_bags,
-        threads=threads,
-        train_self_inners=model.train_self_inners,
+def _same_training(a: CoefficientModel, b: CoefficientModel) -> bool:
+    return (
+        a.outer_kernel == b.outer_kernel
+        and a.embedding_kernel == b.embedding_kernel
+        and len(a.train_bags) == len(b.train_bags)
+        and all(x is y for x, y in zip(a.train_bags, b.train_bags))
     )
-    return cross @ model.alpha
+
+
+def predict(
+    model: CoefficientModel | Sequence[CoefficientModel],
+    test_bags: Sequence[Bag],
+    threads: int | None = None,
+) -> np.ndarray | list[np.ndarray]:
+    """Predictions sum_i alpha_i K(mu_test, mu_train_i), test embedding first.
+
+    `model` may also be a sequence of models fitted on the same training bags
+    (the same Bag objects) with the same kernels, such as the two schemes of
+    `saturation_compare`. One cross-Gram then serves them all, and the result
+    is a list with each model's predictions, bit for bit what that model
+    alone gives.
+    """
+    single = isinstance(model, CoefficientModel)
+    models = [model] if single else list(model)
+    first = models[0]
+    if not all(_same_training(first, other) for other in models[1:]):
+        raise InputError("models predicted together must share training bags and kernels")
+    if len(test_bags) == 0:
+        preds = [np.zeros(0) for _ in models]
+    else:
+        cross = build_cross_gram(
+            first.outer_kernel,
+            first.embedding_kernel,
+            test_bags,
+            first.train_bags,
+            threads=threads,
+            train_self_inners=first.train_self_inners,
+        )
+        preds = [cross @ mdl.alpha for mdl in models]
+    return preds[0] if single else preds
 
 
 def excess_error(
-    model: CoefficientModel,
+    model: CoefficientModel | Sequence[CoefficientModel],
     test_bags_with_targets: Sequence[tuple[Bag, float]],
     threads: int | None = None,
-) -> float:
+) -> float | list[float]:
     """Monte Carlo L2 distance to the regression function.
 
     Test bags come with their noiseless targets; the estimate is the root
-    mean squared gap between predictions and those targets.
+    mean squared gap between predictions and those targets. Given a sequence
+    of models, as `predict` takes it, returns one error per model.
     """
     if len(test_bags_with_targets) == 0:
         raise InputError("excess_error needs a nonempty test set")
     bags = [b for b, _ in test_bags_with_targets]
     targets = np.array([t for _, t in test_bags_with_targets], dtype=np.float64)
+    single = isinstance(model, CoefficientModel)
     preds = predict(model, bags, threads=threads)
-    return float(np.sqrt(np.mean((preds - targets) ** 2)))
+    errors = [float(np.sqrt(np.mean((p - targets) ** 2))) for p in ([preds] if single else preds)]
+    return errors[0] if single else errors

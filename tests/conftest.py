@@ -53,3 +53,19 @@ def indefinite_fixture():
 @pytest.fixture
 def gaussian_embedding():
     return EmbeddingKernelSpec(family="gaussian", bandwidth=1.0, dim=2)
+
+
+@pytest.fixture
+def pool_starts(monkeypatch):
+    """Records max_workers of every thread pool that Gram assembly starts."""
+    from distreg import gram
+
+    started = []
+
+    class CountingPool(gram.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(gram, "ThreadPoolExecutor", CountingPool)
+    return started

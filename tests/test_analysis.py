@@ -457,6 +457,39 @@ class TestSaturationCompare:
         saturation_compare(self._config())
         assert len(eigh_calls) == 1
 
+    def test_one_cross_gram_scores_both_schemes(self, monkeypatch):
+        from dataclasses import replace
+
+        from distreg import analysis, excess_error, fit_coefficient, fit_krr, generate, solver
+
+        builds = []
+        real = solver.build_cross_gram
+        monkeypatch.setattr(
+            solver, "build_cross_gram", lambda *a, **k: builds.append(1) or real(*a, **k)
+        )
+        cfg = self._config()
+        report = saturation_compare(cfg)
+        assert len(builds) == 1
+
+        # Each scheme scored on its own, with a cross-Gram each, gives the same bits.
+        def draw(key, m):
+            meta = replace(cfg.meta, seed=analysis._derived_seed(cfg.meta.seed, key))
+            return generate(meta, m, cfg.n_points)
+
+        train, test = draw(0, cfg.m), draw(1, cfg.n_test)
+        g = build_gram(cfg.outer_kernel, cfg.embedding_kernel, train.bags)
+        fits = ((fit_coefficient, report.lambda_coefficient), (fit_krr, report.lambda_krr))
+        alone = [
+            excess_error(
+                fit(g, train.labels(), lam, train.bags, cfg.outer_kernel, cfg.embedding_kernel)[0],
+                test.with_targets(),
+            )
+            for fit, lam in fits
+        ]
+        assert len(builds) == 3
+        assert [report.err_coefficient, report.err_krr] == alone
+        assert report.ratio == alone[0] / alone[1]
+
     def test_deterministic(self):
         a = saturation_compare(self._config())
         b = saturation_compare(self._config())

@@ -250,6 +250,30 @@ class TestCmdGenerate:
         assert main(["generate", "--config", cfg, "--out", str(out), "--seed", "5"]) == 0
 
 
+# Bag records that must give exit code 2 and one `error:` line, not a traceback.
+MALFORMED_RECORDS = {
+    "ragged-points": {"id": "c", "y": 1.0, "points": [[0.1], [0.2, 0.3]]},
+    "string-points": {"id": "c", "y": 1.0, "points": "abc"},
+    "string-y": {"id": "c", "y": "abc", "points": [[0.3]]},
+}
+
+
+def write_bag_file(path, last_record) -> str:
+    records = [
+        {"id": "a", "y": 1.0, "points": [[0.1], [0.2]]},
+        {"id": "b", "y": 2.0, "points": [[0.5], [0.7]]},
+        last_record,
+    ]
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return str(path)
+
+
+def one_error_line(capsys) -> str:
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    return err[0]
+
+
 class TestCmdFit:
     def test_three_bag_fixture_matches_library(self, tmp_path, capsys):
         espec = EmbeddingKernelSpec("gaussian", 1.0, 2)
@@ -346,6 +370,13 @@ class TestCmdFit:
             "are out of floating-point range for these embeddings"
         ]
 
+    @pytest.mark.parametrize("record", MALFORMED_RECORDS.values(), ids=list(MALFORMED_RECORDS))
+    def test_malformed_bag_record_exits_2(self, tmp_path, capsys, record):
+        bags = write_bag_file(tmp_path / "bags.ndjson", record)
+        cfg = write_config(tmp_path, **base_sections(data={"path": bags}))
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "m.json")]) == 2
+        assert "bags.ndjson:3" in one_error_line(capsys)
+
     def test_missing_bag_file_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, **base_sections(data={"path": str(tmp_path / "gone.ndjson")}))
         assert main(["fit", "--config", cfg]) == 2
@@ -394,6 +425,44 @@ class TestCmdPredict:
         capsys.readouterr()
         assert main(["predict", "--model", str(model_path), "--bags", str(empty)]) == 0
         assert capsys.readouterr().out == "id,prediction\n"
+
+    @pytest.mark.parametrize("record", MALFORMED_RECORDS.values(), ids=list(MALFORMED_RECORDS))
+    def test_malformed_bag_record_exits_2(self, tmp_path, capsys, record):
+        model_path = self._fit(tmp_path)
+        bags = write_bag_file(tmp_path / "test.ndjson", record)
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model_path), "--bags", bags]) == 2
+        assert "test.ndjson:3" in one_error_line(capsys)
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("alpha", None, "no field 'alpha'"),
+            ("alpha", "abc", "malformed model file"),
+            ("train_bags", [{"id": "a", "y": 1.0, "points": [[0.1], [0.2, 0.3]]}], "bag 'a'"),
+            ("train_bags", 7, "malformed model file"),
+        ],
+        ids=["no-alpha", "string-alpha", "ragged-train-bag", "train-bags-not-a-list"],
+    )
+    def test_malformed_model_exits_2(self, tmp_path, capsys, field, value, message):
+        model_path = self._fit(tmp_path)
+        doc = json.loads(model_path.read_text())
+        if value is None:
+            del doc[field]
+        else:
+            doc[field] = value
+        model_path.write_text(json.dumps(doc))
+        bags = write_bag_file(tmp_path / "test.ndjson", {"id": "c", "y": None, "points": [[0.3]]})
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model_path), "--bags", bags]) == 2
+        assert message in one_error_line(capsys)
+
+    def test_model_that_is_not_an_object_exits_2(self, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        model_path.write_text("[1, 2]\n")
+        bags = write_bag_file(tmp_path / "test.ndjson", {"id": "c", "y": None, "points": [[0.3]]})
+        assert main(["predict", "--model", str(model_path), "--bags", bags]) == 2
+        assert "format 'list'" in one_error_line(capsys)
 
     def test_dimension_mismatch_exits_2(self, tmp_path):
         model_path = self._fit(tmp_path)

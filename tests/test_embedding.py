@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from distreg import (
     Bag,
@@ -19,7 +20,8 @@ from distreg import (
     embed_sq_dist,
     kernel_eval,
 )
-from distreg.embedding import HOLDER_EXPONENT, KERNEL_BOUND
+from distreg import embedding
+from distreg.embedding import HOLDER_EXPONENT, KERNEL_BOUND, kernel_matrix
 
 from conftest import make_bags
 
@@ -74,6 +76,63 @@ class TestKernelEval:
             v = kernel_eval(spec, s, t)
             assert v == kernel_eval(spec, t, s)
             assert 0.0 < v <= KERNEL_BOUND
+
+
+def two_pass_kernel_matrix(spec: EmbeddingKernelSpec, s, t) -> np.ndarray:
+    """The kernel block as evaluated before the constants were folded into one
+    multiplier: a scale and a division per element."""
+    if s.shape[1] == 1:
+        d2 = np.subtract.outer(s[:, 0], t[:, 0])
+        d2 *= d2
+    else:
+        d2 = cdist(s, t, "sqeuclidean")
+    if spec.family == "gaussian":
+        d2 *= -0.5
+        d2 /= spec.bandwidth**2
+    elif spec.family == "exponential":
+        np.sqrt(d2, out=d2)
+        d2 /= -spec.bandwidth
+    else:
+        d2 /= spec.bandwidth**2
+        d2 += 1.0
+        return np.reciprocal(d2, out=d2)
+    return np.exp(d2, out=d2)
+
+
+FAMILY_DIMS = [(family, d) for family in HOLDER_EXPONENT for d in (1, 2)]
+
+
+class TestKernelMatrix:
+    @pytest.mark.parametrize("family,d", FAMILY_DIMS)
+    @pytest.mark.parametrize("bandwidth", [0.25, 0.5, 1.0, 4.0])
+    def test_power_of_two_bandwidth_keeps_two_pass_bits(self, family, d, bandwidth):
+        rng = np.random.default_rng(11)
+        s, t = rng.normal(size=(70, d)), 2.0 * rng.normal(size=(90, d))
+        spec = EmbeddingKernelSpec(family, bandwidth, d)
+        assert np.array_equal(kernel_matrix(spec, s, t), two_pass_kernel_matrix(spec, s, t))
+
+    @pytest.mark.parametrize("family,d", FAMILY_DIMS)
+    def test_other_bandwidth_values_within_1e15(self, family, d):
+        # At bw = 0.3 the folded multiplier is rounded, and a value moves by
+        # about |exponent| ulps. Points within 0.3 of each other per
+        # coordinate keep |exponent| (the Cauchy ratio d^2 / bw^2) <= d.
+        rng = np.random.default_rng(12)
+        s, t = rng.uniform(0.0, 0.3, size=(70, d)), rng.uniform(0.0, 0.3, size=(90, d))
+        spec = EmbeddingKernelSpec(family, 0.3, d)
+        folded, two_pass = kernel_matrix(spec, s, t), two_pass_kernel_matrix(spec, s, t)
+        assert np.allclose(folded, two_pass, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("family,d", FAMILY_DIMS)
+    def test_other_bandwidth_inner_products_within_1e15(self, family, d, monkeypatch):
+        # At bw = 0.3 the folded multiplier is rounded, so single kernel values
+        # may move in the last bits; the embedding inner products stay within
+        # 1e-15 relative of the two-pass ones.
+        spec = EmbeddingKernelSpec(family, 0.3, d)
+        bags = make_bags(5, 8, 40, d)
+        folded = np.array([[embed_inner(spec, a, b) for b in bags] for a in bags])
+        monkeypatch.setattr(embedding, "kernel_matrix", two_pass_kernel_matrix)
+        two_pass = np.array([[embed_inner(spec, a, b) for b in bags] for a in bags])
+        assert np.allclose(folded, two_pass, rtol=1e-15, atol=0.0)
 
 
 class TestEmbedInner:

@@ -133,6 +133,31 @@ class TestBuildGram:
                 )
 
 
+class TestPoolDispatch:
+    """Row tasks go to a thread pool only when they are big enough to gain."""
+
+    def test_four_point_bags_never_start_a_pool(self, pool_starts):
+        # The shape of the many-small-bags saturation problem.
+        espec = EmbeddingKernelSpec("gaussian", 0.25, 1)
+        train, test = make_bags(30, 1000, 4, 1), make_bags(31, 64, 4, 1)
+        kspec = OuterKernelSpec.gaussian(1.0)
+        build_gram(kspec, espec, train, threads=2)
+        build_cross_gram(kspec, espec, test, train, threads=2)
+        assert pool_starts == []
+
+    def test_hundred_point_bags_use_the_pool(self, pool_starts):
+        # 25 bags of 100 points: 1.3e5 evaluations per Gram row on average.
+        espec = EmbeddingKernelSpec("gaussian", 0.25, 1)
+        train, test = make_bags(32, 25, 100, 1), make_bags(33, 4, 100, 1)
+        kspec = OuterKernelSpec.gaussian(1.0)
+        build_gram(kspec, espec, train, threads=2)
+        assert pool_starts == [2]
+        # The cross-Gram rows go to the pool; the self inner products of
+        # single bags (1e4 evaluations each) do not.
+        build_cross_gram(kspec, espec, test, train, threads=2)
+        assert pool_starts == [2, 2]
+
+
 class TestCrossGram:
     def test_equals_gram_when_test_is_train(self, gaussian_embedding):
         bags = make_bags(31, 6, 4, 2)

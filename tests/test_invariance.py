@@ -87,6 +87,53 @@ def test_thread_count_does_not_change_bits(case):
     assert np.array_equal(c1, c2)
 
 
+def test_pooled_rows_give_the_serial_bits(case, monkeypatch, pool_starts):
+    # The ragged bags' row tasks are too small for the pool; a threshold of 0
+    # sends every one of them there.
+    espec, train, test = case
+    kspec = OuterKernelSpec.tilted(0.9, 0.6, test[2])
+
+    def run(threads):
+        return (
+            build_gram(kspec, espec, train, threads=threads).values,
+            build_cross_gram(kspec, espec, test, train, threads=threads),
+            gram._self_inners(espec, test, threads),
+        )
+
+    serial = run(2)
+    assert pool_starts == []
+    monkeypatch.setattr(gram, "_POOL_MIN_EVALS", 0)
+    pooled = run(2)
+    # One pool for the Gram, three for the cross-Gram (inner products and the
+    # self inner products of both bag lists), one for the last call.
+    assert len(pool_starts) == 5
+    for a, b in zip(serial, pooled):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize(
+    "sizes,pooled",
+    [([4, 3, 5, 4] * 15, False), ([300, 510, 420, 350, 280], True)],
+    ids=["below-threshold", "above-threshold"],
+)
+def test_thread_count_does_not_change_bits_on_either_side_of_the_pool_threshold(
+    sizes, pooled, pool_starts
+):
+    rng = np.random.default_rng(77)
+    train = [Bag(f"b{i}", rng.normal(size=(n, 1))) for i, n in enumerate(sizes)]
+    test = [Bag(f"t{i}", rng.normal(size=(n, 1))) for i, n in enumerate(sizes[::-1][:4])]
+    espec = EmbeddingKernelSpec("gaussian", 0.3, 1)
+    kspec = OuterKernelSpec.gaussian(0.7)
+    one = build_gram(kspec, espec, train, threads=1).values
+    cross_one = build_cross_gram(kspec, espec, test, train, threads=1)
+    assert pool_starts == []
+    two = build_gram(kspec, espec, train, threads=2).values
+    cross_two = build_cross_gram(kspec, espec, test, train, threads=2)
+    assert bool(pool_starts) == pooled
+    assert np.array_equal(one, two)
+    assert np.array_equal(cross_one, cross_two)
+
+
 def test_gram_equals_cross_gram_of_train_with_itself(case):
     espec, train, _ = case
     for kspec in outer_specs(train[5]):

@@ -284,6 +284,49 @@ class TestPredict:
             assert preds[t_idx] == pytest.approx(expected, abs=1e-10)
 
 
+class TestSeveralModels:
+    """Models sharing their training bags are scored from one cross-Gram."""
+
+    def _models(self, gaussian_embedding):
+        train = make_bags(71, 6, 5, 2)
+        g = build_gram(PSD_KSPEC, gaussian_embedding, train)
+        y = np.random.default_rng(72).normal(size=6)
+        return [
+            fit(g, y, 0.05, train, PSD_KSPEC, gaussian_embedding)[0]
+            for fit in (fit_coefficient, fit_krr)
+        ]
+
+    def test_equals_one_model_at_a_time(self, gaussian_embedding, monkeypatch):
+        from distreg import solver
+
+        models = self._models(gaussian_embedding)
+        test = make_bags(73, 5, 4, 2)
+        targets = np.random.default_rng(74).normal(size=5)
+        builds = []
+        real = solver.build_cross_gram
+        monkeypatch.setattr(
+            solver, "build_cross_gram", lambda *a, **k: builds.append(1) or real(*a, **k)
+        )
+        together = predict(models, test)
+        errors = excess_error(models, list(zip(test, targets)))
+        assert len(builds) == 2
+        for model, preds, err in zip(models, together, errors):
+            assert np.array_equal(preds, predict(model, test))
+            assert err == excess_error(model, list(zip(test, targets)))
+
+    def test_empty_test_set(self, gaussian_embedding):
+        together = predict(self._models(gaussian_embedding), [])
+        assert [p.shape for p in together] == [(0,), (0,)]
+
+    def test_different_training_bags_rejected(self, gaussian_embedding):
+        a, b = self._models(gaussian_embedding)
+        from dataclasses import replace
+
+        other = replace(b, train_bags=tuple(Bag(x.id, x.points) for x in b.train_bags))
+        with pytest.raises(InputError):
+            predict([a, other], make_bags(75, 2, 4, 2))
+
+
 class TestExcessError:
     def _model(self, gaussian_embedding):
         bags = make_bags(61, 3, 3, 2)

@@ -17,6 +17,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .blas import serial_blas
 from .embedding import EmbeddingKernelSpec
 from .errors import ConfigError, InputError
 from .gram import SpectrumReport, build_gram
@@ -158,6 +159,7 @@ def rate_fit(points: Sequence[tuple[float, float]]) -> RateFit:
     )
 
 
+@serial_blas
 def select_lambda_holdout(
     g_values: np.ndarray,
     y: np.ndarray,

@@ -41,6 +41,8 @@ def _load_config(path: str, seed_override: int | None = None) -> dict:
         raise InputError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path} must be a JSON object, got {type(cfg).__name__}")
     if seed_override is not None:
         cfg["seed"] = seed_override
         data = cfg.get("data")

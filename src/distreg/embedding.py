@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import ConfigError, InputError
 
@@ -70,10 +69,14 @@ class EmbeddingKernelSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EmbeddingKernelSpec":
+        if not isinstance(d, dict):
+            raise ConfigError(f"embedding kernel spec must be an object, got {d!r}")
         try:
             return cls(family=d["family"], bandwidth=float(d["bandwidth"]), dim=int(d["dim"]))
         except KeyError as exc:
             raise ConfigError(f"embedding kernel spec missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed embedding kernel spec: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -156,6 +159,10 @@ def kernel_matrix(spec: EmbeddingKernelSpec, s: np.ndarray, t: np.ndarray) -> np
         d2 = np.subtract.outer(s[:, 0], t[:, 0])
         d2 *= d2
     else:
+        # Imported on first use: scipy.spatial adds ~0.13 s to every process
+        # start, and only d >= 2 needs it.
+        from scipy.spatial.distance import cdist
+
         d2 = cdist(s, t, "sqeuclidean")
     if spec.family == "gaussian":
         d2 *= -0.5 / spec.bandwidth**2

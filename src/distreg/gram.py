@@ -22,6 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.linalg
 
+from .blas import serial_blas
 from .embedding import Bag, EmbeddingKernelSpec, check_dims, embed_inner, pair_sums
 from .embedding import kernel_matrix  # noqa: F401  (bench/spans.py wraps gram.kernel_matrix)
 from .errors import InputError, NumericalError
@@ -259,6 +260,7 @@ def build_cross_gram(
     return values
 
 
+@serial_blas
 def spectrum(g: GramMatrix, symmetry_tol: float = 1e-10) -> SpectrumReport:
     """Spectrum of (1/m) * gram: singular values, plus eigenvalues if symmetric."""
     if not g.square:

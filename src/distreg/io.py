@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .embedding import Bag, BagParams, EmbeddingKernelSpec
-from .errors import InputError
+from .errors import ConfigError, InputError
 from .gram import GramMatrix, kernel_fingerprint
 from .outer import OuterKernelSpec
 from .solver import CoefficientModel
@@ -134,7 +134,7 @@ def load_model(path: str | Path) -> CoefficientModel:
         )
     except KeyError as exc:
         raise InputError(f"model file {path} has no field {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (ConfigError, TypeError, ValueError) as exc:
         raise InputError(f"malformed model file {path}: {exc}") from exc
 
 

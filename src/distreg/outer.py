@@ -128,17 +128,24 @@ class OuterKernelSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "OuterKernelSpec":
+        if not isinstance(d, dict):
+            raise ConfigError(f"outer kernel spec must be an object, got {d!r}")
         d = dict(d)
         family = d.pop("family", None)
         if family is None:
             raise ConfigError("outer kernel spec missing 'family'")
         ref = d.pop("ref_bag", None)
-        ref_bag = Bag(id=ref["id"], points=ref["points"]) if ref is not None else None
         allowed = {"sigma", "sigma1", "sigma2", "c", "scale", "offset"}
         unknown = set(d) - allowed
         if unknown:
             raise ConfigError(f"unknown outer kernel parameters: {sorted(unknown)}")
-        return cls(family=family, ref_bag=ref_bag, **{k: float(v) for k, v in d.items()})
+        try:
+            ref_bag = Bag(id=ref["id"], points=ref["points"]) if ref is not None else None
+            return cls(family=family, ref_bag=ref_bag, **{k: float(v) for k, v in d.items()})
+        except KeyError as exc:
+            raise ConfigError(f"outer kernel ref_bag missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed outer kernel spec: {exc}") from exc
 
 
 def apply_outer(

@@ -15,7 +15,8 @@ diagonalizes G and reads every alpha(lam) of the ridge scheme off it, and,
 when G is exactly symmetric, of the coefficient scheme too (G^T G = G^2, so
 no product is formed and the condition number is not squared). Only an
 asymmetric G makes the coefficient scheme diagonalize G^T G instead. No
-inverses are formed.
+inverses are formed. This linear algebra runs on one BLAS thread
+(`blas.serial_blas`), so its results do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 
+from .blas import serial_blas
 from .embedding import Bag, EmbeddingKernelSpec
 from .errors import ConfigError, ContractError, InputError, NumericalError
 from .gram import GramMatrix, build_cross_gram
@@ -145,6 +147,7 @@ def assemble_system(
     return lam * m * np.eye(m) + g_values, y
 
 
+@serial_blas
 def solve_alpha(scheme: str, g_values: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
     """Matrix-level solve for either scheme, without building a model."""
     if lam <= 0:
@@ -158,6 +161,7 @@ def _eigh(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return scipy.linalg.eigh(sym, lower=False, driver="evr", check_finite=False)
 
 
+@serial_blas
 def alpha_paths(
     schemes: Sequence[str], g_values: np.ndarray, y: np.ndarray, lams: Sequence[float]
 ) -> dict[str, np.ndarray]:
@@ -244,6 +248,7 @@ def krr_objective(g_values: np.ndarray, y: np.ndarray, lam: float, alpha: np.nda
     return float(fit @ fit / m + lam * (alpha @ (g_values @ alpha)))
 
 
+@serial_blas
 def _fit(
     scheme: str,
     g: GramMatrix,
@@ -314,6 +319,7 @@ def _same_training(a: CoefficientModel, b: CoefficientModel) -> bool:
     )
 
 
+@serial_blas
 def predict(
     model: CoefficientModel | Sequence[CoefficientModel],
     test_bags: Sequence[Bag],

@@ -116,6 +116,8 @@ class MetaDistributionSpec:
             )
         except KeyError as exc:
             raise ConfigError(f"synthetic spec missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed synthetic spec: {exc}") from exc
 
 
 @dataclass(frozen=True)

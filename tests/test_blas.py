@@ -1,0 +1,166 @@
+"""One BLAS thread inside distreg's linear algebra, and results that do not
+depend on the BLAS thread count.
+
+Counts are read through the library's own setter, which returns the count it
+replaces: setting that count back leaves the library as it was.
+"""
+
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy.linalg
+
+import distreg
+from distreg import (
+    EmbeddingKernelSpec,
+    OuterKernelSpec,
+    analysis,
+    blas,
+    build_gram,
+    fit_coefficient,
+    gram,
+    solver,
+)
+
+from conftest import make_bags
+
+SETTERS = blas._find_setters()
+needs_setter = pytest.mark.skipif(
+    not SETTERS, reason="no OpenBLAS with openblas_set_num_threads_local in this process"
+)
+
+
+def read_counts() -> list[int]:
+    counts = [set_threads(1) for set_threads in SETTERS]
+    for set_threads, count in zip(SETTERS, counts):
+        set_threads(count)
+    return counts
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Every OpenBLAS library set to two threads, as a caller might have it."""
+    before = [set_threads(2) for set_threads in SETTERS]
+    yield
+    for set_threads, count in zip(SETTERS, before):
+        set_threads(count)
+
+
+def test_linear_algebra_runs_under_serial_blas_and_keeps_its_names():
+    # bench/spans.py wraps these by module attribute and reports them by name.
+    for fn in (solver.alpha_paths, solver._fit, solver.predict, solver.solve_alpha,
+               analysis.select_lambda_holdout, gram.spectrum):
+        assert fn.__wrapped__.__name__ == fn.__name__
+        assert fn.__doc__ == fn.__wrapped__.__doc__
+
+
+@needs_setter
+def test_scope_runs_one_thread_and_restores_the_count(two_blas_threads):
+    with blas.serial_blas:
+        assert read_counts() == [1] * len(SETTERS)
+        with blas.serial_blas:
+            assert read_counts() == [1] * len(SETTERS)
+        assert read_counts() == [1] * len(SETTERS)
+    assert read_counts() == [2] * len(SETTERS)
+
+
+@needs_setter
+def test_fit_restores_the_callers_blas_thread_count(two_blas_threads, monkeypatch):
+    inside = []
+    cho_solve = scipy.linalg.cho_solve
+
+    def spy(*args, **kwargs):
+        inside.append(read_counts())
+        return cho_solve(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cho_solve", spy)
+    espec = EmbeddingKernelSpec("gaussian", 1.0, 2)
+    kspec = OuterKernelSpec.gaussian(1.0)
+    bags = make_bags(5, 12, 6, 2)
+    y = np.linspace(-1.0, 1.0, 12)
+    fit_coefficient(build_gram(kspec, espec, bags), y, 1e-3, bags, kspec, espec)
+    assert inside == [[1] * len(SETTERS)]
+    assert read_counts() == [2] * len(SETTERS)
+
+
+def test_scopes_on_many_threads_restore_only_after_the_last_exit():
+    # A fake library: the count is what the setter last received.
+    count = [4]
+    seen = []
+
+    def set_threads(n):
+        previous = count[0]
+        time.sleep(0)  # lets other threads run here, as a native call may
+        count[0] = n
+        return previous
+
+    scope = blas._SerialBlas()
+    scope._setters = [set_threads]
+
+    def work():
+        for _ in range(300):
+            with scope:
+                with scope:
+                    seen.append(count[0])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work) for _ in range(8)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert len(seen) == 8 * 300 and set(seen) == {1}
+    assert count[0] == 4 and scope._depth == 0
+
+
+# A tilted (asymmetric) d=2 problem: lambda selection decomposes G^T G, and
+# the fit factors a 200 x 200 system, both large enough for OpenBLAS to
+# thread when it may.
+PROBE = """
+import hashlib
+import numpy as np
+from distreg import (EmbeddingKernelSpec, MetaDistributionSpec, OuterKernelSpec, build_gram,
+                     fit_coefficient, generate, predict, select_lambda_holdout)
+
+def meta(seed):
+    return MetaDistributionSpec(dim=2, scale=0.1, target="mean_plus_variance",
+                                noise_sd=0.05, noise_bound=2.0, seed=seed)
+
+train = generate(meta(1), 200, 5).bags
+test = generate(meta(2), 50, 5).bags
+espec = EmbeddingKernelSpec("gaussian", 0.25, 2)
+kspec = OuterKernelSpec.tilted(1.0, 0.5, generate(meta(3), 1, 5).bags[0])
+g = build_gram(kspec, espec, train)
+y = np.array([b.label for b in train])
+grid = np.logspace(-8.0, 0.0, 10)
+lam, _ = select_lambda_holdout(g.values, y, grid, ("coefficient_l2",), 0.3, 7)["coefficient_l2"]
+model, _ = fit_coefficient(g, y, lam, train, kspec, espec)
+preds = predict(model, test)
+print(lam, hashlib.sha256(model.alpha.tobytes()).hexdigest(),
+      hashlib.sha256(preds.tobytes()).hexdigest())
+"""
+
+
+@needs_setter
+def test_results_do_not_depend_on_the_blas_thread_count():
+    src = str(Path(distreg.__file__).resolve().parents[1])
+    outputs = set()
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", PROBE],
+            capture_output=True, text=True, timeout=120,
+            env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1

@@ -274,6 +274,32 @@ def one_error_line(capsys) -> str:
     return err[0]
 
 
+def _synth_with(**fields) -> dict:
+    return {"synth": {**base_sections()["data"]["synth"], **fields}}
+
+
+# Config documents with a malformed kernel or synthetic section: exit code 3
+# and one `error:` line naming the bad value, not a traceback.
+MALFORMED_CONFIGS = {
+    "string-bandwidth": (
+        base_sections(embedding_kernel={"family": "gaussian", "bandwidth": "wide", "dim": 1}),
+        "'wide'",
+    ),
+    "string-dim": (
+        base_sections(embedding_kernel={"family": "gaussian", "bandwidth": 0.25, "dim": "two"}),
+        "'two'",
+    ),
+    "null-embedding-kernel": (base_sections(embedding_kernel=None), "None"),
+    "string-sigma": (
+        base_sections(outer_kernel={"family": "gaussian_on_embedding", "sigma": "one"}),
+        "'one'",
+    ),
+    "string-outer-kernel": (base_sections(outer_kernel="gaussian"), "'gaussian'"),
+    "string-synth-scale": (base_sections(data=_synth_with(scale="big")), "'big'"),
+    "list-config": ([base_sections()], "list"),
+}
+
+
 class TestCmdFit:
     def test_three_bag_fixture_matches_library(self, tmp_path, capsys):
         espec = EmbeddingKernelSpec("gaussian", 1.0, 2)
@@ -377,6 +403,16 @@ class TestCmdFit:
         assert main(["fit", "--config", cfg, "--out", str(tmp_path / "m.json")]) == 2
         assert "bags.ndjson:3" in one_error_line(capsys)
 
+    @pytest.mark.parametrize(
+        "doc, shown", MALFORMED_CONFIGS.values(), ids=list(MALFORMED_CONFIGS)
+    )
+    def test_malformed_config_exits_3(self, tmp_path, capsys, doc, shown):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["fit", "--config", str(cfg), "--out", str(tmp_path / "m.json")]) == 3
+        assert shown in one_error_line(capsys)
+        assert not (tmp_path / "m.json").exists()
+
     def test_missing_bag_file_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, **base_sections(data={"path": str(tmp_path / "gone.ndjson")}))
         assert main(["fit", "--config", cfg]) == 2
@@ -441,8 +477,12 @@ class TestCmdPredict:
             ("alpha", "abc", "malformed model file"),
             ("train_bags", [{"id": "a", "y": 1.0, "points": [[0.1], [0.2, 0.3]]}], "bag 'a'"),
             ("train_bags", 7, "malformed model file"),
+            ("embedding_kernel", {"family": "gaussian", "bandwidth": "wide", "dim": 1}, "'wide'"),
+            ("embedding_kernel", {"family": "gaussian", "bandwidth": -1.0, "dim": 1}, "bandwidth"),
+            ("outer_kernel", "gaussian", "malformed model file"),
         ],
-        ids=["no-alpha", "string-alpha", "ragged-train-bag", "train-bags-not-a-list"],
+        ids=["no-alpha", "string-alpha", "ragged-train-bag", "train-bags-not-a-list",
+             "string-bandwidth", "negative-bandwidth", "string-outer-kernel"],
     )
     def test_malformed_model_exits_2(self, tmp_path, capsys, field, value, message):
         model_path = self._fit(tmp_path)

@@ -5,6 +5,9 @@ pointwise kernel values; the library path must match it to 1e-12.
 """
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
+import distreg
 from distreg import (
     Bag,
     EmbeddingKernelSpec,
@@ -133,6 +137,16 @@ class TestKernelMatrix:
         monkeypatch.setattr(embedding, "kernel_matrix", two_pass_kernel_matrix)
         two_pass = np.array([[embed_inner(spec, a, b) for b in bags] for a in bags])
         assert np.allclose(folded, two_pass, rtol=1e-15, atol=0.0)
+
+    def test_starting_the_cli_does_not_load_scipy_spatial(self):
+        # Only d >= 2 needs cdist; scipy.spatial would cost every process ~0.13 s.
+        src = str(Path(distreg.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, distreg.cli; print('scipy.spatial' in sys.modules)"],
+            capture_output=True, text=True, env={"PYTHONPATH": src}, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestEmbedInner:

@@ -51,6 +51,21 @@ def _load_config(path: str, seed_override: int | None = None) -> dict:
     return cfg
 
 
+def _value(cast, value, what: str):
+    """cast(value) for a config value, or ConfigError naming it."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError) as exc:
+        kind = "an integer" if cast is int else "a number"
+        raise ConfigError(f"{what} must be {kind}, got {value!r}") from exc
+
+
+def _values(cast, value, what: str) -> tuple:
+    if not isinstance(value, list):
+        raise ConfigError(f"{what} must be a list, got {value!r}")
+    return tuple(_value(cast, v, what) for v in value)
+
+
 def _kernels(cfg: dict) -> tuple[OuterKernelSpec, EmbeddingKernelSpec]:
     try:
         espec = EmbeddingKernelSpec.from_dict(cfg["embedding_kernel"])
@@ -67,16 +82,23 @@ def _data_section(cfg: dict) -> dict:
     return data
 
 
+def _synth_section(data: dict) -> dict:
+    synth_cfg = data["synth"]
+    if not isinstance(synth_cfg, dict):
+        raise ConfigError(f"'synth' must be an object, got {synth_cfg!r}")
+    if "seed" not in synth_cfg:
+        raise ConfigError("synthetic data source requires a seed")
+    return dict(synth_cfg)
+
+
 def _load_bags(cfg: dict, require_labels: bool) -> list:
     data = _data_section(cfg)
     if "path" in data:
         return io.read_bags(data["path"], require_labels=require_labels)
-    synth_cfg = dict(data["synth"])
-    if "seed" not in synth_cfg:
-        raise ConfigError("synthetic data source requires a seed")
+    synth_cfg = _synth_section(data)
     try:
-        m = int(synth_cfg.pop("m"))
-        n_points = int(synth_cfg.pop("N"))
+        m = _value(int, synth_cfg.pop("m"), "synthetic 'm'")
+        n_points = _value(int, synth_cfg.pop("N"), "synthetic 'N'")
     except KeyError as exc:
         raise ConfigError(f"synthetic data source missing {exc}") from exc
     meta = MetaDistributionSpec.from_dict(synth_cfg)
@@ -95,22 +117,20 @@ def _lambda_section(cfg: dict) -> tuple[str, object]:
 
 def _schedule_params(section: dict | None) -> analysis.ScheduleParams:
     section = section or {}
+    defaults = {"r": 1.0, "alpha_decay": 2.0, "h": 1.0, "kappa4_scale": 1.0}
     return analysis.ScheduleParams(
-        r=float(section.get("r", 1.0)),
-        alpha_decay=float(section.get("alpha_decay", 2.0)),
-        h=float(section.get("h", 1.0)),
-        kappa4_scale=float(section.get("kappa4_scale", 1.0)),
+        **{k: _value(float, section.get(k, v), f"schedule {k!r}") for k, v in defaults.items()}
     )
 
 
 def _resolve_lambda(cfg: dict, g_values: np.ndarray, y: np.ndarray, scheme: str) -> float:
     mode, value = _lambda_section(cfg)
     if mode == "fixed":
-        return float(value)
+        return _value(float, value, "fixed lambda")
     if mode == "schedule":
         params = _schedule_params(value if isinstance(value, dict) else None)
         return analysis.schedule(params, len(y)).lam
-    grid = [float(v) for v in value]
+    grid = _values(float, value, "lambda grid")
     seed = cfg.get("seed")
     if seed is None:
         raise ConfigError("lambda grid selection requires a 'seed' in the config")
@@ -119,10 +139,14 @@ def _resolve_lambda(cfg: dict, g_values: np.ndarray, y: np.ndarray, scheme: str)
         y,
         grid,
         (scheme,),
-        float(cfg.get("holdout_frac", analysis.DEFAULT_HOLDOUT_FRAC)),
-        int(seed),
+        _holdout_frac(cfg),
+        _value(int, seed, "'seed'"),
     )[scheme]
     return lam
+
+
+def _holdout_frac(cfg: dict) -> float:
+    return _value(float, cfg.get("holdout_frac", analysis.DEFAULT_HOLDOUT_FRAC), "'holdout_frac'")
 
 
 def _print_fit_report(report, as_json: bool) -> None:
@@ -202,17 +226,15 @@ def cmd_sweep(args) -> int:
     data = _data_section(cfg)
     if "synth" not in data:
         raise ConfigError("sweep requires a synthetic data source")
-    synth_cfg = dict(data["synth"])
+    synth_cfg = _synth_section(data)
     synth_cfg.pop("m", None)
     synth_cfg.pop("N", None)
-    if "seed" not in synth_cfg:
-        raise ConfigError("synthetic data source requires a seed")
     meta = MetaDistributionSpec.from_dict(synth_cfg)
     mode, value = _lambda_section(cfg)
     sched_params = _schedule_params(
         value if mode == "schedule" and isinstance(value, dict) else cfg.get("schedule_params")
     )
-    m_values = tuple(int(v) for v in cfg.get("m", ()))
+    m_values = _values(int, cfg.get("m", []), "sweep 'm'")
     if not m_values:
         raise ConfigError("sweep config needs a nonempty 'm' list")
     if len(m_values) < 3:
@@ -223,14 +245,16 @@ def cmd_sweep(args) -> int:
         outer_kernel=kspec,
         scheme=cfg.get("scheme", "coefficient_l2"),
         m_values=m_values,
-        replications=int(cfg.get("replications", 0)),
+        replications=_value(int, cfg.get("replications", 0), "'replications'"),
         schedule_params=sched_params,
         lambda_mode=mode,
-        lambda_grid=tuple(float(v) for v in value) if mode == "grid" else analysis.DEFAULT_LAMBDA_GRID,
-        lambda_fixed=float(value) if mode == "fixed" else None,
-        n_max=int(cfg.get("n_max", 2000)),
-        n_test=int(cfg.get("n_test", 64)),
-        holdout_frac=float(cfg.get("holdout_frac", analysis.DEFAULT_HOLDOUT_FRAC)),
+        lambda_grid=(
+            _values(float, value, "lambda grid") if mode == "grid" else analysis.DEFAULT_LAMBDA_GRID
+        ),
+        lambda_fixed=_value(float, value, "fixed lambda") if mode == "fixed" else None,
+        n_max=_value(int, cfg.get("n_max", 2000), "'n_max'"),
+        n_test=_value(int, cfg.get("n_test", 64), "'n_test'"),
+        holdout_frac=_holdout_frac(cfg),
         threads=args.threads,
     )
     result = analysis.run_rate_experiment(sweep_cfg)
@@ -287,7 +311,7 @@ def cmd_spectrum(args) -> int:
         raise ConfigError(f"spectrum needs at least 3 bags, got {len(bags)}")
     g = build_gram(kspec, espec, bags, threads=args.threads)
     report = spectrum(g)
-    head = int(cfg.get("decay_head", _DEFAULT_DECAY_HEAD))
+    head = _value(int, cfg.get("decay_head", _DEFAULT_DECAY_HEAD), "'decay_head'")
     alpha_hat = analysis.fit_decay_exponent(report, head=head)
     top = float(report.singular_values[0])
     lam_grid = np.logspace(-6.0, 0.0, _EFFDIM_GRID_SIZE) * max(top, 1e-12)

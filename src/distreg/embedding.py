@@ -187,35 +187,73 @@ def kernel_eval(spec: EmbeddingKernelSpec, s: np.ndarray, t: np.ndarray) -> floa
     return float(kernel_matrix(spec, s[None, :], t[None, :])[0, 0])
 
 
-def pair_sums(
-    spec: EmbeddingKernelSpec, row: Bag, points: np.ndarray, bounds: np.ndarray, row_first: bool
-) -> np.ndarray:
-    """Double sums of kernel values of `row` against each bag of a packed run.
+# Segments of at most this many values can be summed by strided adds: np.add.reduceat
+# copies a segment's first value and adds the pairwise sum of the rest, and
+# numpy's pairwise sum is a plain left-to-right loop below 8 values.
+# tests/test_embedding.py::TestSegmentSums checks this against reduceat.
+_STRIDED_MAX = 8
 
-    Bag c of the run is points[bounds[c]:bounds[c + 1]]. The one reduction
+
+def segment_sums(x: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """np.add.reduceat(x, starts, axis=-1) for increasing `starts` from 0, bit for bit.
+
+    Several equal segments of at most _STRIDED_MAX values are summed as
+    x0 + ((x1 + x2) + ...), one vectorized add per position: the reduceat
+    order without its per-segment dispatch. Everything else goes to reduceat.
+    """
+    n, count = x.shape[-1], len(starts)
+    size = n // count
+    if count == 1 or size > _STRIDED_MAX or size * count != n or np.any(np.diff(starts) != size):
+        return np.add.reduceat(x, starts, axis=-1)
+    v = x.reshape(*x.shape[:-1], count, size)
+    if size == 1:
+        return v[..., 0].copy()
+    rest = v[..., 1].copy()
+    for k in range(2, size):
+        rest += v[..., k]
+    return np.add(v[..., 0], rest, out=rest)
+
+
+def pair_sums(
+    spec: EmbeddingKernelSpec,
+    row_points: np.ndarray,
+    row_bounds: np.ndarray,
+    points: np.ndarray,
+    bounds: np.ndarray,
+    row_first: bool,
+) -> np.ndarray:
+    """Double sums of kernel values of each bag of a packed row run against each
+    bag of a packed column run, as a (rows, columns) array.
+
+    Row bag r is row_points[row_bounds[r]:row_bounds[r + 1]] (row_bounds[0] is
+    0), column bag c is points[bounds[c]:bounds[c + 1]]. The one reduction
     behind every embedding inner product: for a pair (first, second), the
     values of each point of `first` against `second` are summed, then those
-    sums in the point order of `first`, both as np.add.reduceat segments along
-    a last axis, whose value depends on the segment alone. Callers set
-    `row_first` by Bag._order_key, so a pair's sum is fixed by its two bags,
-    whatever the argument order, the rest of the run, chunking or threads.
+    sums in the point order of `first`, both as `segment_sums` segments, whose
+    value depends on the segment alone. `row_first` puts the row bags first in
+    every pair; callers set it by Bag._order_key, so a pair's sum is fixed by
+    its two bags, whatever the argument order, the rest of either run,
+    chunking or threads.
     """
-    out = np.empty(len(bounds) - 1)
-    cap = max(1, _CHUNK_BUDGET // row.size)
-    start = 0
-    while start < len(out):
+    row_starts = row_bounds[:-1]
+    out = np.empty((len(row_starts), len(bounds) - 1))
+    cap = max(1, _CHUNK_BUDGET // len(row_points))
+    start, end = 0, out.shape[1]
+    while start < end:
         # Whole bags only: as many as the budget holds, and at least one.
-        stop = max(start + 1, int(np.searchsorted(bounds, bounds[start] + cap, "right")) - 1)
+        stop = end
+        if bounds[end] - bounds[start] > cap:
+            stop = max(start + 1, int(bounds.searchsorted(bounds[start] + cap, "right")) - 1)
         lo, hi = bounds[start], bounds[stop]
         offsets = bounds[start:stop] - lo
         if row_first:
-            kmat = kernel_matrix(spec, row.points, points[lo:hi])
-            per_point = np.add.reduceat(kmat, offsets, axis=1).T.copy()
-            out[start:stop] = np.add.reduceat(per_point, [0], axis=1)[:, 0]
+            kmat = kernel_matrix(spec, row_points, points[lo:hi])
+            per_point = segment_sums(kmat, offsets).T.copy()
+            out[:, start:stop] = segment_sums(per_point, row_starts).T
         else:
-            kmat = kernel_matrix(spec, points[lo:hi], row.points)
-            per_point = np.add.reduceat(kmat, [0], axis=1).ravel()
-            out[start:stop] = np.add.reduceat(per_point, offsets)
+            kmat = kernel_matrix(spec, points[lo:hi], row_points)
+            per_point = segment_sums(kmat, row_starts).T.copy()
+            out[:, start:stop] = segment_sums(per_point, offsets)
         start = stop
     return out
 
@@ -229,7 +267,8 @@ def embed_inner(spec: EmbeddingKernelSpec, a: Bag, b: Bag) -> float:
     """
     check_dims(spec, (a, b))
     row_first = a._order_key() <= b._order_key()
-    total = pair_sums(spec, a, b.points, np.array([0, b.size]), row_first)[0]
+    a_bounds, b_bounds = np.array([0, a.size]), np.array([0, b.size])
+    total = pair_sums(spec, a.points, a_bounds, b.points, b_bounds, row_first)[0, 0]
     return float(total) / (a.size * b.size)
 
 

@@ -4,10 +4,13 @@ Entries are outer-kernel values on empirical mean embeddings, with the row
 bag always in the first kernel slot. Assembly reduces every entry to
 embedding inner products, each an exact double sum by the one canonical
 reduction, `embedding.pair_sums`: the bag with the smaller Bag._order_key
-is first, and the value of a pair depends on its two bags alone. The Gram,
-the cross-Gram (in either argument order), the self inner products,
+is first, and the value of a pair depends on its two bags alone. Row bags
+are reduced in blocks of consecutive bags in rank order, each block against
+a packed run of column bags in one call per direction, so a Gram of many
+small bags costs a few kernel blocks rather than one per row. The Gram, the
+cross-Gram (in either argument order), the self inner products,
 `embed_inner` and `outer_eval` therefore agree bit for bit on every pair,
-whatever the thread count or the chunk budget. Dense storage only.
+whatever the block, the thread count or the chunk budget. Dense storage only.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import scipy.linalg
 from .blas import serial_blas
 from .embedding import Bag, EmbeddingKernelSpec, check_dims, embed_inner, pair_sums
 from .embedding import kernel_matrix  # noqa: F401  (bench/spans.py wraps gram.kernel_matrix)
-from .errors import InputError, NumericalError
+from .errors import ConfigError, InputError, NumericalError
 from .outer import OuterKernelSpec, apply_outer
 
 _SCALE_NOTE = (
@@ -33,22 +36,33 @@ _SCALE_NOTE = (
     "proxies for the integral-operator spectrum"
 )
 
-# Mean pointwise kernel evaluations per row task from which a thread pool
-# gains. Measured on 2 cores, symmetric d=1 Gaussian Grams, 2 threads against
-# one: tasks of 8e3-6.4e4 evaluations (1000 bags of 4 or 8 points, 500-800
-# of 12 or 16) ran 7-65% slower; break-even lay between 8e4 and 1.3e5,
-# depending on the bag size; 25 bags of 100 points (1.3e5 per task) ran
-# 10-18% faster.
+# Pointwise kernel evaluations that make a row block, and the mean per row bag
+# from which a thread pool gains. A block of consecutive row bags is closed
+# once it holds this many, so a row bag that reaches it alone is its own block,
+# and bags of a few points share one kernel block and one reduction. The pool
+# rule is per row bag, as measured on 2 cores, symmetric d=1 Gaussian Grams,
+# 2 threads against one, with one row bag per task: tasks of 8e3-6.4e4
+# evaluations (1000 bags of 4 or 8 points, 500-800 of 12 or 16) ran 7-65%
+# slower; break-even lay between 8e4 and 1.3e5, depending on the bag size; 25
+# bags of 100 points (1.3e5 per task) ran 10-18% faster. Blocks of tiny bags
+# stay serial: pooling them measured no faster.
 _POOL_MIN_EVALS = 100_000
 
 
 def default_threads() -> int:
-    """Thread count for Gram assembly: DISTREG_THREADS if set, else 1."""
+    """Thread count for Gram assembly: DISTREG_THREADS if set, else 1.
+
+    Raises ConfigError if DISTREG_THREADS is set to anything but a positive
+    integer.
+    """
     raw = os.environ.get("DISTREG_THREADS", "1")
     try:
-        return max(1, int(raw))
+        threads = int(raw)
     except ValueError:
-        return 1
+        threads = 0
+    if threads < 1:
+        raise ConfigError(f"DISTREG_THREADS must be a positive integer, got {raw!r}")
+    return threads
 
 
 def kernel_fingerprint(kspec: OuterKernelSpec, espec: EmbeddingKernelSpec) -> str:
@@ -108,19 +122,38 @@ class SpectrumReport:
     scale_note: str = _SCALE_NOTE
 
 
-def _parallel_rows(fill: Callable[[int], None], n: int, threads: int, evals: int) -> None:
-    """Call fill(i) for i in range(n); fill(i) owns row i and `evals` is the
-    pointwise kernel evaluations of all n calls together.
+def _run_tasks(fill: Callable, tasks: Sequence, threads: int, evals: int, rows: int) -> None:
+    """Call fill(t) for every t of `tasks`, which share out `rows` row bags and
+    `evals` pointwise kernel evaluations; each call owns its rows' outputs.
 
-    The calls go to a pool of `threads` threads only when they average at
-    least _POOL_MIN_EVALS evaluations; smaller tasks run in a serial loop.
+    The calls go to a pool of `threads` threads only when the row bags average
+    at least _POOL_MIN_EVALS evaluations; otherwise they run in a serial loop.
     """
-    if threads > 1 and n > 1 and evals >= _POOL_MIN_EVALS * n:
+    if threads > 1 and len(tasks) > 1 and evals >= _POOL_MIN_EVALS * rows:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, range(n)))
+            list(pool.map(fill, tasks))
     else:
-        for i in range(n):
-            fill(i)
+        for t in tasks:
+            fill(t)
+
+
+def _row_blocks(row_evals: np.ndarray) -> list[tuple[int, int]]:
+    """Runs [a, b) of consecutive rows, each closed once it holds at least
+    _POOL_MIN_EVALS evaluations, so a row that reaches that alone is a run."""
+    blocks, first, held = [], 0, 0
+    for i, evals in enumerate(row_evals.tolist()):
+        held += evals
+        if held >= _POOL_MIN_EVALS:
+            blocks.append((first, i + 1))
+            first, held = i + 1, 0
+    if first < len(row_evals):
+        blocks.append((first, len(row_evals)))
+    return blocks
+
+
+def _pack(bags: Sequence[Bag]) -> tuple[np.ndarray, np.ndarray]:
+    """The bags' points, concatenated, and the bounds of each bag in them."""
+    return np.concatenate([b.points for b in bags]), np.cumsum([0] + [b.size for b in bags])
 
 
 def _embedding_inners(
@@ -132,39 +165,58 @@ def _embedding_inners(
 ) -> np.ndarray:
     """Embedding inner products <mu_r, mu_c> of every row bag with every column bag.
 
-    Order keys are ranked once over both lists and the column bags packed once
-    in rank order, so a row bag meets two runs: bags ranked below it (column
-    bag first in the pair) and the rest (row bag first). Equal keys mean equal
-    points, so ties may break either way. With `symmetric` (one list) only
-    the second run is reduced and the rest is mirrored.
+    Order keys are ranked once over both lists, and both lists packed once in
+    rank order; the result is assembled in that order and put back in the
+    callers' order at the end, unless it already is. Each row bag splits the
+    column run into the bags ranked below it (column bag first in the pair)
+    and the rest (row bag first). Equal keys mean equal points, so ties may
+    break either way. Rows are reduced in blocks of consecutive row bags
+    (`_row_blocks`), each block against the column bags in one `pair_sums`
+    call per direction: a cross block from its first row's split on with rows
+    first, and up to its last row's split with columns first, each entry taken
+    from the direction its pair prescribes. With `symmetric` (one list) a
+    block reduces only from its first rank on, and the entries below the
+    diagonal are mirrored.
     """
     union = list(row_bags) if symmetric else [*row_bags, *col_bags]
     rank = np.argsort(sorted(range(len(union)), key=lambda k: union[k]._order_key()))
     row_rank, col_rank = rank[: len(row_bags)], rank[len(union) - len(col_bags) :]
-    col_order = np.argsort(col_rank)
-    cols = [col_bags[j] for j in col_order]
-    points = np.concatenate([b.points for b in cols])
-    bounds = np.cumsum([0] + [b.size for b in cols])
-    splits = np.searchsorted(col_rank[col_order], row_rank)
-    col_sizes = np.array([b.size for b in col_bags])
-    inner = np.zeros((len(row_bags), len(col_bags)))
+    row_order, col_order = np.argsort(row_rank), np.argsort(col_rank)
+    row_points, row_bounds = _pack([row_bags[i] for i in row_order])
+    points, bounds = (
+        (row_points, row_bounds) if symmetric else _pack([col_bags[j] for j in col_order])
+    )
+    splits = np.searchsorted(col_rank[col_order], row_rank[row_order])
+    row_sizes, col_sizes = np.diff(row_bounds), np.diff(bounds)
+    inner = np.empty((len(row_sizes), len(col_sizes)))
 
-    def fill(i: int) -> None:
-        row, split = row_bags[i], splits[i]
-        if not symmetric:
-            inner[i, col_order[:split]] = pair_sums(espec, row, points, bounds[: split + 1], False)
-        inner[i, col_order[split:]] = pair_sums(espec, row, points, bounds[split:], True)
-        inner[i] /= row.size * col_sizes
+    def fill(block: tuple[int, int]) -> None:
+        a, b = block
+        lo, hi = splits[a], splits[b - 1]
+        run = row_points[row_bounds[a] : row_bounds[b]], row_bounds[a : b + 1] - row_bounds[a]
+        out = inner[a:b]
+        out[:, lo:] = pair_sums(espec, *run, points, bounds[lo:], True)
+        if not symmetric and hi > 0:
+            col_first = pair_sums(espec, *run, points, bounds[: hi + 1], False)
+            out[:, :lo] = col_first[:, :lo]
+            band = np.arange(lo, hi) < splits[a:b, None]
+            np.copyto(out[:, lo:hi], col_first[:, lo:], where=band)
+        done = lo if symmetric else 0
+        out[:, done:] /= row_sizes[a:b, None] * col_sizes[done:]
+        if symmetric:
+            inner[b:, a:b] = out[:, b:].T
+            square = out[:, a:b]
+            below = np.tri(b - a, k=-1, dtype=bool)
+            square[below] = square.T[below]
 
-    # Row i reduces against every column point after its split point (all of
+    # Row k reduces against every column point after its split point (all of
     # them unless symmetric).
     reach = bounds[-1] - (bounds[splits] if symmetric else 0)
-    evals = int(np.sum(np.array([b.size for b in row_bags]) * reach))
-    _parallel_rows(fill, len(row_bags), threads, evals)
-    if symmetric:
-        lower = row_rank[:, None] > col_rank[None, :]
-        inner[lower] = inner.T[lower]
-    return inner
+    row_evals = row_sizes * reach
+    _run_tasks(fill, _row_blocks(row_evals), threads, int(row_evals.sum()), len(row_sizes))
+    if all(np.array_equal(order, np.arange(len(order))) for order in (row_order, col_order)):
+        return inner
+    return inner[np.ix_(np.argsort(row_order), np.argsort(col_order))]
 
 
 def _self_inners(espec: EmbeddingKernelSpec, bags: Sequence[Bag], threads: int) -> np.ndarray:
@@ -172,9 +224,11 @@ def _self_inners(espec: EmbeddingKernelSpec, bags: Sequence[Bag], threads: int) 
 
     def fill(i: int) -> None:
         b = bags[i]
-        out[i] = pair_sums(espec, b, b.points, np.array([0, b.size]), True)[0] / b.size**2
+        bounds = np.array([0, b.size])
+        out[i] = pair_sums(espec, b.points, bounds, b.points, bounds, True)[0, 0] / b.size**2
 
-    _parallel_rows(fill, len(bags), threads, sum(b.size**2 for b in bags))
+    evals = sum(b.size**2 for b in bags)
+    _run_tasks(fill, range(len(bags)), threads, evals, len(bags))
     return out
 
 

@@ -148,6 +148,13 @@ class OuterKernelSpec:
             raise ConfigError(f"malformed outer kernel spec: {exc}") from exc
 
 
+def _gaussian_of(d2: np.ndarray, sigma: float, out: np.ndarray | None = None) -> np.ndarray:
+    """exp(-0.5 * d2 / sigma**2), in that operation order, into `out`."""
+    out = np.multiply(d2, -0.5, out=out)
+    out /= sigma**2
+    return np.exp(out, out=out)
+
+
 def apply_outer(
     kspec: OuterKernelSpec,
     inner: np.ndarray,
@@ -159,25 +166,35 @@ def apply_outer(
 
     The one table of outer-kernel formulas: `inner[i, j]` = <mu_i, mu_j>,
     `row_self`/`col_self` the self inner products, and `row_ref[i]` =
-    <mu_i, mu_ref> for the tilted family's reference bag. Parameters out of
+    <mu_i, mu_ref> for the tilted family's reference bag. `inner` is used as
+    scratch and may be returned as the result, so the table makes at most one
+    array of its shape besides (two for dog_indefinite). Parameters out of
     floating-point range (a sigma whose square underflows) give non-finite
     values without a numpy warning; the Gram builders reject them.
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if kspec.family == "linear_embedding":
-            return inner.copy()
+            return inner
         if kspec.family == "tanh_indefinite":
-            return np.tanh(kspec.scale * inner + kspec.offset)
-        d2 = np.clip(row_self[:, None] + col_self[None, :] - 2.0 * inner, 0.0, None)
+            inner *= kspec.scale
+            inner += kspec.offset
+            return np.tanh(inner, out=inner)
+        d2 = np.add.outer(row_self, col_self)
+        inner *= 2.0
+        d2 -= inner
+        np.clip(d2, 0.0, None, out=d2)
         if kspec.family == "gaussian_on_embedding":
-            return np.exp(-0.5 * d2 / kspec.sigma**2)
+            return _gaussian_of(d2, kspec.sigma, out=d2)
         if kspec.family == "dog_indefinite":
-            return np.exp(-0.5 * d2 / kspec.sigma1**2) - kspec.c * np.exp(
-                -0.5 * d2 / kspec.sigma2**2
-            )
+            wide = _gaussian_of(d2, kspec.sigma2)
+            wide *= kspec.c
+            values = _gaussian_of(d2, kspec.sigma1, out=d2)
+            values -= wide
+            return values
         # tilted_asymmetric: the tilt is a function of the row bag only
-        tilt = 1.0 + kspec.c * row_ref
-        return np.exp(-0.5 * d2 / kspec.sigma**2) * tilt[:, None]
+        values = _gaussian_of(d2, kspec.sigma, out=d2)
+        values *= (1.0 + kspec.c * row_ref)[:, None]
+        return values
 
 
 def outer_eval(

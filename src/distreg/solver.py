@@ -143,8 +143,11 @@ def assemble_system(
     """System matrix and right-hand side of the scheme's normal equations."""
     m = len(y)
     if check_scheme(scheme) == "coefficient_l2":
-        return lam * m * m * np.eye(m) + g_values.T @ g_values, g_values.T @ y
-    return lam * m * np.eye(m) + g_values, y
+        system, rhs, shift = g_values.T @ g_values, g_values.T @ y, lam * m * m
+    else:
+        system, rhs, shift = np.array(g_values, dtype=np.float64), y, lam * m
+    system.flat[:: m + 1] += shift
+    return system, rhs
 
 
 @serial_blas

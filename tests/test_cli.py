@@ -561,6 +561,39 @@ def sweep_sections(**overrides):
     return sections
 
 
+# Config values of the wrong type, each in the command that reads it: exit
+# code 3 and one `error:` line naming the value, not a traceback.
+MALFORMED_VALUES = {
+    "grid-not-a-list": ("fit", base_sections(**{"lambda": {"grid": 0.1}}), "0.1"),
+    "string-in-grid": ("fit", base_sections(**{"lambda": {"grid": [0.1, "small"]}}), "'small'"),
+    "string-synth-m": ("fit", base_sections(data=_synth_with(m="ten")), "'ten'"),
+    "string-synth-N": ("fit", base_sections(data=_synth_with(N="five")), "'five'"),
+    "string-synth-section": ("fit", base_sections(data={"synth": "abc"}), "'abc'"),
+    "string-replications": ("sweep", sweep_sections(replications="two"), "'two'"),
+}
+
+
+@pytest.mark.parametrize(
+    "command, sections, shown", MALFORMED_VALUES.values(), ids=list(MALFORMED_VALUES)
+)
+def test_malformed_config_value_exits_3(tmp_path, capsys, command, sections, shown):
+    cfg = write_config(tmp_path, **sections)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 3
+    assert shown in one_error_line(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("raw", ["two", "0", "-1", "1.5", ""])
+def test_bad_distreg_threads_exits_3(tmp_path, capsys, monkeypatch, raw):
+    monkeypatch.setenv("DISTREG_THREADS", raw)
+    cfg = write_config(tmp_path, **base_sections())
+    out = tmp_path / "m.json"
+    assert main(["fit", "--config", cfg, "--out", str(out)]) == 3
+    assert "DISTREG_THREADS" in one_error_line(capsys)
+    assert not out.exists()
+
+
 class TestCmdSweep:
     def test_outputs_and_reproducibility(self, tmp_path, capsys):
         cfg = write_config(tmp_path, **sweep_sections())

@@ -149,6 +149,48 @@ class TestKernelMatrix:
         assert proc.stdout.strip() == "False"
 
 
+def spread_values(rng, shape) -> np.ndarray:
+    """Signed values over 600 decades, so that the order of additions shows."""
+    return rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+
+
+class TestSegmentSums:
+    """segment_sums is np.add.reduceat along the last axis, bit for bit."""
+
+    @pytest.mark.parametrize("size", range(1, 13))
+    def test_equal_segments(self, size):
+        rng = np.random.default_rng(size)
+        for shape in [(37 * size,), (5, 11 * size), (3, 2, 7 * size)]:
+            x = spread_values(rng, shape)
+            starts = np.arange(0, shape[-1], size)
+            want = np.add.reduceat(x, starts, axis=-1)
+            assert embedding.segment_sums(x, starts).tobytes() == want.tobytes()
+
+    def test_transposed_input(self):
+        x = spread_values(np.random.default_rng(5), (40, 6)).T
+        starts = np.arange(0, 40, 4)
+        want = np.add.reduceat(x, starts, axis=-1)
+        assert embedding.segment_sums(x, starts).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [[3], [4, 4, 4, 5], [1, 7, 2, 8, 3], [9, 1, 1], [2, 2, 2, 2, 1], [150, 4, 4]],
+        ids=lambda s: "-".join(map(str, s)),
+    )
+    def test_ragged_segments(self, sizes):
+        rng = np.random.default_rng(len(sizes))
+        x = spread_values(rng, (6, sum(sizes)))
+        starts = np.cumsum([0] + sizes[:-1])
+        want = np.add.reduceat(x, starts, axis=-1)
+        assert embedding.segment_sums(x, starts).tobytes() == want.tobytes()
+
+    def test_signed_zeros(self):
+        x = np.array([[-0.0, -0.0, -0.0, 0.0, -0.0, -0.0]])
+        for starts in ([0, 2, 4], [0, 3], [0]):
+            want = np.add.reduceat(x, starts, axis=-1)
+            assert embedding.segment_sums(x, np.array(starts)).tobytes() == want.tobytes()
+
+
 class TestEmbedInner:
     def test_single_atom_self(self):
         spec = EmbeddingKernelSpec("gaussian", 1.0, 2)

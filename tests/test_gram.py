@@ -20,6 +20,10 @@ from distreg import (
     spectrum,
 )
 
+from distreg import ConfigError, embedding
+from distreg.embedding import kernel_matrix
+from distreg.gram import default_threads
+
 from conftest import gram_from_matrix, make_bags
 from test_embedding import naive_inner
 
@@ -156,6 +160,31 @@ class TestPoolDispatch:
         # single bags (1e4 evaluations each) do not.
         build_cross_gram(kspec, espec, test, train, threads=2)
         assert pool_starts == [2, 2]
+
+
+def test_tiny_bags_are_reduced_in_row_blocks(monkeypatch):
+    # 1000 rows of 4 points: one kernel block per row would be 1000 calls.
+    espec = EmbeddingKernelSpec("gaussian", 0.25, 1)
+    calls = []
+
+    def counting(spec, s, t):
+        calls.append(len(s))
+        return kernel_matrix(spec, s, t)
+
+    monkeypatch.setattr(embedding, "kernel_matrix", counting)
+    build_gram(OuterKernelSpec.gaussian(1.0), espec, make_bags(30, 1000, 4, 1), threads=2)
+    assert len(calls) <= 120
+
+
+def test_bad_distreg_threads_is_a_config_error(monkeypatch):
+    for raw in ("two", "0", "-3", ""):
+        monkeypatch.setenv("DISTREG_THREADS", raw)
+        with pytest.raises(ConfigError, match="DISTREG_THREADS"):
+            default_threads()
+    monkeypatch.setenv("DISTREG_THREADS", "3")
+    assert default_threads() == 3
+    monkeypatch.delenv("DISTREG_THREADS")
+    assert default_threads() == 1
 
 
 class TestCrossGram:

@@ -5,7 +5,8 @@ value of a pair must not depend on which function computed it, the order of
 its arguments, the chunk budget or the thread count. The bags are ragged
 (1 to 150 points) so that chunk boundaries and pairwise-summation blocks
 fall in different places for different paths; ids repeat, and some test bags
-are training bags themselves or copies of them.
+are training bags themselves or copies of them. A second case of ~120 mostly
+tiny bags exercises row blocks of several bags and equal-segment sums.
 """
 
 import numpy as np
@@ -132,6 +133,100 @@ def test_thread_count_does_not_change_bits_on_either_side_of_the_pool_threshold(
     assert bool(pool_starts) == pooled
     assert np.array_equal(one, two)
     assert np.array_equal(cross_one, cross_two)
+
+
+def tiny_bags():
+    """About 120 bags, mostly runs of equal tiny bags (1 to 7 points), in rank
+    order by id, plus a few ragged ones; ids repeat, and some test bags are
+    training bags, copies of them, or rank between them."""
+    rng = np.random.default_rng(4242)
+    runs = [("a", 48, 4), ("b", 24, 2), ("c", 16, 7), ("d", 12, 1), ("e", 12, 3)]
+    train = [
+        Bag(f"{p}{i:03d}", rng.uniform(0.0, 1.0) + 0.3 * rng.normal(size=(n, 1)))
+        for p, count, n in runs
+        for i in range(count)
+    ]
+    train += [
+        Bag("a010", rng.normal(size=(5, 1))),
+        Bag("b005", rng.normal(size=(3, 1))),
+        Bag("c007", rng.normal(size=(7, 1))),
+        Bag("r", rng.normal(size=(13, 1))),
+        Bag("r", rng.normal(size=(40, 1))),
+        Bag("a0305", rng.normal(size=(9, 1))),
+        Bag(train[100].id, train[100].points.copy()),
+    ]
+    test = [
+        train[7],
+        Bag(train[30].id, train[30].points.copy()),
+        *[Bag(f"a{i:03d}5", rng.normal(size=(4, 1))) for i in range(0, 48, 3)],
+        *[Bag(f"b{i:03d}", rng.normal(size=(2, 1))) for i in range(0, 24, 5)],
+        Bag("c0125", rng.normal(size=(6, 1))),
+        train[-2],
+    ]
+    return EmbeddingKernelSpec("gaussian", 0.3, 1), train, test
+
+
+@pytest.fixture(scope="module")
+def tiny_case():
+    espec, train, test = tiny_bags()
+    reference = (
+        np.array([[embed_inner(espec, a, b) for b in train] for a in train]),
+        np.array([[embed_inner(espec, a, b) for b in train] for a in test]),
+    )
+    return espec, train, test, reference
+
+
+@pytest.mark.parametrize("min_evals", [gram._POOL_MIN_EVALS, 2000, 0], ids=lambda v: f"block{v}")
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("budget", [8_000_000, 5000, 300, 1])
+def test_row_blocks_of_tiny_bags_give_the_pairwise_bits(
+    tiny_case, monkeypatch, budget, threads, min_evals
+):
+    # The reference is embed_inner, one bag pair at a time.
+    espec, train, test, (inner, cross) = tiny_case
+    monkeypatch.setattr(embedding, "_CHUNK_BUDGET", budget)
+    monkeypatch.setattr(gram, "_POOL_MIN_EVALS", min_evals)
+    linear = OuterKernelSpec.linear()
+    assert np.array_equal(build_gram(linear, espec, train, threads=threads).values, inner)
+    assert np.array_equal(build_cross_gram(linear, espec, test, train, threads=threads), cross)
+    assert np.array_equal(build_cross_gram(linear, espec, train, test, threads=threads), cross.T)
+
+
+def test_tiny_bag_blocks_straddle_the_diagonal_and_the_band(tiny_case, monkeypatch):
+    espec, train, test, _ = tiny_case
+    calls = []
+
+    def spy(spec, row_points, row_bounds, points, bounds, row_first):
+        calls.append((len(row_bounds) - 1, len(bounds) - 1, row_first))
+        return embedding.pair_sums(spec, row_points, row_bounds, points, bounds, row_first)
+
+    monkeypatch.setattr(gram, "pair_sums", spy)
+    monkeypatch.setattr(gram, "_POOL_MIN_EVALS", 2000)
+    build_gram(OuterKernelSpec.linear(), espec, train)
+    # A block of several rows holds the diagonal entries of all of them.
+    assert sum(rows > 1 for rows, _, _ in calls) > 5
+    calls.clear()
+    build_cross_gram(OuterKernelSpec.linear(), espec, test, train)
+    # A block's row-first and column-first calls overlap on a band of columns.
+    bands = [
+        rows > 1 and cols + prev[1] > len(train)
+        for prev, (rows, cols, row_first) in zip(calls, calls[1:])
+        if not row_first
+    ]
+    assert sum(bands) > 2
+
+
+def test_tiny_bag_outer_values_equal_outer_eval(tiny_case):
+    espec, train, test, _ = tiny_case
+    for kspec in outer_specs(train[-3]):
+        g = build_gram(kspec, espec, train).values
+        cross = build_cross_gram(kspec, espec, test, train)
+        for i in range(0, len(train), 11):
+            for j in range(0, len(train), 3):
+                assert outer_eval(kspec, espec, train[i], train[j]) == g[i, j]
+        for i in range(0, len(test), 2):
+            for j in range(0, len(train), 3):
+                assert outer_eval(kspec, espec, test[i], train[j]) == cross[i, j]
 
 
 def test_gram_equals_cross_gram_of_train_with_itself(case):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .blas import serial_blas
 from .embedding import EmbeddingKernelSpec
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, config_float, config_keys
 from .gram import SpectrumReport, build_gram
 from .outer import OuterKernelSpec
 from .solver import alpha_paths, check_scheme, excess_error, fit_coefficient, fit_krr
@@ -61,6 +61,15 @@ class ScheduleParams:
             raise ConfigError(f"h must lie in (0, 1], got {self.h}")
         if not self.kappa4_scale > 0:
             raise ConfigError(f"kappa4_scale must be positive, got {self.kappa4_scale}")
+
+    @classmethod
+    def from_dict(cls, d, what: str) -> "ScheduleParams":
+        """Knobs from a config object; r defaults to 1 and alpha_decay to 2."""
+        if not isinstance(d, dict):
+            raise ConfigError(f"{what} must be an object, got {d!r}")
+        defaults = {"r": 1.0, "alpha_decay": 2.0, "h": 1.0, "kappa4_scale": 1.0}
+        config_keys(d, defaults, what)
+        return cls(**{k: config_float(d.get(k, v), f"{what} {k!r}") for k, v in defaults.items()})
 
 
 class Schedule(NamedTuple):
@@ -207,6 +216,59 @@ def _derived_seed(master: int, *key: int) -> int:
 
 
 @dataclass(frozen=True)
+class LambdaRule:
+    """How lambda is set, by mode: "fixed" uses `fixed`, "schedule" uses
+    schedule(schedule_params, m).lam for m training bags, and "grid" picks from
+    `grid` by the MSE on a held-out `holdout_frac` share of the bags.
+    """
+
+    mode: str
+    fixed: float | None = None
+    grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID
+    schedule_params: ScheduleParams = ScheduleParams(r=1.0, alpha_decay=2.0)
+    holdout_frac: float = DEFAULT_HOLDOUT_FRAC
+
+    def __post_init__(self):
+        if self.mode not in ("fixed", "grid", "schedule"):
+            raise ConfigError(f"unknown lambda mode {self.mode!r}")
+        if self.mode == "fixed" and not (self.fixed is not None and 0 < self.fixed < math.inf):
+            raise ConfigError(f"fixed lambda must be finite and positive, got {self.fixed}")
+        if not self.grid or not all(0 < lam < math.inf for lam in self.grid):
+            raise ConfigError(f"lambda grid must be nonempty, finite and positive, got {self.grid}")
+        if not 0 < self.holdout_frac < 1:
+            raise ConfigError(f"holdout_frac must lie in (0, 1), got {self.holdout_frac}")
+
+    def pick(self, g_values: np.ndarray, y: np.ndarray, schemes: Sequence[str], seed: int | None):
+        """One lambda per scheme; one holdout split and selection serve them all."""
+        if self.mode == "fixed":
+            return (float(self.fixed),) * len(schemes)
+        if self.mode == "schedule":
+            return (schedule(self.schedule_params, len(y)).lam,) * len(schemes)
+        if seed is None:
+            raise ConfigError("lambda grid selection requires a seed")
+        picks = select_lambda_holdout(g_values, y, self.grid, schemes, self.holdout_frac, seed)
+        return tuple(picks[scheme][0] for scheme in schemes)
+
+
+def _trial(config, m: int, n_points: int, rule: LambdaRule, schemes: Sequence[str], *key: int):
+    """Draw m train and n_test test bags, set lambda, fit and score each scheme.
+
+    `config` is a SweepConfig or SaturationConfig. Train set, test set and
+    holdout split are seeded from the master seed, `key` and 0, 1, 2. One
+    test cross-Gram scores every fit. Returns one lambda and one error per scheme.
+    """
+    meta, kspec, espec = config.meta, config.outer_kernel, config.embedding_kernel
+    train = generate(replace(meta, seed=_derived_seed(meta.seed, *key, 0)), m, n_points)
+    test = generate(replace(meta, seed=_derived_seed(meta.seed, *key, 1)), config.n_test, n_points)
+    g = build_gram(kspec, espec, train.bags, threads=config.threads)
+    y = train.labels()
+    lams = rule.pick(g.values, y, schemes, _derived_seed(meta.seed, *key, 2))
+    fitters = [fit_coefficient if scheme == "coefficient_l2" else fit_krr for scheme in schemes]
+    models = [fit(g, y, lam, train.bags, kspec, espec)[0] for fit, lam in zip(fitters, lams)]
+    return lams, excess_error(models, test.with_targets(), threads=config.threads)
+
+
+@dataclass(frozen=True)
 class SweepConfig:
     """One rate experiment: error versus first-stage sample size."""
 
@@ -227,16 +289,18 @@ class SweepConfig:
 
     def __post_init__(self):
         check_scheme(self.scheme, self.outer_kernel)
-        if self.lambda_mode not in ("grid", "schedule", "fixed"):
-            raise ConfigError(f"unknown lambda mode {self.lambda_mode!r}")
-        if self.lambda_mode == "fixed" and self.lambda_fixed is None:
-            raise ConfigError("lambda_mode 'fixed' needs lambda_fixed")
+        self.lambda_rule  # validates the lambda fields
         if self.replications < 1:
             raise ConfigError(f"replications must be >= 1, got {self.replications}")
         if len(self.m_values) < 1:
             raise ConfigError("m_values must be nonempty")
         if self.n_max < 1:
             raise ConfigError(f"n_max must be >= 1, got {self.n_max}")
+
+    @property
+    def lambda_rule(self) -> LambdaRule:
+        fields = (self.lambda_fixed, self.lambda_grid, self.schedule_params, self.holdout_frac)
+        return LambdaRule(self.lambda_mode, *fields)
 
 
 @dataclass(frozen=True)
@@ -270,7 +334,7 @@ def run_rate_experiment(config: SweepConfig) -> SweepResult:
     medians: dict[int, float] = {}
     n_by_m: dict[int, int] = {}
     capped: list[int] = []
-    master = config.meta.seed
+    rule = config.lambda_rule
     for m in config.m_values:
         sched = schedule(config.schedule_params, m)
         n_points = min(config.n_max, sched.n_points)
@@ -279,54 +343,14 @@ def run_rate_experiment(config: SweepConfig) -> SweepResult:
             capped.append(m)
         errors = []
         for rep in range(config.replications):
-            train = generate(
-                replace(config.meta, seed=_derived_seed(master, m, rep, 0)), m, n_points
-            )
-            test = generate(
-                replace(config.meta, seed=_derived_seed(master, m, rep, 1)),
-                config.n_test,
-                n_points,
-            )
-            g = build_gram(
-                config.outer_kernel,
-                config.embedding_kernel,
-                train.bags,
-                threads=config.threads,
-            )
-            y = train.labels()
-            if config.lambda_mode == "schedule":
-                lam = sched.lam
-            elif config.lambda_mode == "fixed":
-                lam = float(config.lambda_fixed)
-            else:
-                lam, _ = select_lambda_holdout(
-                    g.values,
-                    y,
-                    config.lambda_grid,
-                    (config.scheme,),
-                    config.holdout_frac,
-                    _derived_seed(master, m, rep, 2),
-                )[config.scheme]
-            fitter = fit_coefficient if config.scheme == "coefficient_l2" else fit_krr
-            model, _ = fitter(
-                g, y, lam, train.bags, config.outer_kernel, config.embedding_kernel
-            )
-            err = excess_error(model, test.with_targets(), threads=config.threads)
-            rows.append(
-                SweepRow(m=m, n_points=n_points, lam=lam, rep=rep, scheme=config.scheme, error=err)
-            )
+            (lam,), (err,) = _trial(config, m, n_points, rule, (config.scheme,), m, rep)
+            rows.append(SweepRow(m, n_points, lam, rep, config.scheme, err))
             errors.append(err)
         medians[m] = float(np.median(errors))
     fit = None
     if len(config.m_values) >= 3 and all(e > 0 for e in medians.values()):
         fit = rate_fit([(m, medians[m]) for m in config.m_values])
-    return SweepResult(
-        rows=tuple(rows),
-        fit=fit,
-        medians=medians,
-        n_by_m=n_by_m,
-        capped_m=tuple(capped),
-    )
+    return SweepResult(tuple(rows), fit, medians, n_by_m, tuple(capped))
 
 
 @dataclass(frozen=True)
@@ -381,40 +405,16 @@ def saturation_compare(config: SaturationConfig) -> SaturationReport:
             f"saturation comparison expects the smooth_composite target, "
             f"got {config.meta.target!r}"
         )
-    master = config.meta.seed
-    train = generate(
-        replace(config.meta, seed=_derived_seed(master, 0)), config.m, config.n_points
+    rule = LambdaRule("grid", grid=config.lambda_grid, holdout_frac=config.holdout_frac)
+    (lam_coef, lam_krr), (err_coef, err_krr) = _trial(
+        config, config.m, config.n_points, rule, ("coefficient_l2", "krr")
     )
-    test = generate(
-        replace(config.meta, seed=_derived_seed(master, 1)), config.n_test, config.n_points
-    )
-    g = build_gram(
-        config.outer_kernel, config.embedding_kernel, train.bags, threads=config.threads
-    )
-    y = train.labels()
-    fitters = {"coefficient_l2": fit_coefficient, "krr": fit_krr}
-    picks = select_lambda_holdout(
-        g.values, y, config.lambda_grid, tuple(fitters), config.holdout_frac,
-        _derived_seed(master, 2),
-    )
-    lams = {scheme: lam for scheme, (lam, _) in picks.items()}
-    models = [
-        fitter(g, y, lams[scheme], train.bags, config.outer_kernel, config.embedding_kernel)[0]
-        for scheme, fitter in fitters.items()
-    ]
-    # One cross-Gram of the test bags serves both models.
-    errors = dict(
-        zip(fitters, excess_error(models, test.with_targets(), threads=config.threads))
-    )
-    ratio = errors["coefficient_l2"] / errors["krr"] if errors["krr"] > 0 else math.inf
-    winner = "coefficient_l2" if errors["coefficient_l2"] <= errors["krr"] else "krr"
     return SaturationReport(
-        err_coefficient=errors["coefficient_l2"],
-        err_krr=errors["krr"],
+        err_coefficient=err_coef,
+        err_krr=err_krr,
         lambda_grid=tuple(float(v) for v in config.lambda_grid),
-        lambda_coefficient=lams["coefficient_l2"],
-        lambda_krr=lams["krr"],
-        ratio=ratio,
-        winner=winner,
+        lambda_coefficient=lam_coef,
+        lambda_krr=lam_krr,
+        ratio=err_coef / err_krr if err_krr > 0 else math.inf,
+        winner="coefficient_l2" if err_coef <= err_krr else "krr",
     )
-

@@ -18,7 +18,9 @@ import numpy as np
 
 from . import analysis, io
 from .embedding import EmbeddingKernelSpec
-from .errors import ConfigError, ContractError, InputError, NumericalError
+from .errors import (
+    ConfigError, ContractError, InputError, NumericalError, config_float, config_int, config_keys,
+)
 from .gram import build_gram, kernel_fingerprint, spectrum
 from .outer import OuterKernelSpec
 from .solver import check_scheme, fit_coefficient, fit_krr, predict
@@ -33,6 +35,13 @@ _EFFDIM_GRID_SIZE = 20
 _DEFAULT_DECAY_HEAD = 10
 
 
+# Every top-level key some command reads; any other key is a typo.
+_CONFIG_KEYS = (
+    "data", "embedding_kernel", "outer_kernel", "scheme", "lambda", "schedule_params",
+    "holdout_frac", "seed", "m", "replications", "n_max", "n_test", "decay_head",
+)
+
+
 def _load_config(path: str, seed_override: int | None = None) -> dict:
     try:
         with open(path) as fh:
@@ -43,6 +52,7 @@ def _load_config(path: str, seed_override: int | None = None) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} must be a JSON object, got {type(cfg).__name__}")
+    config_keys(cfg, _CONFIG_KEYS, "top-level config")
     if seed_override is not None:
         cfg["seed"] = seed_override
         data = cfg.get("data")
@@ -51,19 +61,10 @@ def _load_config(path: str, seed_override: int | None = None) -> dict:
     return cfg
 
 
-def _value(cast, value, what: str):
-    """cast(value) for a config value, or ConfigError naming it."""
-    try:
-        return cast(value)
-    except (TypeError, ValueError) as exc:
-        kind = "an integer" if cast is int else "a number"
-        raise ConfigError(f"{what} must be {kind}, got {value!r}") from exc
-
-
-def _values(cast, value, what: str) -> tuple:
+def _list(value, what: str) -> list:
     if not isinstance(value, list):
         raise ConfigError(f"{what} must be a list, got {value!r}")
-    return tuple(_value(cast, v, what) for v in value)
+    return value
 
 
 def _kernels(cfg: dict) -> tuple[OuterKernelSpec, EmbeddingKernelSpec]:
@@ -75,78 +76,59 @@ def _kernels(cfg: dict) -> tuple[OuterKernelSpec, EmbeddingKernelSpec]:
     return kspec, espec
 
 
-def _data_section(cfg: dict) -> dict:
+def _data(cfg: dict, synthetic_for: str | None = None):
+    """A bag-file path, or (meta, m, N) of a synthetic source with m and N None when absent.
+
+    `synthetic_for` names a command that accepts only a synthetic source.
+    """
     data = cfg.get("data")
     if not isinstance(data, dict) or len(data) != 1 or not set(data) <= {"path", "synth"}:
         raise ConfigError("config needs a 'data' section with exactly one of 'path' or 'synth'")
-    return data
-
-
-def _synth_section(data: dict) -> dict:
-    synth_cfg = data["synth"]
-    if not isinstance(synth_cfg, dict):
-        raise ConfigError(f"'synth' must be an object, got {synth_cfg!r}")
-    if "seed" not in synth_cfg:
-        raise ConfigError("synthetic data source requires a seed")
-    return dict(synth_cfg)
-
-
-def _load_bags(cfg: dict, require_labels: bool) -> list:
-    data = _data_section(cfg)
     if "path" in data:
-        return io.read_bags(data["path"], require_labels=require_labels)
-    synth_cfg = _synth_section(data)
-    try:
-        m = _value(int, synth_cfg.pop("m"), "synthetic 'm'")
-        n_points = _value(int, synth_cfg.pop("N"), "synthetic 'N'")
-    except KeyError as exc:
-        raise ConfigError(f"synthetic data source missing {exc}") from exc
-    meta = MetaDistributionSpec.from_dict(synth_cfg)
+        if synthetic_for:
+            raise ConfigError(f"{synthetic_for} requires a synthetic data source")
+        if not isinstance(data["path"], str) or not data["path"]:
+            raise ConfigError(f"data 'path' must be a non-empty string, got {data['path']!r}")
+        return data["path"]
+    spec = data["synth"]
+    if not isinstance(spec, dict):
+        raise ConfigError(f"'synth' must be an object, got {spec!r}")
+    spec = dict(spec)
+    m, n_points = (
+        config_int(spec.pop(key), f"synthetic {key!r}", 1) if key in spec else None
+        for key in ("m", "N")
+    )
+    return MetaDistributionSpec.from_dict(spec), m, n_points
+
+
+def _bags(source, require_labels: bool) -> list:
+    if isinstance(source, str):
+        return io.read_bags(source, require_labels=require_labels)
+    meta, m, n_points = source
+    if m is None or n_points is None:
+        raise ConfigError("synthetic data source needs 'm' and 'N'")
     return list(generate(meta, m, n_points).bags)
 
 
-def _lambda_section(cfg: dict) -> tuple[str, object]:
+def _lambda_rule(cfg: dict) -> analysis.LambdaRule:
+    """The 'lambda' section, read with 'schedule_params' and 'holdout_frac'."""
     lam = cfg.get("lambda")
     if not isinstance(lam, dict) or len(lam) != 1 or not set(lam) <= {"fixed", "grid", "schedule"}:
         raise ConfigError(
             "config needs a 'lambda' section with exactly one of 'fixed', 'grid', 'schedule'"
         )
-    mode, value = next(iter(lam.items()))
-    return mode, value
-
-
-def _schedule_params(section: dict | None) -> analysis.ScheduleParams:
-    section = section or {}
-    defaults = {"r": 1.0, "alpha_decay": 2.0, "h": 1.0, "kappa4_scale": 1.0}
-    return analysis.ScheduleParams(
-        **{k: _value(float, section.get(k, v), f"schedule {k!r}") for k, v in defaults.items()}
+    ((mode, value),) = lam.items()
+    grid = _list(value, "lambda grid") if mode == "grid" else analysis.DEFAULT_LAMBDA_GRID
+    key = "schedule" if mode == "schedule" else "schedule_params"
+    params = (lam if mode == "schedule" else cfg).get(key, {})
+    holdout_frac = cfg.get("holdout_frac", analysis.DEFAULT_HOLDOUT_FRAC)
+    return analysis.LambdaRule(
+        mode,
+        fixed=config_float(value, "fixed lambda") if mode == "fixed" else None,
+        grid=tuple(config_float(v, "lambda grid") for v in grid),
+        schedule_params=analysis.ScheduleParams.from_dict(params, repr(key)),
+        holdout_frac=config_float(holdout_frac, "'holdout_frac'"),
     )
-
-
-def _resolve_lambda(cfg: dict, g_values: np.ndarray, y: np.ndarray, scheme: str) -> float:
-    mode, value = _lambda_section(cfg)
-    if mode == "fixed":
-        return _value(float, value, "fixed lambda")
-    if mode == "schedule":
-        params = _schedule_params(value if isinstance(value, dict) else None)
-        return analysis.schedule(params, len(y)).lam
-    grid = _values(float, value, "lambda grid")
-    seed = cfg.get("seed")
-    if seed is None:
-        raise ConfigError("lambda grid selection requires a 'seed' in the config")
-    lam, _ = analysis.select_lambda_holdout(
-        g_values,
-        y,
-        grid,
-        (scheme,),
-        _holdout_frac(cfg),
-        _value(int, seed, "'seed'"),
-    )[scheme]
-    return lam
-
-
-def _holdout_frac(cfg: dict) -> float:
-    return _value(float, cfg.get("holdout_frac", analysis.DEFAULT_HOLDOUT_FRAC), "'holdout_frac'")
 
 
 def _print_fit_report(report, as_json: bool) -> None:
@@ -172,10 +154,12 @@ def cmd_fit(args) -> int:
     cfg = _load_config(args.config, args.seed)
     kspec, espec = _kernels(cfg)
     scheme = check_scheme(cfg.get("scheme", "coefficient_l2"), kspec)
-    bags = _load_bags(cfg, require_labels=True)
+    rule = _lambda_rule(cfg)
+    seed = None if cfg.get("seed") is None else config_int(cfg["seed"], "'seed'", 0)
+    bags = _bags(_data(cfg), require_labels=True)
     y = np.array([b.label for b in bags], dtype=np.float64)
     g = build_gram(kspec, espec, bags, threads=args.threads)
-    lam = _resolve_lambda(cfg, g.values, y, scheme)
+    (lam,) = rule.pick(g.values, y, (scheme,), seed)
     fitter = fit_coefficient if scheme == "coefficient_l2" else fit_krr
     model, report = fitter(g, y, lam, bags, kspec, espec)
     out = Path(args.out or "model.json")
@@ -210,10 +194,7 @@ def cmd_predict(args) -> int:
 
 def cmd_generate(args) -> int:
     cfg = _load_config(args.config, args.seed)
-    data = _data_section(cfg)
-    if "synth" not in data:
-        raise ConfigError("generate requires a synthetic data section")
-    bags = _load_bags(cfg, require_labels=False)
+    bags = _bags(_data(cfg, synthetic_for="generate"), require_labels=False)
     out = Path(args.out or "bags.ndjson")
     io.write_bags(bags, out)
     print(f"wrote {len(bags)} bags to {out}")
@@ -223,40 +204,26 @@ def cmd_generate(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _load_config(args.config, args.seed)
     kspec, espec = _kernels(cfg)
-    data = _data_section(cfg)
-    if "synth" not in data:
-        raise ConfigError("sweep requires a synthetic data source")
-    synth_cfg = _synth_section(data)
-    synth_cfg.pop("m", None)
-    synth_cfg.pop("N", None)
-    meta = MetaDistributionSpec.from_dict(synth_cfg)
-    mode, value = _lambda_section(cfg)
-    sched_params = _schedule_params(
-        value if mode == "schedule" and isinstance(value, dict) else cfg.get("schedule_params")
-    )
-    m_values = _values(int, cfg.get("m", []), "sweep 'm'")
-    if not m_values:
-        raise ConfigError("sweep config needs a nonempty 'm' list")
-    if len(m_values) < 3:
-        print("warning: fewer than 3 m values; table emitted without a rate fit", file=sys.stderr)
+    meta, _, _ = _data(cfg, synthetic_for="sweep")
+    rule = _lambda_rule(cfg)
     sweep_cfg = analysis.SweepConfig(
         meta=meta,
         embedding_kernel=espec,
         outer_kernel=kspec,
         scheme=cfg.get("scheme", "coefficient_l2"),
-        m_values=m_values,
-        replications=_value(int, cfg.get("replications", 0), "'replications'"),
-        schedule_params=sched_params,
-        lambda_mode=mode,
-        lambda_grid=(
-            _values(float, value, "lambda grid") if mode == "grid" else analysis.DEFAULT_LAMBDA_GRID
-        ),
-        lambda_fixed=_value(float, value, "fixed lambda") if mode == "fixed" else None,
-        n_max=_value(int, cfg.get("n_max", 2000), "'n_max'"),
-        n_test=_value(int, cfg.get("n_test", 64), "'n_test'"),
-        holdout_frac=_holdout_frac(cfg),
+        m_values=tuple(config_int(m, "sweep 'm'", 3) for m in _list(cfg.get("m", []), "sweep 'm'")),
+        replications=config_int(cfg.get("replications", 0), "'replications'", 1),
+        schedule_params=rule.schedule_params,
+        lambda_mode=rule.mode,
+        lambda_grid=rule.grid,
+        lambda_fixed=rule.fixed,
+        n_max=config_int(cfg.get("n_max", 2000), "'n_max'", 1),
+        n_test=config_int(cfg.get("n_test", 64), "'n_test'", 1),
+        holdout_frac=rule.holdout_frac,
         threads=args.threads,
     )
+    if len(sweep_cfg.m_values) < 3:
+        print("warning: fewer than 3 m values; table emitted without a rate fit", file=sys.stderr)
     result = analysis.run_rate_experiment(sweep_cfg)
     out_dir = Path(args.out or ".")
     try:
@@ -272,7 +239,7 @@ def cmd_sweep(args) -> int:
             "n_max": sweep_cfg.n_max,
             "capped_m": list(result.capped_m),
             "scheme": sweep_cfg.scheme,
-            "lambda_mode": mode,
+            "lambda_mode": rule.mode,
         }
         if result.fit is not None:
             summary["rate_fit"] = {
@@ -306,12 +273,12 @@ def cmd_sweep(args) -> int:
 def cmd_spectrum(args) -> int:
     cfg = _load_config(args.config, args.seed)
     kspec, espec = _kernels(cfg)
-    bags = _load_bags(cfg, require_labels=False)
+    bags = _bags(_data(cfg), require_labels=False)
     if len(bags) < 3:
         raise ConfigError(f"spectrum needs at least 3 bags, got {len(bags)}")
     g = build_gram(kspec, espec, bags, threads=args.threads)
     report = spectrum(g)
-    head = _value(int, cfg.get("decay_head", _DEFAULT_DECAY_HEAD), "'decay_head'")
+    head = config_int(cfg.get("decay_head", _DEFAULT_DECAY_HEAD), "'decay_head'", 3)
     alpha_hat = analysis.fit_decay_exponent(report, head=head)
     top = float(report.singular_values[0])
     lam_grid = np.logspace(-6.0, 0.0, _EFFDIM_GRID_SIZE) * max(top, 1e-12)

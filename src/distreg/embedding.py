@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, config_float, config_int, config_keys
 
 # All supported families take the value 1 at zero distance, so the embedding
 # kernel bound is a shared constant.
@@ -71,12 +71,12 @@ class EmbeddingKernelSpec:
     def from_dict(cls, d: dict) -> "EmbeddingKernelSpec":
         if not isinstance(d, dict):
             raise ConfigError(f"embedding kernel spec must be an object, got {d!r}")
+        config_keys(d, ("family", "bandwidth", "dim"), "embedding kernel")
         try:
-            return cls(family=d["family"], bandwidth=float(d["bandwidth"]), dim=int(d["dim"]))
+            bandwidth = config_float(d["bandwidth"], "embedding kernel 'bandwidth'")
+            return cls(d["family"], bandwidth, config_int(d["dim"], "embedding kernel 'dim'", 1))
         except KeyError as exc:
             raise ConfigError(f"embedding kernel spec missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed embedding kernel spec: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the config number checks.
 
 The CLI maps these onto exit codes: InputError -> 2, ConfigError and
 ContractError -> 3, NumericalError -> 4.
 """
+
+import sys
 
 
 class DistRegError(Exception):
@@ -23,3 +25,27 @@ class ContractError(DistRegError):
 
 class NumericalError(DistRegError):
     """A numerical routine failed (factorization breakdown, non-finite values)."""
+
+
+def config_float(value, what: str) -> float:
+    """A finite JSON number (not a string or bool) as a float, or ConfigError naming `what`."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if abs(value) <= sys.float_info.max:
+            return float(value)
+    raise ConfigError(f"{what} must be a finite number, got {value!r}")
+
+
+def config_int(value, what: str, least: int) -> int:
+    """A JSON integer >= `least` (12.0 counts, 12.7 does not), or ConfigError naming `what`."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise ConfigError(f"{what} must be an integer >= {least}, got {value!r}")
+    return value
+
+
+def config_keys(section: dict, known, what: str) -> None:
+    """ConfigError naming any key of `section` outside `known`."""
+    unknown = sorted(set(section) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {unknown}")

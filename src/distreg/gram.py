@@ -247,7 +247,10 @@ def _outer_block(
     not recomputed.
     """
     check_dims(espec, [*row_bags, *col_bags])
-    threads = default_threads() if threads is None else max(1, threads)
+    if threads is None:
+        threads = default_threads()
+    elif threads < 1:
+        raise ConfigError(f"threads must be a positive integer, got {threads}")
     inner = _embedding_inners(espec, row_bags, col_bags, threads, symmetric)
     if symmetric:
         row_self = col_self = np.diag(inner).copy()

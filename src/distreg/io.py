@@ -45,7 +45,10 @@ def bag_from_record(rec: dict, where: str = "") -> Bag:
     if rec.get("params") is not None:
         p = rec["params"]
         try:
-            params = BagParams(theta=np.asarray(p["theta"], dtype=np.float64), scale=float(p["s"]))
+            theta = np.asarray(p["theta"], dtype=np.float64)
+            if theta.ndim > 1:
+                raise ValueError(f"theta must be a number or a flat list, got {p['theta']!r}")
+            params = BagParams(theta=theta, scale=float(p["s"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed bag params{where}: {exc}") from exc
     try:

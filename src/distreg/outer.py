@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .embedding import Bag, EmbeddingKernelSpec, embed_inner
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, config_float, config_keys
 
 # family -> (symmetric, PSD claimed)
 _FLAGS = {
@@ -135,13 +135,11 @@ class OuterKernelSpec:
         if family is None:
             raise ConfigError("outer kernel spec missing 'family'")
         ref = d.pop("ref_bag", None)
-        allowed = {"sigma", "sigma1", "sigma2", "c", "scale", "offset"}
-        unknown = set(d) - allowed
-        if unknown:
-            raise ConfigError(f"unknown outer kernel parameters: {sorted(unknown)}")
+        config_keys(d, ("sigma", "sigma1", "sigma2", "c", "scale", "offset"), "outer kernel")
         try:
             ref_bag = Bag(id=ref["id"], points=ref["points"]) if ref is not None else None
-            return cls(family=family, ref_bag=ref_bag, **{k: float(v) for k, v in d.items()})
+            params = {k: config_float(v, f"outer kernel {k!r}") for k, v in d.items()}
+            return cls(family=family, ref_bag=ref_bag, **params)
         except KeyError as exc:
             raise ConfigError(f"outer kernel ref_bag missing field {exc}") from exc
         except (TypeError, ValueError) as exc:

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .embedding import Bag, BagParams
-from .errors import ConfigError, InputError, NumericalError
+from .errors import ConfigError, InputError, NumericalError, config_float, config_int, config_keys
 
 THETA_LOW, THETA_HIGH = 0.2, 0.8
 
@@ -85,6 +85,8 @@ class MetaDistributionSpec:
             raise ConfigError(f"noise_sd must be nonnegative, got {self.noise_sd}")
         if not self.noise_bound > 0:
             raise ConfigError(f"noise_bound must be positive, got {self.noise_bound}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.target not in TARGETS:
             raise ConfigError(
                 f"unknown target family {self.target!r}; expected one of {tuple(TARGETS)}"
@@ -105,19 +107,18 @@ class MetaDistributionSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MetaDistributionSpec":
+        config_keys(d, ("dim", "scale", "target", "noise_sd", "noise_bound", "seed"), "synthetic")
         try:
             return cls(
-                dim=int(d["dim"]),
-                scale=float(d["scale"]),
-                target=d["target"],
-                noise_sd=float(d.get("noise_sd", 0.0)),
-                noise_bound=float(d.get("noise_bound", 2.0)),
-                seed=int(d["seed"]),
+                dim=config_int(d["dim"], "synthetic 'dim'", 1),
+                scale=config_float(d["scale"], "synthetic 'scale'"),
+                target=str(d["target"]),
+                noise_sd=config_float(d.get("noise_sd", 0.0), "synthetic 'noise_sd'"),
+                noise_bound=config_float(d.get("noise_bound", 2.0), "synthetic 'noise_bound'"),
+                seed=config_int(d["seed"], "synthetic 'seed'", 0),
             )
         except KeyError as exc:
             raise ConfigError(f"synthetic spec missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed synthetic spec: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from distreg import Bag, EmbeddingKernelSpec, GramMatrix, OuterKernelSpec
+
+# Every property test draws the same examples on every run, so the suite is
+# deterministic; tests without their own count run 1000 examples, enough
+# for the CLI config fuzz test to reach the rare inputs that used to crash.
+settings.register_profile("distreg", derandomize=True, deadline=None, max_examples=1000)
+settings.load_profile("distreg")
 
 
 def gram_from_matrix(values) -> GramMatrix:

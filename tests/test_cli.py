@@ -4,14 +4,22 @@ CLI commands are invoked in-process through main(argv); exit codes follow
 the contract 0 / 2 (I/O) / 3 (config, contract) / 4 (numerical).
 """
 
+import contextlib
+import copy
+import functools
 import json
 import math
+import operator
 import subprocess
 import sys
+import tempfile
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import distreg
 from distreg import (
@@ -22,10 +30,14 @@ from distreg import (
     MetaDistributionSpec,
     NumericalError,
     OuterKernelSpec,
+    ScheduleParams,
+    SweepConfig,
     build_gram,
     fit_coefficient,
     generate,
     predict,
+    run_rate_experiment,
+    schedule,
 )
 from distreg import io
 from distreg.cli import main
@@ -255,6 +267,9 @@ MALFORMED_RECORDS = {
     "ragged-points": {"id": "c", "y": 1.0, "points": [[0.1], [0.2, 0.3]]},
     "string-points": {"id": "c", "y": 1.0, "points": "abc"},
     "string-y": {"id": "c", "y": "abc", "points": [[0.3]]},
+    "nested-theta": {
+        "id": "c", "y": 1.0, "points": [[0.3]], "params": {"theta": [[0.3]], "s": 0.1}
+    },
 }
 
 
@@ -427,6 +442,13 @@ class TestCmdFit:
         report = json.loads(capsys.readouterr().out)
         assert report["residual_norm"] <= 1e-8
 
+    def test_schedule_lambda_matches_library(self, tmp_path):
+        knobs = {"r": 1.5, "alpha_decay": 3.0, "h": 0.8, "kappa4_scale": 0.5}
+        cfg = write_config(tmp_path, **base_sections(**{"lambda": {"schedule": knobs}}))
+        out = tmp_path / "m.json"
+        assert main(["fit", "--config", cfg, "--out", str(out)]) == 0
+        assert io.load_model(out).lam == schedule(ScheduleParams(**knobs), 12).lam
+
     def test_two_lambda_modes_rejected(self, tmp_path):
         sections = base_sections()
         sections["lambda"] = {"fixed": 0.1, "grid": [0.1, 1.0]}
@@ -561,8 +583,13 @@ def sweep_sections(**overrides):
     return sections
 
 
-# Config values of the wrong type, each in the command that reads it: exit
-# code 3 and one `error:` line naming the value, not a traceback.
+def _grid_fit(**overrides):
+    return base_sections(**{"lambda": {"grid": [1e-4, 1e-2, 1.0]}, **overrides})
+
+
+# Config values of the wrong type or out of range, and unknown keys, each in
+# the command that reads it: exit code 3 and one `error:` line naming the
+# value, not a traceback or a silent fallback.
 MALFORMED_VALUES = {
     "grid-not-a-list": ("fit", base_sections(**{"lambda": {"grid": 0.1}}), "0.1"),
     "string-in-grid": ("fit", base_sections(**{"lambda": {"grid": [0.1, "small"]}}), "'small'"),
@@ -570,6 +597,38 @@ MALFORMED_VALUES = {
     "string-synth-N": ("fit", base_sections(data=_synth_with(N="five")), "'five'"),
     "string-synth-section": ("fit", base_sections(data={"synth": "abc"}), "'abc'"),
     "string-replications": ("sweep", sweep_sections(replications="two"), "'two'"),
+    "null-path": ("fit", base_sections(data={"path": None}), "None"),
+    "list-path": ("fit", base_sections(data={"path": ["b.ndjson"]}), "['b.ndjson']"),
+    "zero-path": ("fit", base_sections(data={"path": 0}), "got 0"),
+    "nan-string-fixed-lambda": ("fit", base_sections(**{"lambda": {"fixed": "nan"}}), "'nan'"),
+    "inf-fixed-lambda": ("fit", base_sections(**{"lambda": {"fixed": math.inf}}), "inf"),
+    "nan-in-grid": ("fit", base_sections(**{"lambda": {"grid": [0.1, math.nan]}}), "nan"),
+    "inf-string-holdout-frac": ("fit", _grid_fit(holdout_frac="inf"), "'inf'"),
+    "bool-seed": ("fit", _grid_fit(seed=True), "True"),
+    "fractional-seed": ("fit", _grid_fit(seed=1.5), "1.5"),
+    "fractional-synth-m": ("fit", base_sections(data=_synth_with(m=12.7)), "12.7"),
+    "fractional-synth-dim": ("fit", base_sections(data=_synth_with(dim=1.9)), "1.9"),
+    "string-schedule-fit": ("fit", base_sections(**{"lambda": {"schedule": "abc"}}), "'abc'"),
+    "string-schedule-sweep": ("sweep", sweep_sections(**{"lambda": {"schedule": "abc"}}), "'abc'"),
+    "string-schedule-params": ("sweep", sweep_sections(schedule_params="x"), "'x'"),
+    "unknown-schedule-key": ("fit", base_sections(**{"lambda": {"schedule": {"b": 1}}}), "'b'"),
+    "holdout-frac-above-1": ("fit", _grid_fit(holdout_frac=1.5), "1.5"),
+    "negative-seed": ("fit", _grid_fit(seed=-1), "-1"),
+    "negative-synth-seed": ("generate", base_sections(data=_synth_with(seed=-1)), "-1"),
+    "zero-synth-m": ("fit", base_sections(data=_synth_with(m=0)), "'m'"),
+    "zero-synth-N": ("fit", base_sections(data=_synth_with(N=0)), "'N'"),
+    "sweep-m-below-3": ("sweep", sweep_sections(m=[2, 8, 12]), "sweep 'm'"),
+    "zero-n-test": ("sweep", sweep_sections(n_test=0), "'n_test'"),
+    "decay-head-below-3": ("spectrum", base_sections(decay_head=2), "'decay_head'"),
+    "zero-threads": ("fit --threads 0", base_sections(), "threads"),
+    "negative-threads": ("fit --threads -3", base_sections(), "threads"),
+    "unknown-top-level-key": ("fit", _grid_fit(holdout_fraction=0.5), "'holdout_fraction'"),
+    "unknown-synth-key": ("fit", base_sections(data=_synth_with(sigma=1.0)), "'sigma'"),
+    "unknown-embedding-key": (
+        "fit",
+        base_sections(embedding_kernel={"family": "gaussian", "bandwidth": 0.25, "dim": 1, "h": 1}),
+        "'h'",
+    ),
 }
 
 
@@ -579,7 +638,7 @@ MALFORMED_VALUES = {
 def test_malformed_config_value_exits_3(tmp_path, capsys, command, sections, shown):
     cfg = write_config(tmp_path, **sections)
     out = tmp_path / "out"
-    assert main([command, "--config", cfg, "--out", str(out)]) == 3
+    assert main([*command.split(), "--config", cfg, "--out", str(out)]) == 3
     assert shown in one_error_line(capsys)
     assert not out.exists()
 
@@ -610,6 +669,30 @@ class TestCmdSweep:
         summary = json.loads((out1 / "summary.json").read_text())
         assert summary["capped_m"] == [8, 12, 16]
         assert "rate_fit" in summary
+
+    def test_schedule_mode_writes_library_rows(self, tmp_path):
+        knobs = {"r": 1.5, "alpha_decay": 3.0}
+        sections = sweep_sections(**{"lambda": {"schedule": knobs}})
+        cfg = write_config(tmp_path, **sections)
+        out = tmp_path / "sched"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        result = run_rate_experiment(
+            SweepConfig(
+                meta=MetaDistributionSpec.from_dict(sections["data"]["synth"]),
+                embedding_kernel=EmbeddingKernelSpec("gaussian", 0.25, 1),
+                outer_kernel=OuterKernelSpec.gaussian(1.0),
+                scheme="coefficient_l2",
+                m_values=(8, 12, 16),
+                replications=2,
+                schedule_params=ScheduleParams(**knobs),
+                lambda_mode="schedule",
+                n_max=12,
+                n_test=12,
+            )
+        )
+        rows = [(r.m, r.n_points, r.lam, r.rep, r.scheme, r.error) for r in result.rows]
+        expected = [",".join(io.format_cell(v) for v in row) for row in rows]
+        assert (out / "rates.csv").read_text().splitlines()[1:] == expected
 
     def test_zero_replications_exits_3(self, tmp_path):
         cfg = write_config(tmp_path, **sweep_sections(replications=0))
@@ -707,3 +790,118 @@ class TestCmdSchedule:
         assert main(["schedule", "--r", "1", "--alpha", "2", "--m", "50"]) == 0
         text = capsys.readouterr().out
         assert "beta" in text and "zeta" in text and "lambda" in text and "N" in text
+
+
+# ------------------------------------------------------------------- fuzzing
+
+# What a fuzzed document may hold in place of any value, or add as a new key.
+FUZZ_VALUES = (None, True, "abc", math.nan, -1, -0.5, [0.5], {"k": 1})
+
+
+def _key_paths(doc, prefix=()):
+    """The key path of every value inside a JSON document."""
+    if isinstance(doc, (dict, list)):
+        items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    else:
+        items = ()
+    for key, value in items:
+        yield (*prefix, key)
+        yield from _key_paths(value, (*prefix, key))
+
+
+@st.composite
+def mutants(draw, doc):
+    """`doc` with one to three values replaced, dropped, or given a new sibling."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_key_paths(doc))
+        if not paths:
+            break
+        *where, key = draw(st.sampled_from(paths))
+        parent = functools.reduce(operator.getitem, where, doc)
+        op = draw(st.sampled_from(("replace", "drop", "add")))
+        value = copy.deepcopy(draw(st.sampled_from(FUZZ_VALUES)))
+        if op == "drop":
+            del parent[key]
+        elif op == "add" and isinstance(parent, dict):
+            parent["fuzz"] = value
+        elif op == "add":
+            parent.append(value)
+        else:
+            parent[key] = value
+    return doc
+
+
+def run_fuzzed(argv) -> None:
+    """main(argv) must exit 0, 2, 3 or 4, with one `error:` line exactly when it fails."""
+    err = StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(StringIO()):
+        code = main(argv)
+    errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+    assert code in (0, 2, 3, 4), (code, err.getvalue())
+    assert len(errors) == (code != 0), err.getvalue()
+
+
+FUZZ_CONFIGS = (
+    ("fit", base_sections()),
+    ("fit", _grid_fit(holdout_frac=0.3, schedule_params={"r": 1.0, "alpha_decay": 2.0})),
+    ("fit", base_sections(**{"lambda": {"schedule": {"r": 1.5, "alpha_decay": 3.0}}})),
+    ("generate", base_sections()),
+    ("spectrum", base_sections(decay_head=5)),
+    ("sweep", sweep_sections(holdout_frac=0.3, schedule_params={"r": 1.0, "alpha_decay": 2.0})),
+)
+
+FUZZ_RECORDS = [
+    {"id": "a", "y": 1.0, "points": [[0.1], [0.2]]},
+    {"id": "b", "y": 2.0, "points": [[0.5], [0.7]], "params": {"theta": [0.6], "s": 0.1}},
+    {"id": "c", "y": 0.5, "points": [[0.3]]},
+]
+
+
+@pytest.fixture(scope="module")
+def fuzz_model(tmp_path_factory):
+    """A model fitted on FUZZ_RECORDS, and its document."""
+    tmp = tmp_path_factory.mktemp("fuzz")
+    bags = tmp / "bags.ndjson"
+    bags.write_text("".join(json.dumps(r) + "\n" for r in FUZZ_RECORDS))
+    cfg = write_config(tmp, **base_sections(data={"path": str(bags)}))
+    model = tmp / "model.json"
+    assert main(["fit", "--config", cfg, "--out", str(model)]) == 0
+    return model, json.loads(model.read_text())
+
+
+@given(data=st.data())
+def test_fuzzed_config_exits_cleanly(data):
+    command, doc = data.draw(st.sampled_from(FUZZ_CONFIGS))
+    doc = data.draw(mutants(doc))
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(Path(tmp), **doc)
+        run_fuzzed([command, "--config", cfg, "--out", str(Path(tmp) / "out")])
+
+
+@given(records=mutants(FUZZ_RECORDS), command=st.sampled_from(("fit", "predict")))
+@settings(max_examples=300)
+def test_fuzzed_bag_records_exit_cleanly(fuzz_model, records, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        bags = Path(tmp) / "bags.ndjson"
+        bags.write_text("".join(json.dumps(r) + "\n" for r in records))
+        out = str(Path(tmp) / "out")
+        if command == "fit":
+            cfg = write_config(Path(tmp), **base_sections(data={"path": str(bags)}))
+            run_fuzzed(["fit", "--config", cfg, "--out", out])
+        else:
+            model = str(fuzz_model[0])
+            run_fuzzed(["predict", "--model", model, "--bags", str(bags), "--out", out])
+
+
+@given(data=st.data())
+@settings(max_examples=300)
+def test_fuzzed_model_document_exits_cleanly(fuzz_model, data):
+    doc = data.draw(mutants(fuzz_model[1]))
+    with tempfile.TemporaryDirectory() as tmp:
+        model = Path(tmp) / "model.json"
+        model.write_text(json.dumps(doc))
+        bags = Path(tmp) / "bags.ndjson"
+        bags.write_text("".join(json.dumps(r) + "\n" for r in FUZZ_RECORDS))
+        run_fuzzed(["predict", "--model", str(model), "--bags", str(bags),
+                    "--out", str(Path(tmp) / "out")])

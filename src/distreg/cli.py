@@ -118,6 +118,8 @@ def _lambda_rule(cfg: dict) -> analysis.LambdaRule:
             "config needs a 'lambda' section with exactly one of 'fixed', 'grid', 'schedule'"
         )
     ((mode, value),) = lam.items()
+    if mode == "schedule" and "schedule_params" in cfg:
+        raise ConfigError("'schedule_params' cannot be given with a 'lambda.schedule'")
     grid = _list(value, "lambda grid") if mode == "grid" else analysis.DEFAULT_LAMBDA_GRID
     key = "schedule" if mode == "schedule" else "schedule_params"
     params = (lam if mode == "schedule" else cfg).get(key, {})

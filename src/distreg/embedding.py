@@ -10,6 +10,7 @@ cost of one inner product is O(N_a * N_b).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -114,12 +115,12 @@ class Bag:
             pts = pts.reshape(-1, 1)
         if pts.ndim != 2 or pts.shape[0] < 1:
             raise InputError(shape_error)
-        if not np.all(np.isfinite(pts)):
+        if not np.isfinite(pts).all():
             raise InputError(f"bag {self.id!r}: points contain non-finite values")
         if self.label is not None:
             try:
-                finite = bool(np.isfinite(self.label))
-            except (TypeError, ValueError) as exc:
+                finite = math.isfinite(self.label)
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise InputError(f"bag {self.id!r}: label {self.label!r} is not a number") from exc
             if not finite:
                 raise InputError(f"bag {self.id!r}: label is not finite")

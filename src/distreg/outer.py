@@ -18,16 +18,17 @@ import numpy as np
 from .embedding import Bag, EmbeddingKernelSpec, embed_inner
 from .errors import ConfigError, InputError, config_float, config_keys
 
-# family -> (symmetric, PSD claimed)
-_FLAGS = {
-    "gaussian_on_embedding": (True, True),
-    "linear_embedding": (True, True),
-    "dog_indefinite": (True, False),
-    "tanh_indefinite": (True, False),
-    "tilted_asymmetric": (False, False),
+# family -> (symmetric, PSD claimed, the parameters it takes)
+_FAMILIES = {
+    "gaussian_on_embedding": (True, True, ("sigma",)),
+    "linear_embedding": (True, True, ()),
+    "dog_indefinite": (True, False, ("sigma1", "sigma2", "c")),
+    "tanh_indefinite": (True, False, ("scale", "offset")),
+    "tilted_asymmetric": (False, False, ("sigma", "c", "ref_bag")),
 }
 
-OUTER_FAMILIES = tuple(_FLAGS)
+OUTER_FAMILIES = tuple(_FAMILIES)
+_NUMBERS = ("sigma", "sigma1", "sigma2", "c", "scale", "offset")
 
 
 def _require_positive(name: str, value: float | None) -> float:
@@ -67,30 +68,25 @@ class OuterKernelSpec:
             raise ConfigError(
                 f"unknown outer kernel family {self.family!r}; expected one of {OUTER_FAMILIES}"
             )
-        if self.family == "gaussian_on_embedding":
-            _require_positive("sigma", self.sigma)
-        elif self.family == "dog_indefinite":
-            s1 = _require_positive("sigma1", self.sigma1)
-            s2 = _require_positive("sigma2", self.sigma2)
-            _require_positive("c", self.c)
-            if s1 == s2:
-                raise ConfigError("dog_indefinite requires sigma2 != sigma1")
-        elif self.family == "tanh_indefinite":
-            _require_positive("scale", self.scale)
-            _require_positive("offset", self.offset)
-        elif self.family == "tilted_asymmetric":
-            _require_positive("sigma", self.sigma)
-            _require_positive("c", self.c)
-            if self.ref_bag is None:
-                raise ConfigError("tilted_asymmetric requires a reference bag")
+        takes = _FAMILIES[self.family][2]
+        for name in (*_NUMBERS, "ref_bag"):
+            value = getattr(self, name)
+            if name not in takes and value is not None:
+                raise ConfigError(f"outer kernel family {self.family!r} takes no {name!r}")
+            if name in takes and name != "ref_bag":
+                _require_positive(name, value)
+        if self.family == "dog_indefinite" and self.sigma1 == self.sigma2:
+            raise ConfigError("dog_indefinite requires sigma2 != sigma1")
+        if "ref_bag" in takes and self.ref_bag is None:
+            raise ConfigError("tilted_asymmetric requires a reference bag")
 
     @property
     def symmetric(self) -> bool:
-        return _FLAGS[self.family][0]
+        return _FAMILIES[self.family][0]
 
     @property
     def psd_claimed(self) -> bool:
-        return _FLAGS[self.family][1]
+        return _FAMILIES[self.family][1]
 
     # Convenience constructors mirroring the family menu.
     @classmethod
@@ -115,7 +111,7 @@ class OuterKernelSpec:
 
     def to_dict(self) -> dict:
         d: dict = {"family": self.family}
-        for name in ("sigma", "sigma1", "sigma2", "c", "scale", "offset"):
+        for name in _NUMBERS:
             value = getattr(self, name)
             if value is not None:
                 d[name] = value
@@ -135,14 +131,14 @@ class OuterKernelSpec:
         if family is None:
             raise ConfigError("outer kernel spec missing 'family'")
         ref = d.pop("ref_bag", None)
-        config_keys(d, ("sigma", "sigma1", "sigma2", "c", "scale", "offset"), "outer kernel")
+        config_keys(d, _NUMBERS, "outer kernel")
         try:
             ref_bag = Bag(id=ref["id"], points=ref["points"]) if ref is not None else None
             params = {k: config_float(v, f"outer kernel {k!r}") for k, v in d.items()}
             return cls(family=family, ref_bag=ref_bag, **params)
         except KeyError as exc:
             raise ConfigError(f"outer kernel ref_bag missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, InputError) as exc:
             raise ConfigError(f"malformed outer kernel spec: {exc}") from exc
 
 

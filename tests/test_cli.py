@@ -314,6 +314,17 @@ MALFORMED_CONFIGS = {
     "list-config": ([base_sections()], "list"),
 }
 
+# Outer kernels that a config (exit 3) and a model document (exit 2) must refuse:
+# a ragged reference bag, and parameters the family does not take.
+BAD_REF_KERNEL = {
+    "family": "tilted_asymmetric", "sigma": 1.0, "c": 0.5,
+    "ref_bag": {"id": "r", "points": [[0.1], [0.2, 0.3]]},
+}
+UNUSED_C_KERNEL = {"family": "gaussian_on_embedding", "sigma": 1.0, "c": 3.0}
+UNUSED_REF_KERNEL = {
+    "family": "gaussian_on_embedding", "sigma": 1.0, "ref_bag": {"id": "r", "points": [[0.5]]},
+}
+
 
 class TestCmdFit:
     def test_three_bag_fixture_matches_library(self, tmp_path, capsys):
@@ -502,9 +513,13 @@ class TestCmdPredict:
             ("embedding_kernel", {"family": "gaussian", "bandwidth": "wide", "dim": 1}, "'wide'"),
             ("embedding_kernel", {"family": "gaussian", "bandwidth": -1.0, "dim": 1}, "bandwidth"),
             ("outer_kernel", "gaussian", "malformed model file"),
+            ("outer_kernel", BAD_REF_KERNEL, "bag 'r'"),
+            ("outer_kernel", UNUSED_C_KERNEL, "'c'"),
+            ("outer_kernel", UNUSED_REF_KERNEL, "'ref_bag'"),
         ],
         ids=["no-alpha", "string-alpha", "ragged-train-bag", "train-bags-not-a-list",
-             "string-bandwidth", "negative-bandwidth", "string-outer-kernel"],
+             "string-bandwidth", "negative-bandwidth", "string-outer-kernel",
+             "ragged-ref-bag", "unused-outer-param", "ref-bag-on-gaussian"],
     )
     def test_malformed_model_exits_2(self, tmp_path, capsys, field, value, message):
         model_path = self._fit(tmp_path)
@@ -629,6 +644,19 @@ MALFORMED_VALUES = {
         base_sections(embedding_kernel={"family": "gaussian", "bandwidth": 0.25, "dim": 1, "h": 1}),
         "'h'",
     ),
+    "schedule-twice": (
+        "fit",
+        base_sections(**{"lambda": {"schedule": {"r": 1.0}}, "schedule_params": {"r": -5}}),
+        "'schedule_params'",
+    ),
+    "schedule-twice-sweep": (
+        "sweep",
+        sweep_sections(**{"lambda": {"schedule": {"r": 1.0}}, "schedule_params": {"r": 1.0}}),
+        "'schedule_params'",
+    ),
+    "ragged-ref-bag": ("fit", base_sections(outer_kernel=BAD_REF_KERNEL), "bag 'r'"),
+    "unused-outer-param": ("fit", base_sections(outer_kernel=UNUSED_C_KERNEL), "'c'"),
+    "ref-bag-on-gaussian": ("fit", base_sections(outer_kernel=UNUSED_REF_KERNEL), "'ref_bag'"),
 }
 
 

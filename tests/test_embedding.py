@@ -232,6 +232,15 @@ class TestEmbedInner:
         with pytest.raises(InputError):
             Bag("nan-label", np.zeros((1, 2)), label=float("nan"))
 
+    @pytest.mark.parametrize("label", ["abc", 10**400, [1.0, 2.0], np.ones(2), 1j])
+    def test_label_that_is_not_a_number_rejected(self, label):
+        with pytest.raises(InputError, match="is not a number"):
+            Bag("odd-label", np.zeros((1, 2)), label=label)
+
+    @pytest.mark.parametrize("label", [0, 2.5, np.float64(-1.0), np.float32(3.0), True])
+    def test_finite_number_labels_accepted(self, label):
+        assert Bag("ok", np.zeros((1, 2)), label=label).label == label
+
     @given(seed=st.integers(0, 10_000), na=st.integers(1, 6), nb=st.integers(1, 6))
     @settings(max_examples=40, deadline=None)
     def test_bounded_and_cauchy_schwarz(self, seed, na, nb):

@@ -76,6 +76,21 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             OuterKernelSpec.tanh(0.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "family, given, unused",
+        [
+            ("gaussian_on_embedding", {"sigma": 1.0, "c": 3.0}, "c"),
+            ("linear_embedding", {"sigma": 1.0}, "sigma"),
+            ("dog_indefinite", {"sigma1": 1.0, "sigma2": 2.0, "c": 1.0, "offset": 0.5}, "offset"),
+            ("tanh_indefinite", {"scale": 1.0, "offset": 0.5, "sigma": 1.0}, "sigma"),
+            ("tilted_asymmetric", {"sigma": 1.0, "c": 1.0, "scale": 2.0}, "scale"),
+            ("gaussian_on_embedding", {"sigma": 1.0, "ref_bag": Bag("r", [[0.5]])}, "ref_bag"),
+        ],
+    )
+    def test_parameters_the_family_does_not_take(self, family, given, unused):
+        with pytest.raises(ConfigError, match=f"{family}' takes no '{unused}'"):
+            OuterKernelSpec(family=family, **given)
+
     def test_flags_per_family(self):
         ref = Bag("r", np.zeros((1, 2)))
         cases = [

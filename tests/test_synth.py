@@ -1,5 +1,8 @@
 """Synthetic two-stage generator: determinism, truncation, resampling."""
 
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,8 +14,9 @@ from distreg import (
     MetaDistributionSpec,
     generate,
     resample_second_stage,
+    synth,
 )
-from distreg.embedding import Bag
+from distreg.embedding import Bag, BagParams
 from distreg.synth import TARGETS
 
 
@@ -158,3 +162,135 @@ def test_spec_validation():
         meta(noise_bound=0.0)
     with pytest.raises(ConfigError):
         meta(dim=0)
+
+
+# ------------------------------------------------- per-bag reference draws
+
+
+def reference_target(name: str, theta: np.ndarray, s: float) -> float:
+    """The target of one theta in Python floats, one family at a time."""
+    tbar = float(np.mean(theta))
+    if name == "linear_mean":
+        return tbar
+    if name == "quadratic_mean":
+        return float(np.mean(theta**2))
+    if name == "mean_plus_variance":
+        return float(np.mean(theta) + s**2)
+    return float(np.exp(-((tbar - 0.5) ** 2) / (2 * 0.15**2)))
+
+
+def reference_points(seed: int, thetas, scales, n: int) -> list:
+    """Each bag drawn alone from its own stream by the rejection loop."""
+    return [
+        synth._draw_truncated_points(synth._bag_rng(seed, i), np.asarray(t), s, n)
+        for i, (t, s) in enumerate(zip(thetas, scales))
+    ]
+
+
+def reference_generate(spec: MetaDistributionSpec, m: int, n: int):
+    """(thetas, targets, labels, points) of generate, one bag at a time."""
+    rng = synth._meta_rng(spec.seed)
+    thetas = rng.uniform(synth.THETA_LOW, synth.THETA_HIGH, size=(m, spec.dim))
+    targets = np.array([reference_target(spec.target, t, spec.scale) for t in thetas])
+    labels = [
+        synth._truncated_label(rng, float(t), spec.noise_sd, spec.noise_bound) for t in targets
+    ]
+    return thetas, targets, labels, reference_points(spec.seed, thetas, [spec.scale] * m, n)
+
+
+def assert_bags_equal(bags, points, labels=None, thetas=None):
+    assert len(bags) == len(points)
+    for i, (bag, want) in enumerate(zip(bags, points)):
+        assert bag.points.shape == want.shape and bag.points.tobytes() == want.tobytes(), i
+        if labels is not None:
+            assert np.float64(bag.label).tobytes() == np.float64(labels[i]).tobytes(), i
+        if thetas is not None:
+            assert bag.params.theta.tobytes() == thetas[i].tobytes(), i
+
+
+GRID_N = (1, 2, 7, 16, 17, 33)
+GRID_SCALE = (0.05, 0.3, 1.0)
+GRID_M = (1, 5, 64)
+
+
+@pytest.mark.parametrize("target", sorted(TARGETS))
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_batched_draws_equal_per_bag_reference(target, dim):
+    """generate and resample_second_stage, byte for byte against one bag at a time."""
+    for k, (n, scale, m) in enumerate(itertools.product(GRID_N, GRID_SCALE, GRID_M)):
+        spec = meta(dim=dim, scale=scale, target=target, noise_sd=0.1, noise_bound=3.0, seed=k)
+        ds = generate(spec, m, n)
+        thetas, targets, labels, points = reference_generate(spec, m, n)
+        assert ds.targets.tobytes() == targets.tobytes()
+        assert [b.id for b in ds.bags] == [f"bag-{i:04d}" for i in range(m)]
+        assert_bags_equal(ds.bags, points, labels, thetas)
+        re = resample_second_stage(ds, n + 3, seed=1000 + k)
+        assert re.targets.tobytes() == targets.tobytes()
+        points = reference_points(1000 + k, thetas, [scale] * m, n + 3)
+        assert_bags_equal(re.bags, points, labels, thetas)
+
+
+def test_resample_uses_each_bags_own_scale():
+    ds = generate(meta(dim=2), 12, 5)
+    scales = np.linspace(0.05, 1.0, 12)
+    bags = tuple(
+        replace(b, params=BagParams(b.params.theta, float(s))) for b, s in zip(ds.bags, scales)
+    )
+    re = resample_second_stage(replace(ds, bags=bags), 9, seed=4)
+    thetas = [b.params.theta for b in ds.bags]
+    assert_bags_equal(re.bags, reference_points(4, thetas, scales, 9))
+
+
+def test_scale_one_redraws_short_bags(monkeypatch):
+    """At scale 1 many first batches hold fewer than N accepted points."""
+    calls = []
+    per_bag = synth._draw_truncated_points
+
+    def counted(*args):
+        calls.append(args)
+        return per_bag(*args)
+
+    monkeypatch.setattr(synth, "_draw_truncated_points", counted)
+    generate(meta(scale=0.05), 40, 16)
+    assert calls == []
+    ds = generate(meta(scale=1.0), 40, 12)
+    assert 0 < len(calls) < 40
+    monkeypatch.undo()
+    _, _, _, points = reference_generate(ds.meta, 40, 12)
+    assert_bags_equal(ds.bags, points)
+
+
+def test_group_of_one_bag_gives_the_same_bytes(monkeypatch):
+    spec = meta(scale=1.0, dim=2, target="smooth_composite")
+    ds = generate(spec, 30, 9)
+    re = resample_second_stage(ds, 20, seed=3)
+    monkeypatch.setattr(synth, "_GROUP_DRAWS", 1)
+    assert_bags_equal(generate(spec, 30, 9).bags, [b.points for b in ds.bags])
+    assert_bags_equal(resample_second_stage(ds, 20, seed=3).bags, [b.points for b in re.bags])
+
+
+@pytest.mark.parametrize("noise_sd", [0.0, 0.2])
+def test_first_k_bags_do_not_depend_on_m(noise_sd):
+    """Points, thetas and targets of bag i do not depend on m. Labels do when
+    there is noise: the meta stream draws every theta before any label noise."""
+    spec = meta(dim=2, scale=0.5, noise_sd=noise_sd)
+    few, many = generate(spec, 7, 11), generate(spec, 50, 11)
+    assert few.targets.tobytes() == many.targets[:7].tobytes()
+    labels = [b.label for b in many.bags[:7]] if noise_sd == 0.0 else None
+    thetas = [b.params.theta for b in many.bags[:7]]
+    assert_bags_equal(few.bags, [b.points for b in many.bags[:7]], labels, thetas)
+
+
+def test_resample_rejects_thetas_of_mixed_dimension():
+    ds = generate(meta(), 3, 4)
+    odd = replace(ds.bags[1], params=BagParams(np.array([0.5, 0.5]), 0.1))
+    with pytest.raises(InputError, match="dimension"):
+        resample_second_stage(replace(ds, bags=(ds.bags[0], odd, ds.bags[2])), 4, seed=1)
+
+
+def test_target_value_matches_the_dataset_targets():
+    for target in TARGETS:
+        ds = generate(meta(dim=3, target=target, scale=0.3), 20, 2)
+        for bag, t in zip(ds.bags, ds.targets):
+            value = ds.meta.target_value(bag.params.theta)
+            assert value == t == reference_target(target, bag.params.theta, 0.3)

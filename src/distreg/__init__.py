@@ -25,14 +25,7 @@ from .analysis import (
     schedule,
     select_lambda_holdout,
 )
-from .embedding import (
-    Bag,
-    BagParams,
-    EmbeddingKernelSpec,
-    embed_inner,
-    embed_sq_dist,
-    kernel_eval,
-)
+from .embedding import Bag, BagParams, EmbeddingKernelSpec, embed_inner, embed_sq_dist
 from .errors import (
     ConfigError,
     ContractError,
@@ -48,7 +41,7 @@ from .gram import (
     kernel_fingerprint,
     spectrum,
 )
-from .outer import OuterKernelSpec, SymmetryCheck, check_symmetry, outer_eval
+from .outer import OuterKernelSpec, outer_eval
 from .solver import (
     CoefficientModel,
     FitReport,
@@ -57,13 +50,7 @@ from .solver import (
     fit_krr,
     predict,
 )
-from .synth import (
-    MetaDistributionSpec,
-    SyntheticTarget,
-    TwoStageDataset,
-    generate,
-    resample_second_stage,
-)
+from .synth import MetaDistributionSpec, TwoStageDataset, generate, resample_second_stage
 
 __all__ = [
     "Bag",
@@ -87,12 +74,9 @@ __all__ = [
     "SpectrumReport",
     "SweepConfig",
     "SweepResult",
-    "SymmetryCheck",
-    "SyntheticTarget",
     "TwoStageDataset",
     "build_cross_gram",
     "build_gram",
-    "check_symmetry",
     "effective_dimension",
     "embed_inner",
     "embed_sq_dist",
@@ -101,7 +85,6 @@ __all__ = [
     "fit_decay_exponent",
     "fit_krr",
     "generate",
-    "kernel_eval",
     "kernel_fingerprint",
     "outer_eval",
     "predict",

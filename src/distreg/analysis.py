@@ -12,6 +12,7 @@ its population value is unknowable.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
@@ -116,10 +117,11 @@ def schedule(p: ScheduleParams, m: int) -> Schedule:
     beta = 2a/(2ar+1) and zeta = (3a+2ar)/(h(2ar+1)) for r <= 2 (the sub-1/2
     range reuses the same expressions, following the PSD-case convention);
     past r = 2 both freeze at their r = 2 values, the saturation plateau.
-    lambda = kappa4_scale * m^-beta; N = ceil(m^zeta * ln m).
+    lambda = kappa4_scale * m^-beta; N = ceil(m^zeta * ln m). m must be at
+    least 3 and fit in a float.
     """
-    if m < 3:
-        raise InputError(f"schedule requires m >= 3, got {m}")
+    if not 3 <= m <= sys.float_info.max:
+        raise InputError(f"schedule requires 3 <= m <= {sys.float_info.max:g}, got {m}")
     a, r, h = p.alpha_decay, p.r, p.h
     if r <= 2:
         beta = 2 * a / (2 * a * r + 1)

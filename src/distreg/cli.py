@@ -48,7 +48,7 @@ def _load_config(path: str, seed_override: int | None = None) -> dict:
             cfg = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # invalid JSON, or an integer past Python's digit limit
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} must be a JSON object, got {type(cfg).__name__}")
@@ -340,13 +340,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config_required=True):
-        p.add_argument("--config", required=config_required, help="JSON config path")
+    def add_common(p, json_and_threads=True):
+        p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--seed", type=int, default=None,
                        help="override every seed in the config")
         p.add_argument("--out", help="output file or directory")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--threads", type=int, default=None, help="Gram assembly threads")
+        if json_and_threads:
+            p.add_argument("--json", action="store_true", help="machine-readable output")
+            p.add_argument("--threads", type=int, default=None, help="Gram assembly threads")
 
     p_fit = sub.add_parser("fit", help="fit a model and write a model document")
     add_common(p_fit)
@@ -357,12 +358,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_pred.add_argument("--bags", required=True, help="bag file path")
     p_pred.add_argument("--config", help="optional config; kernels must match the model")
     p_pred.add_argument("--out", help="CSV output path (default: stdout)")
-    p_pred.add_argument("--json", action="store_true")
     p_pred.add_argument("--threads", type=int, default=None)
     p_pred.set_defaults(func=cmd_predict)
 
     p_gen = sub.add_parser("generate", help="write a synthetic bag file")
-    add_common(p_gen)
+    add_common(p_gen, json_and_threads=False)
     p_gen.set_defaults(func=cmd_generate)
 
     p_sweep = sub.add_parser("sweep", help="rate experiment over a list of m values")

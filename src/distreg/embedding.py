@@ -93,7 +93,7 @@ class BagParams:
 
 @dataclass(frozen=True)
 class Bag:
-    """One second-stage sample: an (N, d) point array plus an optional label.
+    """One second-stage sample: an (N, d) point array plus an optional float label.
 
     `params` is present only for synthetically generated bags and records the
     distribution parameters, which makes noiseless targets recomputable and
@@ -109,7 +109,7 @@ class Bag:
         shape_error = f"bag {self.id!r}: points must be a nonempty (N, d) array of numbers"
         try:
             pts = np.array(self.points, dtype=np.float64, order="C")
-        except (TypeError, ValueError) as exc:  # ragged rows, strings, objects
+        except (TypeError, ValueError, OverflowError) as exc:  # ragged, strings, huge ints
             raise InputError(shape_error) from exc
         if pts.ndim == 1:
             pts = pts.reshape(-1, 1)
@@ -124,6 +124,7 @@ class Bag:
                 raise InputError(f"bag {self.id!r}: label {self.label!r} is not a number") from exc
             if not finite:
                 raise InputError(f"bag {self.id!r}: label is not finite")
+            object.__setattr__(self, "label", float(self.label))
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
@@ -175,17 +176,6 @@ def kernel_matrix(spec: EmbeddingKernelSpec, s: np.ndarray, t: np.ndarray) -> np
         d2 += 1.0
         return np.reciprocal(d2, out=d2)
     return np.exp(d2, out=d2)
-
-
-def kernel_eval(spec: EmbeddingKernelSpec, s: np.ndarray, t: np.ndarray) -> float:
-    """Evaluate k(s, t) for two points of dimension spec.dim."""
-    s = np.asarray(s, dtype=np.float64).reshape(-1)
-    t = np.asarray(t, dtype=np.float64).reshape(-1)
-    if s.shape[0] != spec.dim or t.shape[0] != spec.dim:
-        raise InputError(
-            f"points of dimension {s.shape[0]}/{t.shape[0]} incompatible with dim={spec.dim}"
-        )
-    return float(kernel_matrix(spec, s[None, :], t[None, :])[0, 0])
 
 
 # Segments of at most this many values can be summed by strided adds: np.add.reduceat

@@ -36,10 +36,12 @@ def config_float(value, what: str) -> float:
 
 
 def config_int(value, what: str, least: int) -> int:
-    """A JSON integer >= `least` (12.0 counts, 12.7 does not), or ConfigError naming `what`."""
+    """A JSON integer >= `least` that a float can hold (12.0 counts, 12.7 does not),
+    or ConfigError naming `what`."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
-    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+    is_int = isinstance(value, int) and not isinstance(value, bool)
+    if not (is_int and least <= value <= sys.float_info.max):
         raise ConfigError(f"{what} must be an integer >= {least}, got {value!r}")
     return value
 

@@ -35,6 +35,8 @@ _SCALE_NOTE = (
     "singular values and eigenvalues are those of (1/m) * gram; empirical "
     "proxies for the integral-operator spectrum"
 )
+# Largest entrywise gap to the transpose at which spectrum() reports eigenvalues.
+_SYMMETRY_TOL = 1e-10
 
 # Pointwise kernel evaluations that make a row block, and the mean per row bag
 # from which a thread pool gains. A block of consecutive row bags is closed
@@ -85,7 +87,7 @@ def _check_finite(values: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """An m x m outer-kernel matrix plus provenance.
+    """An m x m outer-kernel matrix over the bags named by `ids`, in that order.
 
     The values must be finite: everything downstream (lambda selection, the
     solves, the spectrum) assumes it. `self_inners` are the bags' embedding
@@ -93,21 +95,19 @@ class GramMatrix:
     """
 
     values: np.ndarray
-    row_ids: tuple[str, ...]
-    col_ids: tuple[str, ...]
-    kernel_fingerprint: str
+    ids: tuple[str, ...]
     self_inners: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.values.shape != (len(self.ids),) * 2:
+            raise InputError(
+                f"Gram matrix of shape {self.values.shape} does not match {len(self.ids)} bag ids"
+            )
         _check_finite(self.values)
 
     @property
     def m(self) -> int:
         return self.values.shape[0]
-
-    @property
-    def square(self) -> bool:
-        return self.values.shape[0] == self.values.shape[1]
 
 
 @dataclass(frozen=True)
@@ -175,8 +175,9 @@ def _embedding_inners(
     call per direction: a cross block from its first row's split on with rows
     first, and up to its last row's split with columns first, each entry taken
     from the direction its pair prescribes. With `symmetric` (one list) a
-    block reduces only from its first rank on, and the entries below the
-    diagonal are mirrored.
+    block reduces only from its first rank on, and once every block is done
+    the strict lower triangle is mirrored from the upper one. Blocks only
+    reduce; the sums are divided by the bag sizes once at the end.
     """
     union = list(row_bags) if symmetric else [*row_bags, *col_bags]
     rank = np.argsort(sorted(range(len(union)), key=lambda k: union[k]._order_key()))
@@ -201,19 +202,17 @@ def _embedding_inners(
             out[:, :lo] = col_first[:, :lo]
             band = np.arange(lo, hi) < splits[a:b, None]
             np.copyto(out[:, lo:hi], col_first[:, lo:], where=band)
-        done = lo if symmetric else 0
-        out[:, done:] /= row_sizes[a:b, None] * col_sizes[done:]
-        if symmetric:
-            inner[b:, a:b] = out[:, b:].T
-            square = out[:, a:b]
-            below = np.tri(b - a, k=-1, dtype=bool)
-            square[below] = square.T[below]
 
     # Row k reduces against every column point after its split point (all of
     # them unless symmetric).
     reach = bounds[-1] - (bounds[splits] if symmetric else 0)
     row_evals = row_sizes * reach
     _run_tasks(fill, _row_blocks(row_evals), threads, int(row_evals.sum()), len(row_sizes))
+    if symmetric:
+        for k in range(1, len(inner)):
+            inner[k, :k] = inner[:k, k]
+    # N_r * N_c is an exact integer, so a mirrored sum divides to the same bits.
+    inner /= row_sizes[:, None] * col_sizes
     if all(np.array_equal(order, np.arange(len(order))) for order in (row_order, col_order)):
         return inner
     return inner[np.ix_(np.argsort(row_order), np.argsort(col_order))]
@@ -281,15 +280,8 @@ def build_gram(
     """
     if len(bags) < 1:
         raise InputError("build_gram needs at least one bag")
-    ids = tuple(b.id for b in bags)
     values, self_inners = _outer_block(kspec, espec, bags, bags, threads, symmetric=True)
-    return GramMatrix(
-        values=values,
-        row_ids=ids,
-        col_ids=ids,
-        kernel_fingerprint=kernel_fingerprint(kspec, espec),
-        self_inners=self_inners,
-    )
+    return GramMatrix(values, tuple(b.id for b in bags), self_inners)
 
 
 def build_cross_gram(
@@ -318,14 +310,12 @@ def build_cross_gram(
 
 
 @serial_blas
-def spectrum(g: GramMatrix, symmetry_tol: float = 1e-10) -> SpectrumReport:
+def spectrum(g: GramMatrix) -> SpectrumReport:
     """Spectrum of (1/m) * gram: singular values, plus eigenvalues if symmetric."""
-    if not g.square:
-        raise InputError("spectrum requires a square Gram matrix")
     scaled = g.values / g.m
     singular = np.sort(scipy.linalg.svdvals(scaled))[::-1]
     eigenvalues = None
-    if np.max(np.abs(g.values - g.values.T)) <= symmetry_tol:
+    if np.max(np.abs(g.values - g.values.T)) <= _SYMMETRY_TOL:
         sym = 0.5 * (scaled + scaled.T)
         eigenvalues = np.sort(scipy.linalg.eigh(sym, eigvals_only=True))[::-1]
     return SpectrumReport(singular_values=singular, eigenvalues=eigenvalues)

@@ -49,15 +49,10 @@ def bag_from_record(rec: dict, where: str = "") -> Bag:
             if theta.ndim > 1:
                 raise ValueError(f"theta must be a number or a flat list, got {p['theta']!r}")
             params = BagParams(theta=theta, scale=float(p["s"]))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"malformed bag params{where}: {exc}") from exc
     try:
-        return Bag(
-            id=str(bag_id),
-            points=points,
-            label=None if label is None else float(label),
-            params=params,
-        )
+        return Bag(str(bag_id), points, label, params)
     except InputError as exc:
         raise InputError(f"{exc}{where}") from exc
 
@@ -79,7 +74,7 @@ def read_bags(path: str | Path, require_labels: bool = False) -> list[Bag]:
                     continue
                 try:
                     rec = json.loads(line)
-                except json.JSONDecodeError as exc:
+                except ValueError as exc:  # invalid JSON, or an integer past Python's digit limit
                     raise InputError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
                 bags.append(bag_from_record(rec, where=f" at {path}:{lineno}"))
     except OSError as exc:
@@ -119,7 +114,7 @@ def load_model(path: str | Path) -> CoefficientModel:
             doc = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read model file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # invalid JSON, or an integer past Python's digit limit
         raise InputError(f"model file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         found = doc.get("format") if isinstance(doc, dict) else type(doc).__name__
@@ -137,7 +132,7 @@ def load_model(path: str | Path) -> CoefficientModel:
         )
     except KeyError as exc:
         raise InputError(f"model file {path} has no field {exc}") from exc
-    except (ConfigError, TypeError, ValueError) as exc:
+    except (ConfigError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed model file {path}: {exc}") from exc
 
 
@@ -157,8 +152,8 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence])
 
 def write_gram_csv(g: GramMatrix, path: str | Path) -> None:
     """Row-major Gram dump with a header of column bag ids, for debugging."""
-    write_csv(path, ["row_id", *g.col_ids], (
-        [rid, *row] for rid, row in zip(g.row_ids, (list(map(float, r)) for r in g.values))
+    write_csv(path, ["row_id", *g.ids], (
+        [rid, *row] for rid, row in zip(g.ids, (list(map(float, r)) for r in g.values))
     ))
 
 

@@ -11,8 +11,6 @@ depends on the first argument only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
-
 import numpy as np
 
 from .embedding import Bag, EmbeddingKernelSpec, embed_inner
@@ -205,28 +203,3 @@ def outer_eval(
     inner = np.array([[embed_inner(espec, a, b)]])
     self_a, self_b = np.array([embed_inner(espec, a, a)]), np.array([embed_inner(espec, b, b)])
     return float(apply_outer(kspec, inner, self_a, self_b, row_ref)[0, 0])
-
-
-class SymmetryCheck(NamedTuple):
-    symmetric: bool
-    max_asymmetry: float
-
-
-def check_symmetry(
-    kspec: OuterKernelSpec,
-    espec: EmbeddingKernelSpec,
-    bags: Sequence[Bag],
-    tol: float = 1e-10,
-) -> SymmetryCheck:
-    """Empirically validate the symmetric flag on a bag set.
-
-    Evaluates K in both argument orders over all pairs, as one cross-Gram of
-    the bags with themselves, and reports its largest gap to its transpose.
-    """
-    from .gram import build_cross_gram  # gram builds on this module
-
-    if len(bags) < 2:
-        raise InputError("check_symmetry needs at least 2 bags")
-    values = build_cross_gram(kspec, espec, bags, bags)
-    worst = float(np.max(np.abs(values - values.T)))
-    return SymmetryCheck(symmetric=worst <= tol, max_asymmetry=worst)

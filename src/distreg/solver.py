@@ -77,7 +77,9 @@ class FitReport:
     factor) of the 1-norm condition number ||A||_1 ||A^-1||_1 of the system
     matrix A, not of the 2-norm one. The estimate does not exceed the 1-norm
     condition number and is rarely below a third of it; that number in turn
-    lies within a factor of m of the 2-norm one.
+    lies within a factor of m of the 2-norm one. `wall_time` covers the
+    system assembly, the factorization, the solve and this report; it does not
+    cover building the Gram matrix or selecting lambda, which come before it.
     """
 
     objective_value: float
@@ -113,15 +115,10 @@ class CoefficientModel:
                 f"{len(self.train_bags)} training bags"
             )
 
-    def predict(self, test_bags: Sequence[Bag], threads: int | None = None) -> np.ndarray:
-        return predict(self, test_bags, threads=threads)
-
 
 def _validate_fit_inputs(g: GramMatrix, y: np.ndarray, lam: float) -> np.ndarray:
     if lam <= 0:
         raise ConfigError(f"lambda must be positive, got {lam}")
-    if not g.square:
-        raise InputError("fitting requires a square Gram matrix")
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     if y.shape[0] != g.m:
         raise InputError(f"y has length {y.shape[0]}, Gram matrix is {g.m} x {g.m}")

@@ -16,7 +16,6 @@ bag with too few accepted points redraws alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -30,20 +29,6 @@ _REJECTION_CAP = 1_000_000
 # Draws per group of bags in the batched second stage: 64 KiB of float64, under
 # glibc's 128 KiB mmap threshold (64 MB groups raised rate_sweep's peak RSS 0.8 MB).
 _GROUP_DRAWS = 8192
-
-
-@dataclass(frozen=True)
-class SyntheticTarget:
-    """A closed-form regression function of the bag parameters, one theta per row.
-
-    `smoothness_rank` orders the families qualitatively (higher = smoother);
-    the saturation experiment climbs this ladder instead of controlling the
-    source-condition index directly, which is not identifiable here.
-    """
-
-    name: str
-    fn: Callable[[np.ndarray, float], np.ndarray]
-    smoothness_rank: int
 
 
 def _linear_mean(theta: np.ndarray, s: float) -> np.ndarray:
@@ -64,11 +49,12 @@ def _smooth_composite(theta: np.ndarray, s: float) -> np.ndarray:
     return np.exp(-np.float_power(tbar - 0.5, 2.0) / (2 * 0.15**2))
 
 
+# Closed-form regression functions of the bag parameters, one theta per row.
 TARGETS = {
-    "linear_mean": SyntheticTarget("linear_mean", _linear_mean, 0),
-    "quadratic_mean": SyntheticTarget("quadratic_mean", _quadratic_mean, 1),
-    "mean_plus_variance": SyntheticTarget("mean_plus_variance", _mean_plus_variance, 1),
-    "smooth_composite": SyntheticTarget("smooth_composite", _smooth_composite, 2),
+    "linear_mean": _linear_mean,
+    "quadratic_mean": _quadratic_mean,
+    "mean_plus_variance": _mean_plus_variance,
+    "smooth_composite": _smooth_composite,
 }
 
 
@@ -100,7 +86,7 @@ class MetaDistributionSpec:
             )
 
     def target_value(self, theta: np.ndarray, scale: float | None = None) -> float:
-        return float(TARGETS[self.target].fn(np.asarray(theta, np.float64), scale or self.scale))
+        return float(TARGETS[self.target](np.asarray(theta, np.float64), scale or self.scale))
 
     def to_dict(self) -> dict:
         return {
@@ -231,7 +217,7 @@ def generate(meta: MetaDistributionSpec, m: int, n_points: int) -> TwoStageDatas
         raise InputError(f"need m >= 1 and N >= 1, got m={m}, N={n_points}")
     meta_rng = _meta_rng(meta.seed)
     thetas = meta_rng.uniform(THETA_LOW, THETA_HIGH, size=(m, meta.dim))
-    targets = TARGETS[meta.target].fn(thetas, meta.scale)
+    targets = TARGETS[meta.target](thetas, meta.scale)
     labels = [
         _truncated_label(meta_rng, t, meta.noise_sd, meta.noise_bound) for t in targets.tolist()
     ]

@@ -16,9 +16,7 @@ settings.load_profile("distreg")
 def gram_from_matrix(values) -> GramMatrix:
     """Wrap a raw matrix as a GramMatrix for matrix-level tests."""
     values = np.asarray(values, dtype=np.float64)
-    ids = tuple(f"r{i}" for i in range(values.shape[0]))
-    col_ids = tuple(f"c{j}" for j in range(values.shape[1]))
-    return GramMatrix(values=values, row_ids=ids, col_ids=col_ids, kernel_fingerprint="test")
+    return GramMatrix(values=values, ids=tuple(f"b{i}" for i in range(values.shape[0])))
 
 
 def make_bags(seed: int, m: int, n: int, d: int, spread: float = 0.5, box: float = 1.0):

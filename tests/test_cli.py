@@ -189,7 +189,7 @@ def test_gram_csv(tmp_path, gaussian_embedding):
     path = tmp_path / "gram.csv"
     io.write_gram_csv(g, path)
     lines = path.read_text().splitlines()
-    assert lines[0] == "row_id," + ",".join(g.col_ids)
+    assert lines[0] == "row_id," + ",".join(g.ids)
     assert len(lines) == 4
 
 
@@ -270,6 +270,13 @@ MALFORMED_RECORDS = {
     "nested-theta": {
         "id": "c", "y": 1.0, "points": [[0.3]], "params": {"theta": [[0.3]], "s": 0.1}
     },
+    # Integers too large for a float.
+    "huge-y": {"id": "c", "y": 10**400, "points": [[0.3]]},
+    "huge-point": {"id": "c", "y": 1.0, "points": [[10**400]]},
+    "huge-theta": {
+        "id": "c", "y": 1.0, "points": [[0.3]], "params": {"theta": [10**400], "s": 0.1}
+    },
+    "huge-s": {"id": "c", "y": 1.0, "points": [[0.3]], "params": {"theta": [0.3], "s": 10**400}},
 }
 
 
@@ -516,10 +523,13 @@ class TestCmdPredict:
             ("outer_kernel", BAD_REF_KERNEL, "bag 'r'"),
             ("outer_kernel", UNUSED_C_KERNEL, "'c'"),
             ("outer_kernel", UNUSED_REF_KERNEL, "'ref_bag'"),
+            ("lambda", 10**400, "malformed model file"),
+            ("alpha", [10**400], "malformed model file"),
         ],
         ids=["no-alpha", "string-alpha", "ragged-train-bag", "train-bags-not-a-list",
              "string-bandwidth", "negative-bandwidth", "string-outer-kernel",
-             "ragged-ref-bag", "unused-outer-param", "ref-bag-on-gaussian"],
+             "ragged-ref-bag", "unused-outer-param", "ref-bag-on-gaussian",
+             "huge-lambda", "huge-alpha"],
     )
     def test_malformed_model_exits_2(self, tmp_path, capsys, field, value, message):
         model_path = self._fit(tmp_path)
@@ -632,6 +642,7 @@ MALFORMED_VALUES = {
     "negative-synth-seed": ("generate", base_sections(data=_synth_with(seed=-1)), "-1"),
     "zero-synth-m": ("fit", base_sections(data=_synth_with(m=0)), "'m'"),
     "zero-synth-N": ("fit", base_sections(data=_synth_with(N=0)), "'N'"),
+    "huge-synth-dim": ("fit", base_sections(data=_synth_with(dim=10**400)), "'dim'"),
     "sweep-m-below-3": ("sweep", sweep_sections(m=[2, 8, 12]), "sweep 'm'"),
     "zero-n-test": ("sweep", sweep_sections(n_test=0), "'n_test'"),
     "decay-head-below-3": ("spectrum", base_sections(decay_head=2), "'decay_head'"),
@@ -819,11 +830,54 @@ class TestCmdSchedule:
         text = capsys.readouterr().out
         assert "beta" in text and "zeta" in text and "lambda" in text and "N" in text
 
+    @pytest.mark.parametrize("m", ["2", "1" + "0" * 400], ids=["m-2", "m-1e400"])
+    def test_m_out_of_range_exits_2(self, capsys, m):
+        # An m too large for a float fails as an m below 3 does.
+        assert main(["schedule", "--r", "1", "--alpha", "2", "--m", m]) == 2
+        assert "schedule requires" in one_error_line(capsys)
+
+
+@pytest.mark.parametrize("where, code", [("bags", 2), ("config", 3), ("model", 2)])
+def test_integer_past_the_digit_limit_exits_cleanly(tmp_path, capsys, where, code):
+    # json.loads fails with a plain ValueError on integers of over 4300 digits.
+    long_int = "1" + "0" * 5000
+    bags = Path(write_bag_file(tmp_path / "bags.ndjson", {"id": "c", "y": 1.0, "points": [[0.3]]}))
+    cfg = Path(write_config(tmp_path, **base_sections(data={"path": str(bags)})))
+    model = tmp_path / "model.json"
+    assert main(["fit", "--config", str(cfg), "--out", str(model)]) == 0
+    if where == "bags":
+        bags.write_text(bags.read_text() + f'{{"id": "d", "y": {long_int}, "points": [[0.1]]}}\n')
+    else:
+        doc = cfg if where == "config" else model
+        doc.write_text(doc.read_text().rstrip()[:-1] + f', "x": {long_int}}}')
+    capsys.readouterr()
+    if where == "model":
+        assert main(["predict", "--model", str(model), "--bags", str(bags)]) == code
+    else:
+        assert main(["fit", "--config", str(cfg), "--out", str(tmp_path / "m2.json")]) == code
+    assert "JSON" in one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["predict", "--model", "m.json", "--bags", "b.ndjson", "--json"],
+        ["generate", "--config", "c.json", "--json"],
+        ["generate", "--config", "c.json", "--threads", "2"],
+    ],
+    ids=["predict-json", "generate-json", "generate-threads"],
+)
+def test_flag_the_command_does_not_take_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
 
 # ------------------------------------------------------------------- fuzzing
 
 # What a fuzzed document may hold in place of any value, or add as a new key.
-FUZZ_VALUES = (None, True, "abc", math.nan, -1, -0.5, [0.5], {"k": 1})
+FUZZ_VALUES = (None, True, "abc", math.nan, -1, -0.5, [0.5], {"k": 1}, 10**400)
 
 
 def _key_paths(doc, prefix=()):

@@ -22,7 +22,7 @@ from distreg import (
 
 from distreg import ConfigError, embedding
 from distreg.embedding import kernel_matrix
-from distreg.gram import default_threads
+from distreg.gram import default_threads, kernel_fingerprint
 
 from conftest import gram_from_matrix, make_bags
 from test_embedding import naive_inner
@@ -121,8 +121,8 @@ class TestBuildGram:
     def test_provenance(self, gaussian_embedding):
         bags = make_bags(26, 3, 2, 2)
         g = build_gram(OuterKernelSpec.gaussian(1.0), gaussian_embedding, bags)
-        assert g.row_ids == g.col_ids == tuple(b.id for b in bags)
-        assert len(g.kernel_fingerprint) == 16
+        assert g.ids == tuple(b.id for b in bags)
+        assert len(kernel_fingerprint(OuterKernelSpec.gaussian(1.0), gaussian_embedding)) == 16
 
     def test_mixed_bag_sizes(self, gaussian_embedding):
         # Chunked assembly must handle unequal N per bag.
@@ -274,14 +274,11 @@ class TestSpectrum:
         assert np.all(rep.singular_values >= 0)
 
     def test_non_square_rejected(self):
-        g = GramMatrix(
-            values=np.zeros((2, 3)),
-            row_ids=("a", "b"),
-            col_ids=("x", "y", "z"),
-            kernel_fingerprint="test",
-        )
-        with pytest.raises(InputError):
-            spectrum(g)
+        # A GramMatrix is square by construction, so spectrum never sees one that is not.
+        with pytest.raises(InputError, match="shape"):
+            GramMatrix(values=np.zeros((2, 3)), ids=("a", "b"))
+        with pytest.raises(InputError, match="shape"):
+            GramMatrix(values=np.zeros((3, 3)), ids=("a", "b"))
 
     def test_scale_note_mentions_proxy(self):
         rep = spectrum(gram_from_matrix(np.eye(2)))

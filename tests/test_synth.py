@@ -45,13 +45,6 @@ class TestTargets:
         assert m.target_value(np.array([0.5])) == pytest.approx(1.0)
         assert m.target_value(np.array([0.2])) < 1.0
 
-    def test_smoothness_ladder_ordering(self):
-        assert (
-            TARGETS["linear_mean"].smoothness_rank
-            < TARGETS["quadratic_mean"].smoothness_rank
-            < TARGETS["smooth_composite"].smoothness_rank
-        )
-
     def test_unknown_target(self):
         with pytest.raises(ConfigError):
             meta(target="fourier_soup")

@@ -6,7 +6,7 @@ kernel (PSD, indefinite, or asymmetric) acts on those embeddings; and the
 regressor penalizes the coefficient vector directly, so its linear system
 stays symmetric positive definite no matter the kernel. A ridge baseline,
 synthetic data generation with known targets, and rate/saturation analysis
-tools round out the package.
+tools round out the package. The names imported below are the public API.
 """
 
 from .analysis import (
@@ -51,50 +51,5 @@ from .solver import (
     predict,
 )
 from .synth import MetaDistributionSpec, TwoStageDataset, generate, resample_second_stage
-
-__all__ = [
-    "Bag",
-    "BagParams",
-    "CoefficientModel",
-    "ConfigError",
-    "ContractError",
-    "DistRegError",
-    "EmbeddingKernelSpec",
-    "FitReport",
-    "GramMatrix",
-    "InputError",
-    "MetaDistributionSpec",
-    "NumericalError",
-    "OuterKernelSpec",
-    "RateFit",
-    "SaturationConfig",
-    "SaturationReport",
-    "Schedule",
-    "ScheduleParams",
-    "SpectrumReport",
-    "SweepConfig",
-    "SweepResult",
-    "TwoStageDataset",
-    "build_cross_gram",
-    "build_gram",
-    "effective_dimension",
-    "embed_inner",
-    "embed_sq_dist",
-    "excess_error",
-    "fit_coefficient",
-    "fit_decay_exponent",
-    "fit_krr",
-    "generate",
-    "kernel_fingerprint",
-    "outer_eval",
-    "predict",
-    "rate_fit",
-    "resample_second_stage",
-    "run_rate_experiment",
-    "saturation_compare",
-    "schedule",
-    "select_lambda_holdout",
-    "spectrum",
-]
 
 __version__ = "0.1.0"

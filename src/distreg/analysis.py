@@ -287,7 +287,7 @@ class SweepConfig:
     n_max: int = 2000
     n_test: int = 64
     holdout_frac: float = DEFAULT_HOLDOUT_FRAC
-    threads: int | None = None
+    threads: int = 1
 
     def __post_init__(self):
         check_scheme(self.scheme, self.outer_kernel)
@@ -367,7 +367,7 @@ class SaturationConfig:
     n_test: int = 64
     lambda_grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID
     holdout_frac: float = DEFAULT_HOLDOUT_FRAC
-    threads: int | None = None
+    threads: int = 1
 
 
 @dataclass(frozen=True)

@@ -184,13 +184,8 @@ def cmd_predict(args) -> int:
                 )
     bags = io.read_bags(args.bags)
     preds = predict(model, bags, threads=args.threads)
-    lines = ["id,prediction"]
-    lines += [f"{b.id},{io.format_cell(float(p))}" for b, p in zip(bags, preds)]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    rows = zip((b.id for b in bags), preds.tolist())
+    io.write_csv(args.out or sys.stdout, ["id", "prediction"], rows)
     return EXIT_OK
 
 
@@ -347,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output file or directory")
         if json_and_threads:
             p.add_argument("--json", action="store_true", help="machine-readable output")
-            p.add_argument("--threads", type=int, default=None, help="Gram assembly threads")
+            p.add_argument("--threads", type=int, default=1, help="Gram assembly threads")
 
     p_fit = sub.add_parser("fit", help="fit a model and write a model document")
     add_common(p_fit)
@@ -358,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pred.add_argument("--bags", required=True, help="bag file path")
     p_pred.add_argument("--config", help="optional config; kernels must match the model")
     p_pred.add_argument("--out", help="CSV output path (default: stdout)")
-    p_pred.add_argument("--threads", type=int, default=None)
+    p_pred.add_argument("--threads", type=int, default=1, help="cross-Gram assembly threads")
     p_pred.set_defaults(func=cmd_predict)
 
     p_gen = sub.add_parser("generate", help="write a synthetic bag file")

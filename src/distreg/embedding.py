@@ -121,7 +121,7 @@ class Bag:
             try:
                 finite = math.isfinite(self.label)
             except (TypeError, ValueError, OverflowError) as exc:
-                raise InputError(f"bag {self.id!r}: label {self.label!r} is not a number") from exc
+                raise InputError(f"bag {self.id!r}: label is not a number") from exc
             if not finite:
                 raise InputError(f"bag {self.id!r}: label is not finite")
             object.__setattr__(self, "label", float(self.label))

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -49,22 +48,6 @@ _SYMMETRY_TOL = 1e-10
 # bags of 100 points (1.3e5 per task) ran 10-18% faster. Blocks of tiny bags
 # stay serial: pooling them measured no faster.
 _POOL_MIN_EVALS = 100_000
-
-
-def default_threads() -> int:
-    """Thread count for Gram assembly: DISTREG_THREADS if set, else 1.
-
-    Raises ConfigError if DISTREG_THREADS is set to anything but a positive
-    integer.
-    """
-    raw = os.environ.get("DISTREG_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ConfigError(f"DISTREG_THREADS must be a positive integer, got {raw!r}")
-    return threads
 
 
 def kernel_fingerprint(kspec: OuterKernelSpec, espec: EmbeddingKernelSpec) -> str:
@@ -236,7 +219,7 @@ def _outer_block(
     espec: EmbeddingKernelSpec,
     row_bags: Sequence[Bag],
     col_bags: Sequence[Bag],
-    threads: int | None,
+    threads: int,
     symmetric: bool = False,
     col_self: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -246,9 +229,7 @@ def _outer_block(
     not recomputed.
     """
     check_dims(espec, [*row_bags, *col_bags])
-    if threads is None:
-        threads = default_threads()
-    elif threads < 1:
+    if threads < 1:
         raise ConfigError(f"threads must be a positive integer, got {threads}")
     inner = _embedding_inners(espec, row_bags, col_bags, threads, symmetric)
     if symmetric:
@@ -268,7 +249,7 @@ def build_gram(
     kspec: OuterKernelSpec,
     espec: EmbeddingKernelSpec,
     bags: Sequence[Bag],
-    threads: int | None = None,
+    threads: int = 1,
 ) -> GramMatrix:
     """Assemble the m x m training Gram matrix K(mu_i, mu_j).
 
@@ -289,7 +270,7 @@ def build_cross_gram(
     espec: EmbeddingKernelSpec,
     test_bags: Sequence[Bag],
     train_bags: Sequence[Bag],
-    threads: int | None = None,
+    threads: int = 1,
     train_self_inners: np.ndarray | None = None,
 ) -> np.ndarray:
     """Test-vs-train block K(mu_test_t, mu_train_i), test embedding first.

@@ -10,9 +10,10 @@ save/load exact.
 
 from __future__ import annotations
 
+import csv
 import json
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -136,25 +137,23 @@ def load_model(path: str | Path) -> CoefficientModel:
         raise InputError(f"malformed model file {path}: {exc}") from exc
 
 
-def format_cell(value) -> str:
-    # repr round-trips floats exactly; everything else prints plainly.
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def write_csv(out: str | Path | TextIO, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """CSV rows to a path or an open text stream, each ending in '\\n'.
 
-
-def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(format_cell(v) for v in row) + "\n")
+    Fields holding ',', '"' or '\\n' are quoted. A Python float prints as its
+    shortest round-trip repr; convert numpy scalars to float first.
+    """
+    if isinstance(out, (str, Path)):
+        with open(out, "w", newline="") as fh:
+            return write_csv(fh, header, rows)
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
 
 
 def write_gram_csv(g: GramMatrix, path: str | Path) -> None:
     """Row-major Gram dump with a header of column bag ids, for debugging."""
-    write_csv(path, ["row_id", *g.ids], (
-        [rid, *row] for rid, row in zip(g.ids, (list(map(float, r)) for r in g.values))
-    ))
+    write_csv(path, ["row_id", *g.ids], ([i, *r.tolist()] for i, r in zip(g.ids, g.values)))
 
 
 def write_svg_loglog(

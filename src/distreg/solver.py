@@ -323,7 +323,7 @@ def _same_training(a: CoefficientModel, b: CoefficientModel) -> bool:
 def predict(
     model: CoefficientModel | Sequence[CoefficientModel],
     test_bags: Sequence[Bag],
-    threads: int | None = None,
+    threads: int = 1,
 ) -> np.ndarray | list[np.ndarray]:
     """Predictions sum_i alpha_i K(mu_test, mu_train_i), test embedding first.
 
@@ -356,7 +356,7 @@ def predict(
 def excess_error(
     model: CoefficientModel | Sequence[CoefficientModel],
     test_bags_with_targets: Sequence[tuple[Bag, float]],
-    threads: int | None = None,
+    threads: int = 1,
 ) -> float | list[float]:
     """Monte Carlo L2 distance to the regression function.
 

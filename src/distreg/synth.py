@@ -215,6 +215,8 @@ def generate(meta: MetaDistributionSpec, m: int, n_points: int) -> TwoStageDatas
     """
     if m < 1 or n_points < 1:
         raise InputError(f"need m >= 1 and N >= 1, got m={m}, N={n_points}")
+    if m * n_points * meta.dim > np.iinfo(np.intp).max // 8:
+        raise ConfigError("synthetic m * N * dim is past the largest float64 array")
     meta_rng = _meta_rng(meta.seed)
     thetas = meta_rng.uniform(THETA_LOW, THETA_HIGH, size=(m, meta.dim))
     targets = TARGETS[meta.target](thetas, meta.scale)

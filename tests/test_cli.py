@@ -6,6 +6,7 @@ the contract 0 / 2 (I/O) / 3 (config, contract) / 4 (numerical).
 
 import contextlib
 import copy
+import csv
 import functools
 import json
 import math
@@ -168,6 +169,26 @@ def test_csv_floats_round_trip(tmp_path):
     io.write_csv(path, ["a", "b"], [[1, value]])
     line = path.read_text().splitlines()[1]
     assert float(line.split(",")[1]) == value
+
+
+# Bag ids are free strings; these need CSV quoting.
+ODD_IDS = ["a,b", 'say "hi"', "two\nlines"]
+
+
+def read_csv(text: str) -> list[list[str]]:
+    return list(csv.reader(StringIO(text, newline="")))
+
+
+def test_gram_csv_header_quotes_odd_ids(tmp_path, gaussian_embedding):
+    bags = [Bag(i, b.points) for i, b in zip(ODD_IDS, make_bags(74, 3, 2, 2))]
+    g = build_gram(OuterKernelSpec.gaussian(1.0), gaussian_embedding, bags)
+    path = tmp_path / "gram.csv"
+    io.write_gram_csv(g, path)
+    with open(path, newline="") as fh:
+        rows = read_csv(fh.read())
+    assert rows[0] == ["row_id", *ODD_IDS]
+    assert [r[0] for r in rows[1:]] == ODD_IDS
+    assert [[float(v) for v in r[1:]] for r in rows[1:]] == g.values.tolist()
 
 
 def test_svg_writer(tmp_path):
@@ -434,7 +455,9 @@ class TestCmdFit:
         bags = write_bag_file(tmp_path / "bags.ndjson", record)
         cfg = write_config(tmp_path, **base_sections(data={"path": bags}))
         assert main(["fit", "--config", cfg, "--out", str(tmp_path / "m.json")]) == 2
-        assert "bags.ndjson:3" in one_error_line(capsys)
+        line = one_error_line(capsys)
+        assert "bags.ndjson:3" in line
+        assert len(line.replace(str(tmp_path), "")) < 200  # no value is echoed in full
 
     @pytest.mark.parametrize(
         "doc, shown", MALFORMED_CONFIGS.values(), ids=list(MALFORMED_CONFIGS)
@@ -493,6 +516,25 @@ class TestCmdPredict:
         got = np.array([float(line.split(",")[1]) for line in out[1:]])
         expected = predict(model, list(model.train_bags))
         assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("to_file", [True, False], ids=["file", "stdout"])
+    def test_odd_ids_round_trip_through_csv(self, tmp_path, capsys, to_file):
+        model_path = self._fit(tmp_path)
+        model = io.load_model(model_path)
+        bags = [Bag(i, b.points) for i, b in zip(ODD_IDS, model.train_bags)]
+        bag_path = tmp_path / "odd.ndjson"
+        io.write_bags(bags, bag_path)
+        out = tmp_path / "preds.csv"
+        argv = ["predict", "--model", str(model_path), "--bags", str(bag_path)]
+        capsys.readouterr()
+        assert main(argv + (["--out", str(out)] if to_file else [])) == 0
+        if to_file:
+            with open(out, newline="") as fh:
+                text = fh.read()
+        else:
+            text = capsys.readouterr().out
+        expected = [[i, repr(p)] for i, p in zip(ODD_IDS, predict(model, bags).tolist())]
+        assert read_csv(text) == [["id", "prediction"], *expected]
 
     def test_empty_bag_file(self, tmp_path, capsys):
         model_path = self._fit(tmp_path)
@@ -648,6 +690,8 @@ MALFORMED_VALUES = {
     "decay-head-below-3": ("spectrum", base_sections(decay_head=2), "'decay_head'"),
     "zero-threads": ("fit --threads 0", base_sections(), "threads"),
     "negative-threads": ("fit --threads -3", base_sections(), "threads"),
+    "minus-one-threads-sweep": ("sweep --threads -1", sweep_sections(), "threads"),
+    "minus-one-threads-spectrum": ("spectrum --threads -1", base_sections(), "threads"),
     "unknown-top-level-key": ("fit", _grid_fit(holdout_fraction=0.5), "'holdout_fraction'"),
     "unknown-synth-key": ("fit", base_sections(data=_synth_with(sigma=1.0)), "'sigma'"),
     "unknown-embedding-key": (
@@ -682,13 +726,24 @@ def test_malformed_config_value_exits_3(tmp_path, capsys, command, sections, sho
     assert not out.exists()
 
 
-@pytest.mark.parametrize("raw", ["two", "0", "-1", "1.5", ""])
-def test_bad_distreg_threads_exits_3(tmp_path, capsys, monkeypatch, raw):
-    monkeypatch.setenv("DISTREG_THREADS", raw)
+def test_distreg_threads_is_not_read(tmp_path, monkeypatch):
+    # Threads come from --threads alone; the environment changes nothing.
     cfg = write_config(tmp_path, **base_sections())
-    out = tmp_path / "m.json"
-    assert main(["fit", "--config", cfg, "--out", str(out)]) == 3
-    assert "DISTREG_THREADS" in one_error_line(capsys)
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(["fit", "--config", cfg, "--out", str(a)]) == 0
+    monkeypatch.setenv("DISTREG_THREADS", "two")
+    assert main(["fit", "--config", cfg, "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("field", [{"m": 2**62}, {"dim": 10**300}], ids=["m-2e62", "dim-1e300"])
+def test_synthetic_size_past_the_array_limit_exits_3(tmp_path, capsys, field):
+    # Sizes past numpy's array limit fail before anything is allocated.
+    cfg = write_config(tmp_path, **base_sections(data=_synth_with(**field)))
+    out = tmp_path / "bags.ndjson"
+    assert main(["generate", "--config", cfg, "--out", str(out)]) == 3
+    line = one_error_line(capsys)
+    assert "largest float64 array" in line and len(line) < 200
     assert not out.exists()
 
 
@@ -730,7 +785,7 @@ class TestCmdSweep:
             )
         )
         rows = [(r.m, r.n_points, r.lam, r.rep, r.scheme, r.error) for r in result.rows]
-        expected = [",".join(io.format_cell(v) for v in row) for row in rows]
+        expected = [",".join(map(str, row)) for row in rows]
         assert (out / "rates.csv").read_text().splitlines()[1:] == expected
 
     def test_zero_replications_exits_3(self, tmp_path):

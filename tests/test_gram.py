@@ -22,7 +22,7 @@ from distreg import (
 
 from distreg import ConfigError, embedding
 from distreg.embedding import kernel_matrix
-from distreg.gram import default_threads, kernel_fingerprint
+from distreg.gram import kernel_fingerprint
 
 from conftest import gram_from_matrix, make_bags
 from test_embedding import naive_inner
@@ -161,6 +161,19 @@ class TestPoolDispatch:
         build_cross_gram(kspec, espec, test, train, threads=2)
         assert pool_starts == [2, 2]
 
+    def test_one_thread_unless_asked(self, pool_starts):
+        espec = EmbeddingKernelSpec("gaussian", 0.25, 1)
+        train, test = make_bags(32, 25, 100, 1), make_bags(33, 4, 100, 1)
+        kspec = OuterKernelSpec.gaussian(1.0)
+        build_gram(kspec, espec, train)
+        build_cross_gram(kspec, espec, test, train)
+        assert pool_starts == []
+        for threads in (0, -3):
+            with pytest.raises(ConfigError, match="threads must be a positive integer"):
+                build_gram(kspec, espec, train, threads=threads)
+            with pytest.raises(ConfigError, match="threads must be a positive integer"):
+                build_cross_gram(kspec, espec, test, train, threads=threads)
+
 
 def test_tiny_bags_are_reduced_in_row_blocks(monkeypatch):
     # 1000 rows of 4 points: one kernel block per row would be 1000 calls.
@@ -174,17 +187,6 @@ def test_tiny_bags_are_reduced_in_row_blocks(monkeypatch):
     monkeypatch.setattr(embedding, "kernel_matrix", counting)
     build_gram(OuterKernelSpec.gaussian(1.0), espec, make_bags(30, 1000, 4, 1), threads=2)
     assert len(calls) <= 120
-
-
-def test_bad_distreg_threads_is_a_config_error(monkeypatch):
-    for raw in ("two", "0", "-3", ""):
-        monkeypatch.setenv("DISTREG_THREADS", raw)
-        with pytest.raises(ConfigError, match="DISTREG_THREADS"):
-            default_threads()
-    monkeypatch.setenv("DISTREG_THREADS", "3")
-    assert default_threads() == 3
-    monkeypatch.delenv("DISTREG_THREADS")
-    assert default_threads() == 1
 
 
 class TestCrossGram:

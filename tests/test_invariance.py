@@ -6,8 +6,15 @@ its arguments, the chunk budget or the thread count. The bags are ragged
 (1 to 150 points) so that chunk boundaries and pairwise-summation blocks
 fall in different places for different paths; ids repeat, and some test bags
 are training bags themselves or copies of them. A second case of ~120 mostly
-tiny bags exercises row blocks of several bags and equal-segment sums.
+tiny bags exercises row blocks of several bags and equal-segment sums. The
+last test checks the CLI's output files across fresh processes and threads.
 """
+
+import json
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +28,7 @@ from distreg import (
     embed_inner,
     outer_eval,
 )
+import distreg
 from distreg import embedding, gram
 
 KERNEL_CASES = [("gaussian", 1), ("gaussian", 2), ("exponential", 2), ("cauchy", 1)]
@@ -287,3 +295,40 @@ def test_predict_reusing_fit_self_inners_equals_recomputing(case, threads, tmp_p
         io.save_model(model, tmp_path / "model.json")
         loaded = io.load_model(tmp_path / "model.json")
         assert np.array_equal(reused, predict(loaded, test, threads=threads))
+
+
+def test_cli_outputs_do_not_depend_on_threads_across_processes(tmp_path):
+    # generate, fit and predict as fresh processes, twice at --threads 1 and
+    # twice at --threads 2. Bags of 100 points put the Gram rows and the
+    # cross-Gram rows of predict over the pool threshold, so 2 threads start a
+    # pool. The fit report is left out: its wall time varies by design.
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "data": {"synth": {"dim": 2, "scale": 0.1, "target": "linear_mean", "noise_sd": 0.05,
+                           "noise_bound": 2.0, "seed": 3, "m": 30, "N": 100}},
+        "embedding_kernel": {"family": "gaussian", "bandwidth": 0.25, "dim": 2},
+        "outer_kernel": {"family": "gaussian_on_embedding", "sigma": 1.0},
+        "lambda": {"grid": [1e-4, 1e-2, 1.0]},
+        "seed": 7,
+    }))
+    src = str(Path(distreg.__file__).resolve().parents[1])
+
+    def run(index: int) -> list[bytes]:
+        threads, out = "12"[index // 2], tmp_path / f"run{index}"
+        bags, model, preds = (out / name for name in ("bags.ndjson", "model.json", "preds.csv"))
+        out.mkdir()
+        for argv in (
+            ["generate", "--config", cfg, "--out", bags],
+            ["fit", "--config", cfg, "--out", model, "--threads", threads],
+            ["predict", "--model", model, "--bags", bags, "--out", preds, "--threads", threads],
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-m", "distreg", *map(str, argv)],
+                capture_output=True, text=True, env={"PYTHONPATH": src}, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+        return [path.read_bytes() for path in (bags, model, preds)]
+
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        outputs = list(pool.map(run, range(4)))
+    assert all(files == outputs[0] for files in outputs[1:])

@@ -94,6 +94,16 @@ class TestGenerate:
         with pytest.raises(InputError):
             generate(meta(), 5, 0)
 
+    @pytest.mark.parametrize(
+        "m, n, dim",
+        [(2**62, 5, 1), (1, 1, 10**300), (2**20, 2**20, 2**20)],
+        ids=["huge-m", "huge-dim", "huge-product"],
+    )
+    def test_sizes_past_the_array_limit_fail_before_drawing(self, m, n, dim):
+        # Each product of m, N and dim is past what one float64 array can hold.
+        with pytest.raises(ConfigError, match="largest float64 array"):
+            generate(meta(dim=dim), m, n)
+
     def test_target_exceeding_bound_rejected(self):
         # mean_plus_variance with huge scale stays within [0.2, 0.8] + s^2 but
         # a tiny bound makes the precondition fail.

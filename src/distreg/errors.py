@@ -27,12 +27,17 @@ class NumericalError(DistRegError):
     """A numerical routine failed (factorization breakdown, non-finite values)."""
 
 
+def _shown(value) -> str:
+    """repr(value) for an error line, cut to about 40 characters."""
+    return text if len(text := repr(value)) <= 40 else f"{text[:37]}..."
+
+
 def config_float(value, what: str) -> float:
     """A finite JSON number (not a string or bool) as a float, or ConfigError naming `what`."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         if abs(value) <= sys.float_info.max:
             return float(value)
-    raise ConfigError(f"{what} must be a finite number, got {value!r}")
+    raise ConfigError(f"{what} must be a finite number, got {_shown(value)}")
 
 
 def config_int(value, what: str, least: int) -> int:
@@ -42,7 +47,7 @@ def config_int(value, what: str, least: int) -> int:
         value = int(value)
     is_int = isinstance(value, int) and not isinstance(value, bool)
     if not (is_int and least <= value <= sys.float_info.max):
-        raise ConfigError(f"{what} must be an integer >= {least}, got {value!r}")
+        raise ConfigError(f"{what} must be an integer >= {least}, got {_shown(value)}")
     return value
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -120,6 +121,11 @@ def _run_tasks(fill: Callable, tasks: Sequence, threads: int, evals: int, rows: 
             fill(t)
 
 
+def check_threads(threads: int) -> None:
+    if threads < 1:
+        raise ConfigError(f"threads must be a positive integer, got {threads}")
+
+
 def _row_blocks(row_evals: np.ndarray) -> list[tuple[int, int]]:
     """Runs [a, b) of consecutive rows, each closed once it holds at least
     _POOL_MIN_EVALS evaluations, so a row that reaches that alone is a run."""
@@ -173,15 +179,16 @@ def _embedding_inners(
     splits = np.searchsorted(col_rank[col_order], row_rank[row_order])
     row_sizes, col_sizes = np.diff(row_bounds), np.diff(bounds)
     inner = np.empty((len(row_sizes), len(col_sizes)))
+    scratch = threading.local()  # one kernel tile buffer per thread, freed on return
 
     def fill(block: tuple[int, int]) -> None:
         a, b = block
         lo, hi = splits[a], splits[b - 1]
         run = row_points[row_bounds[a] : row_bounds[b]], row_bounds[a : b + 1] - row_bounds[a]
         out = inner[a:b]
-        out[:, lo:] = pair_sums(espec, *run, points, bounds[lo:], True)
+        out[:, lo:] = pair_sums(espec, *run, points, bounds[lo:], True, scratch)
         if not symmetric and hi > 0:
-            col_first = pair_sums(espec, *run, points, bounds[: hi + 1], False)
+            col_first = pair_sums(espec, *run, points, bounds[: hi + 1], False, scratch)
             out[:, :lo] = col_first[:, :lo]
             band = np.arange(lo, hi) < splits[a:b, None]
             np.copyto(out[:, lo:hi], col_first[:, lo:], where=band)
@@ -229,8 +236,7 @@ def _outer_block(
     not recomputed.
     """
     check_dims(espec, [*row_bags, *col_bags])
-    if threads < 1:
-        raise ConfigError(f"threads must be a positive integer, got {threads}")
+    check_threads(threads)
     inner = _embedding_inners(espec, row_bags, col_bags, threads, symmetric)
     if symmetric:
         row_self = col_self = np.diag(inner).copy()

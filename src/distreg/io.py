@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
@@ -140,13 +141,15 @@ def load_model(path: str | Path) -> CoefficientModel:
 def write_csv(out: str | Path | TextIO, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """CSV rows to a path or an open text stream, each ending in '\\n'.
 
-    Fields holding ',', '"' or '\\n' are quoted. A Python float prints as its
-    shortest round-trip repr; convert numpy scalars to float first.
+    Fields holding ',', '"', '\\n' or '\\r' are quoted. A Python float prints as
+    its shortest round-trip repr; convert numpy scalars to float first.
     """
     if isinstance(out, (str, Path)):
         with open(out, "w", newline="") as fh:
             return write_csv(fh, header, rows)
-    writer = csv.writer(out, lineterminator="\n")
+    # csv quotes fields holding a character of its terminator; one write per row.
+    lines = SimpleNamespace(write=lambda line: out.write(line[:-2] + "\n"))
+    writer = csv.writer(lines, lineterminator="\r\n")
     writer.writerow(header)
     writer.writerows(rows)
 

@@ -33,7 +33,7 @@ import scipy.linalg
 from .blas import serial_blas
 from .embedding import Bag, EmbeddingKernelSpec
 from .errors import ConfigError, ContractError, InputError, NumericalError
-from .gram import GramMatrix, build_cross_gram
+from .gram import GramMatrix, build_cross_gram, check_threads
 from .outer import OuterKernelSpec
 
 SCHEMES = ("coefficient_l2", "krr")
@@ -338,9 +338,9 @@ def predict(
     first = models[0]
     if not all(_same_training(first, other) for other in models[1:]):
         raise InputError("models predicted together must share training bags and kernels")
-    if len(test_bags) == 0:
-        preds = [np.zeros(0) for _ in models]
-    else:
+    check_threads(threads)
+    cross = np.zeros((0, len(first.train_bags)))
+    if len(test_bags) > 0:
         cross = build_cross_gram(
             first.outer_kernel,
             first.embedding_kernel,
@@ -349,7 +349,7 @@ def predict(
             threads=threads,
             train_self_inners=first.train_self_inners,
         )
-        preds = [cross @ mdl.alpha for mdl in models]
+    preds = [cross @ mdl.alpha for mdl in models]
     return preds[0] if single else preds
 
 

@@ -172,7 +172,7 @@ def test_csv_floats_round_trip(tmp_path):
 
 
 # Bag ids are free strings; these need CSV quoting.
-ODD_IDS = ["a,b", 'say "hi"', "two\nlines"]
+ODD_IDS = ["a,b", 'say "hi"', "two\nlines", "g\rh"]
 
 
 def read_csv(text: str) -> list[list[str]]:
@@ -180,7 +180,7 @@ def read_csv(text: str) -> list[list[str]]:
 
 
 def test_gram_csv_header_quotes_odd_ids(tmp_path, gaussian_embedding):
-    bags = [Bag(i, b.points) for i, b in zip(ODD_IDS, make_bags(74, 3, 2, 2))]
+    bags = [Bag(i, b.points) for i, b in zip(ODD_IDS, make_bags(74, len(ODD_IDS), 2, 2))]
     g = build_gram(OuterKernelSpec.gaussian(1.0), gaussian_embedding, bags)
     path = tmp_path / "gram.csv"
     io.write_gram_csv(g, path)
@@ -544,6 +544,16 @@ class TestCmdPredict:
         assert main(["predict", "--model", str(model_path), "--bags", str(empty)]) == 0
         assert capsys.readouterr().out == "id,prediction\n"
 
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_empty_bag_file_with_bad_threads_exits_3(self, tmp_path, capsys, threads):
+        model_path = self._fit(tmp_path)
+        empty = tmp_path / "empty.ndjson"
+        empty.write_text("")
+        argv = ["predict", "--model", str(model_path), "--bags", str(empty), "--threads", threads]
+        capsys.readouterr()
+        assert main(argv) == 3
+        assert "threads must be a positive integer" in one_error_line(capsys)
+
     @pytest.mark.parametrize("record", MALFORMED_RECORDS.values(), ids=list(MALFORMED_RECORDS))
     def test_malformed_bag_record_exits_2(self, tmp_path, capsys, record):
         model_path = self._fit(tmp_path)
@@ -724,6 +734,26 @@ def test_malformed_config_value_exits_3(tmp_path, capsys, command, sections, sho
     assert main([*command.split(), "--config", cfg, "--out", str(out)]) == 3
     assert shown in one_error_line(capsys)
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, sections, shown",
+    [
+        ("generate", base_sections(data=_synth_with(dim=10**400)), "must be an integer >= 1, got"),
+        (
+            "fit",
+            base_sections(embedding_kernel={"family": "gaussian", "bandwidth": 10**400, "dim": 1}),
+            "must be a finite number, got",
+        ),
+    ],
+    ids=["int-dim", "float-bandwidth"],
+)
+def test_huge_config_number_is_shown_cut(tmp_path, capsys, command, sections, shown):
+    # A 401-digit value is shown by its first digits, not in full.
+    cfg = write_config(tmp_path, **sections)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    line = one_error_line(capsys)
+    assert f"{shown} 1000" in line and len(line) < 200
 
 
 def test_distreg_threads_is_not_read(tmp_path, monkeypatch):

@@ -81,7 +81,7 @@ class TestKernelEval:
             assert 0.0 < v <= KERNEL_BOUND
 
 
-def two_pass_kernel_matrix(spec: EmbeddingKernelSpec, s, t) -> np.ndarray:
+def two_pass_kernel_matrix(spec: EmbeddingKernelSpec, s, t, out=None) -> np.ndarray:
     """The kernel block as evaluated before the constants were folded into one
     multiplier: a scale and a division per element."""
     if s.shape[1] == 1:

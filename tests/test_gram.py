@@ -5,6 +5,7 @@ pure-Python double loops, independent of the chunked vectorized path.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -180,13 +181,34 @@ def test_tiny_bags_are_reduced_in_row_blocks(monkeypatch):
     espec = EmbeddingKernelSpec("gaussian", 0.25, 1)
     calls = []
 
-    def counting(spec, s, t):
+    def counting(spec, s, t, out=None):
         calls.append(len(s))
-        return kernel_matrix(spec, s, t)
+        return kernel_matrix(spec, s, t, out)
 
     monkeypatch.setattr(embedding, "kernel_matrix", counting)
     build_gram(OuterKernelSpec.gaussian(1.0), espec, make_bags(30, 1000, 4, 1), threads=2)
     assert len(calls) <= 120
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_kernel_tiles_bound_peak_memory(threads):
+    # Each thread reduces in tiles of at most _CHUNK_BUDGET values (1 MiB), in
+    # one buffer for the whole Gram. One row bag against all 6000 column points
+    # at once would take 4.8 MB per thread; the 60 x 60 results take ~30 kB.
+    rng = np.random.default_rng(41)
+    train, test = ([Bag(f"{p}{i}", rng.normal(size=(100, 1))) for i in range(60)] for p in "tb")
+    espec, kspec = EmbeddingKernelSpec("gaussian", 0.5, 1), OuterKernelSpec.gaussian(1.0)
+    for build in (
+        lambda: build_gram(kspec, espec, train, threads=threads),
+        lambda: build_cross_gram(kspec, espec, test, train, threads=threads),
+    ):
+        tracemalloc.start()
+        try:
+            build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < threads * 1.5 * 2**20
 
 
 class TestCrossGram:

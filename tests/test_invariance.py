@@ -32,6 +32,9 @@ import distreg
 from distreg import embedding, gram
 
 KERNEL_CASES = [("gaussian", 1), ("gaussian", 2), ("exponential", 2), ("cauchy", 1)]
+# Chunk budgets, in kernel values: one that takes every case below in one
+# chunk, the shipped tile, and budgets that cut its bags into several chunks.
+BUDGETS = [8_000_000, embedding._CHUNK_BUDGET, 5000, 300, 1]
 
 
 def ragged_bags(family: str, d: int):
@@ -71,7 +74,7 @@ def test_chunk_budget_does_not_change_bits(case, monkeypatch):
     espec, train, test = case
     kspec = OuterKernelSpec.linear()
     results = []
-    for budget in (8_000_000, 5000, 300, 1):
+    for budget in BUDGETS:
         monkeypatch.setattr(embedding, "_CHUNK_BUDGET", budget)
         results.append(
             (
@@ -186,7 +189,7 @@ def tiny_case():
 
 @pytest.mark.parametrize("min_evals", [gram._POOL_MIN_EVALS, 2000, 0], ids=lambda v: f"block{v}")
 @pytest.mark.parametrize("threads", [1, 2])
-@pytest.mark.parametrize("budget", [8_000_000, 5000, 300, 1])
+@pytest.mark.parametrize("budget", BUDGETS)
 def test_row_blocks_of_tiny_bags_give_the_pairwise_bits(
     tiny_case, monkeypatch, budget, threads, min_evals
 ):
@@ -204,9 +207,9 @@ def test_tiny_bag_blocks_straddle_the_diagonal_and_the_band(tiny_case, monkeypat
     espec, train, test, _ = tiny_case
     calls = []
 
-    def spy(spec, row_points, row_bounds, points, bounds, row_first):
+    def spy(spec, row_points, row_bounds, points, bounds, row_first, scratch=None):
         calls.append((len(row_bounds) - 1, len(bounds) - 1, row_first))
-        return embedding.pair_sums(spec, row_points, row_bounds, points, bounds, row_first)
+        return embedding.pair_sums(spec, row_points, row_bounds, points, bounds, row_first, scratch)
 
     monkeypatch.setattr(gram, "pair_sums", spy)
     monkeypatch.setattr(gram, "_POOL_MIN_EVALS", 2000)
@@ -298,36 +301,50 @@ def test_predict_reusing_fit_self_inners_equals_recomputing(case, threads, tmp_p
 
 
 def test_cli_outputs_do_not_depend_on_threads_across_processes(tmp_path):
-    # generate, fit and predict as fresh processes, twice at --threads 1 and
-    # twice at --threads 2. Bags of 100 points put the Gram rows and the
-    # cross-Gram rows of predict over the pool threshold, so 2 threads start a
-    # pool. The fit report is left out: its wall time varies by design.
-    cfg = tmp_path / "config.json"
+    # generate, fit, predict and sweep as fresh processes, twice at --threads 1
+    # and twice at --threads 2. Bags of 100 points put the Gram rows and the
+    # cross-Gram rows of predict and of the sweep over the pool threshold, so
+    # 2 threads start a pool. The fit report is left out: its wall time varies
+    # by design.
+    synth = {"scale": 0.1, "target": "linear_mean", "noise_sd": 0.05, "noise_bound": 2.0,
+             "seed": 3}
+    cfg, sweep_cfg = tmp_path / "config.json", tmp_path / "sweep.json"
     cfg.write_text(json.dumps({
-        "data": {"synth": {"dim": 2, "scale": 0.1, "target": "linear_mean", "noise_sd": 0.05,
-                           "noise_bound": 2.0, "seed": 3, "m": 30, "N": 100}},
+        "data": {"synth": {**synth, "dim": 2, "m": 30, "N": 100}},
         "embedding_kernel": {"family": "gaussian", "bandwidth": 0.25, "dim": 2},
         "outer_kernel": {"family": "gaussian_on_embedding", "sigma": 1.0},
         "lambda": {"grid": [1e-4, 1e-2, 1.0]},
         "seed": 7,
     }))
+    sweep_cfg.write_text(json.dumps({
+        "data": {"synth": {**synth, "dim": 1}},
+        "embedding_kernel": {"family": "gaussian", "bandwidth": 0.25, "dim": 1},
+        "outer_kernel": {"family": "gaussian_on_embedding", "sigma": 1.0},
+        "lambda": {"grid": [1e-4, 1e-2, 1.0]},
+        "m": [10, 20, 30],
+        "replications": 1,
+        "n_max": 100,
+        "seed": 7,
+    }))
     src = str(Path(distreg.__file__).resolve().parents[1])
+    names = ("bags.ndjson", "model.json", "preds.csv", "sweep/rates.csv", "sweep/summary.json")
 
     def run(index: int) -> list[bytes]:
         threads, out = "12"[index // 2], tmp_path / f"run{index}"
-        bags, model, preds = (out / name for name in ("bags.ndjson", "model.json", "preds.csv"))
+        bags, model, preds = (out / name for name in names[:3])
         out.mkdir()
         for argv in (
             ["generate", "--config", cfg, "--out", bags],
             ["fit", "--config", cfg, "--out", model, "--threads", threads],
             ["predict", "--model", model, "--bags", bags, "--out", preds, "--threads", threads],
+            ["sweep", "--config", sweep_cfg, "--out", out / "sweep", "--threads", threads],
         ):
             proc = subprocess.run(
                 [sys.executable, "-m", "distreg", *map(str, argv)],
                 capture_output=True, text=True, env={"PYTHONPATH": src}, timeout=120,
             )
             assert proc.returncode == 0, proc.stderr
-        return [path.read_bytes() for path in (bags, model, preds)]
+        return [(out / name).read_bytes() for name in names]
 
     with ThreadPoolExecutor(max_workers=4) as pool:
         outputs = list(pool.map(run, range(4)))

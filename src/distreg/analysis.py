@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -186,10 +186,10 @@ def select_lambda_holdout(
     {scheme: (best lambda, (lambda, mse) table)}. Every scheme sees the same
     split. Ties break toward the smaller lambda via first-minimum selection
     on an ascending grid. The fits come from `solver.alpha_paths`, which
-    decomposes the kept block once for every lambda and, when the block is
-    exactly symmetric, for both schemes; they agree with per-lambda solves to
-    rounding, not bit for bit. `g_values` must be finite, as a GramMatrix's
-    values are.
+    decomposes the kept block (a copy) in place, once for every lambda and,
+    when it is exactly symmetric, for both schemes; they agree with
+    per-lambda solves to rounding, not bit for bit. `g_values` must be
+    finite, as a GramMatrix's values are.
     """
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     m = y.shape[0]
@@ -381,15 +381,7 @@ class SaturationReport:
     winner: str
 
     def to_dict(self) -> dict:
-        return {
-            "err_coefficient": self.err_coefficient,
-            "err_krr": self.err_krr,
-            "lambda_grid": list(self.lambda_grid),
-            "lambda_coefficient": self.lambda_coefficient,
-            "lambda_krr": self.lambda_krr,
-            "ratio": self.ratio,
-            "winner": self.winner,
-        }
+        return {**asdict(self), "lambda_grid": list(self.lambda_grid)}
 
 
 def saturation_compare(config: SaturationConfig) -> SaturationReport:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -135,16 +136,7 @@ def _lambda_rule(cfg: dict) -> analysis.LambdaRule:
 
 def _print_fit_report(report, as_json: bool) -> None:
     if as_json:
-        print(
-            json.dumps(
-                {
-                    "objective_value": report.objective_value,
-                    "residual_norm": report.residual_norm,
-                    "condition_estimate": report.condition_estimate,
-                    "wall_time": report.wall_time,
-                }
-            )
-        )
+        print(json.dumps(asdict(report)))
     else:
         print(f"objective_value     {report.objective_value:.12e}")
         print(f"residual_norm       {report.residual_norm:.3e}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -26,6 +26,7 @@ KERNEL_BOUND = 1.0
 # numpy passes stay in a core's L2 (2 MiB on the 2-core Xeon measured, where 2^16
 # ran ~20% slower on 200-bag Grams and 2^18 no faster). Tiles are views of a
 # per-thread buffer: a fresh 1 MiB array each would be mmapped and faulted in.
+# The dense m x m passes work in row chunks of as many values (`row_chunks`).
 _CHUNK_BUDGET = 1 << 17
 
 # Holder exponent of the feature map s -> k(., s) in the embedding norm,
@@ -181,6 +182,13 @@ def kernel_matrix(spec: EmbeddingKernelSpec, s: np.ndarray, t: np.ndarray, out=N
     return np.exp(d2, out=d2)
 
 
+def row_chunks(shape: tuple[int, int]) -> Iterator[slice]:
+    """Slices of consecutive rows of an array of `shape`, each of one row or at most
+    _CHUNK_BUDGET values."""
+    step = max(1, _CHUNK_BUDGET // max(1, shape[1]))
+    return (slice(a, a + step) for a in range(0, shape[0], step))
+
+
 # Segments of at most this many values can be summed by strided adds: np.add.reduceat
 # copies a segment's first value and adds the pairwise sum of the rest, and
 # numpy's pairwise sum is a plain left-to-right loop below 8 values.
@@ -242,13 +250,17 @@ def pair_sums(
         lo, hi = bounds[start], bounds[stop]
         pair = [(row_points, row_starts), (points[lo:hi], bounds[start:stop] - lo)]
         (first, first_starts), (second, second_starts) = pair if row_first else pair[::-1]
-        shape, tile = (len(first), len(second)), None
-        if scratch is not None and shape[0] * shape[1] <= _CHUNK_BUDGET:
-            if not hasattr(scratch, "tile"):
-                scratch.tile = np.empty(_CHUNK_BUDGET)
-            tile = scratch.tile[: shape[0] * shape[1]].reshape(shape)
-        kmat = kernel_matrix(spec, first, second, tile)
-        per_point = segment_sums(kmat, second_starts).T.copy()
+        per_point = np.empty((len(second_starts), len(first)))
+        # Points of `first` in slices that fit one tile; a point's sums are its own.
+        for part in row_chunks((len(first), len(second))):
+            size, tile = len(first[part]) * len(second), None
+            if scratch is not None and size <= _CHUNK_BUDGET:
+                if not hasattr(scratch, "tile"):
+                    scratch.tile = np.empty(_CHUNK_BUDGET)
+                tile = scratch.tile[:size].reshape(-1, len(second))
+            kmat = kernel_matrix(spec, first[part], second, tile)
+            per_point[:, part] = segment_sums(kmat, second_starts).T
+            del kmat  # a fresh array (no scratch) is freed before the next one
         sums = segment_sums(per_point, first_starts)
         out[:, start:stop] = sums.T if row_first else sums
         start = stop

@@ -26,7 +26,7 @@ import numpy as np
 import scipy.linalg
 
 from .blas import serial_blas
-from .embedding import Bag, EmbeddingKernelSpec, check_dims, embed_inner, pair_sums
+from .embedding import Bag, EmbeddingKernelSpec, check_dims, embed_inner, pair_sums, row_chunks
 from .embedding import kernel_matrix  # noqa: F401  (bench/spans.py wraps gram.kernel_matrix)
 from .errors import ConfigError, InputError, NumericalError
 from .outer import OuterKernelSpec, apply_outer
@@ -166,7 +166,8 @@ def _embedding_inners(
     from the direction its pair prescribes. With `symmetric` (one list) a
     block reduces only from its first rank on, and once every block is done
     the strict lower triangle is mirrored from the upper one. Blocks only
-    reduce; the sums are divided by the bag sizes once at the end.
+    reduce; the sums are divided by the bag sizes once at the end. All of it
+    works in place: the result is the one array of its shape this makes.
     """
     union = list(row_bags) if symmetric else [*row_bags, *col_bags]
     rank = np.argsort(sorted(range(len(union)), key=lambda k: union[k]._order_key()))
@@ -199,13 +200,30 @@ def _embedding_inners(
     row_evals = row_sizes * reach
     _run_tasks(fill, _row_blocks(row_evals), threads, int(row_evals.sum()), len(row_sizes))
     if symmetric:
-        for k in range(1, len(inner)):
-            inner[k, :k] = inner[:k, k]
+        mirror_upper(inner)
     # N_r * N_c is an exact integer, so a mirrored sum divides to the same bits.
-    inner /= row_sizes[:, None] * col_sizes
-    if all(np.array_equal(order, np.arange(len(order))) for order in (row_order, col_order)):
-        return inner
-    return inner[np.ix_(np.argsort(row_order), np.argsort(col_order))]
+    for rows in row_chunks(inner.shape):
+        inner[rows] /= row_sizes[rows, None] * col_sizes
+    if not all(np.array_equal(order, np.arange(len(order))) for order in (row_order, col_order)):
+        _reorder(inner, np.argsort(row_order), np.argsort(col_order))
+    return inner
+
+
+def mirror_upper(a: np.ndarray) -> None:
+    """Copy the strict upper triangle of the square `a` onto its lower one, in place."""
+    for k in range(1, len(a)):
+        a[k, :k] = a[:k, k]
+
+
+def _reorder(a: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> None:
+    """a[:] = a[np.ix_(rows, cols)] in place, walking each cycle of `rows` with one row aside."""
+    rows, done = rows.tolist(), [False] * len(rows)
+    for start in range(len(rows)):
+        i, held = start, None if done[start] else a[start].copy()
+        while not done[i]:
+            done[i], src = True, rows[i]
+            a[i] = (held if src == start else a[src])[cols]
+            i = src
 
 
 def _self_inners(espec: EmbeddingKernelSpec, bags: Sequence[Bag], threads: int) -> np.ndarray:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import numpy as np
 
-from .embedding import Bag, EmbeddingKernelSpec, embed_inner
+from .embedding import Bag, EmbeddingKernelSpec, embed_inner, row_chunks
 from .errors import ConfigError, InputError, config_float, config_keys
 
 # family -> (symmetric, PSD claimed, the parameters it takes)
@@ -159,34 +159,35 @@ def apply_outer(
     The one table of outer-kernel formulas: `inner[i, j]` = <mu_i, mu_j>,
     `row_self`/`col_self` the self inner products, and `row_ref[i]` =
     <mu_i, mu_ref> for the tilted family's reference bag. `inner` is used as
-    scratch and may be returned as the result, so the table makes at most one
-    array of its shape besides (two for dog_indefinite). Parameters out of
+    scratch and returned as the result: it is mapped in place, one row chunk
+    (`embedding.row_chunks`) at a time, so the table makes at most one array of
+    a chunk's shape besides (two for dog_indefinite). Parameters out of
     floating-point range (a sigma whose square underflows) give non-finite
     values without a numpy warning; the Gram builders reject them.
     """
+    if kspec.family == "linear_embedding":
+        return inner
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if kspec.family == "linear_embedding":
-            return inner
-        if kspec.family == "tanh_indefinite":
-            inner *= kspec.scale
-            inner += kspec.offset
-            return np.tanh(inner, out=inner)
-        d2 = np.add.outer(row_self, col_self)
-        inner *= 2.0
-        d2 -= inner
-        np.clip(d2, 0.0, None, out=d2)
-        if kspec.family == "gaussian_on_embedding":
-            return _gaussian_of(d2, kspec.sigma, out=d2)
-        if kspec.family == "dog_indefinite":
-            wide = _gaussian_of(d2, kspec.sigma2)
-            wide *= kspec.c
-            values = _gaussian_of(d2, kspec.sigma1, out=d2)
-            values -= wide
-            return values
-        # tilted_asymmetric: the tilt is a function of the row bag only
-        values = _gaussian_of(d2, kspec.sigma, out=d2)
-        values *= (1.0 + kspec.c * row_ref)[:, None]
-        return values
+        for rows in row_chunks(inner.shape):
+            values = inner[rows]
+            if kspec.family == "tanh_indefinite":
+                values *= kspec.scale
+                values += kspec.offset
+                np.tanh(values, out=values)
+                continue
+            values *= 2.0
+            np.subtract(np.add.outer(row_self[rows], col_self), values, out=values)
+            np.clip(values, 0.0, None, out=values)
+            if kspec.family == "dog_indefinite":
+                wide = _gaussian_of(values, kspec.sigma2)
+                wide *= kspec.c
+                _gaussian_of(values, kspec.sigma1, out=values)
+                values -= wide
+                continue
+            _gaussian_of(values, kspec.sigma, out=values)
+            if kspec.family == "tilted_asymmetric":  # the tilt is a function of the row bag only
+                values *= (1.0 + kspec.c * row_ref[rows])[:, None]
+    return inner
 
 
 def outer_eval(

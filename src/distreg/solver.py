@@ -33,7 +33,7 @@ import scipy.linalg
 from .blas import serial_blas
 from .embedding import Bag, EmbeddingKernelSpec
 from .errors import ConfigError, ContractError, InputError, NumericalError
-from .gram import GramMatrix, build_cross_gram, check_threads
+from .gram import GramMatrix, build_cross_gram, check_threads, mirror_upper
 from .outer import OuterKernelSpec
 
 SCHEMES = ("coefficient_l2", "krr")
@@ -77,9 +77,13 @@ class FitReport:
     factor) of the 1-norm condition number ||A||_1 ||A^-1||_1 of the system
     matrix A, not of the 2-norm one. The estimate does not exceed the 1-norm
     condition number and is rarely below a third of it; that number in turn
-    lies within a factor of m of the 2-norm one. `wall_time` covers the
-    system assembly, the factorization, the solve and this report; it does not
-    cover building the Gram matrix or selecting lambda, which come before it.
+    lies within a factor of m of the 2-norm one. `residual_norm` is the
+    relative residual ||A alpha - b|| / ||b|| of the normal equations, with
+    A alpha evaluated from G, since the factorization overwrites A:
+    G^T (G alpha) + lam m^2 alpha for the coefficient scheme, G alpha +
+    lam m alpha for the ridge. `wall_time` covers the system assembly, the
+    factorization, the solve and this report; it does not cover building the
+    Gram matrix or selecting lambda, which come before it.
     """
 
     objective_value: float
@@ -127,9 +131,14 @@ def _validate_fit_inputs(g: GramMatrix, y: np.ndarray, lam: float) -> np.ndarray
     return y
 
 
-def _cho_factor(system: np.ndarray) -> tuple[np.ndarray, bool]:
+def _cho_factor(scheme: str, system: np.ndarray) -> tuple[np.ndarray, bool]:
+    # Factors the F-ordered view system.T in place, whose upper triangle is the lower
+    # one of `system`. G^T G is exactly symmetric; a ridge system, whose G may be
+    # hand-made, first gets its own upper triangle mirrored there.
+    if scheme == "krr":
+        mirror_upper(system)
     try:
-        return scipy.linalg.cho_factor(system)
+        return scipy.linalg.cho_factor(system.T, overwrite_a=True)
     except scipy.linalg.LinAlgError as exc:
         raise NumericalError(f"SPD factorization failed: {exc}") from exc
 
@@ -153,12 +162,13 @@ def solve_alpha(scheme: str, g_values: np.ndarray, y: np.ndarray, lam: float) ->
     if lam <= 0:
         raise ConfigError(f"lambda must be positive, got {lam}")
     system, rhs = assemble_system(scheme, g_values, np.asarray(y, dtype=np.float64), lam)
-    return scipy.linalg.cho_solve(_cho_factor(system), rhs)
+    return scipy.linalg.cho_solve(_cho_factor(scheme, system), rhs)
 
 
 def _eigh(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # evr needs no 2 m^2 workspace, unlike the divide-and-conquer default.
-    return scipy.linalg.eigh(sym, lower=False, driver="evr", check_finite=False)
+    # In place on the F-ordered view of the exactly symmetric `sym`, from the same upper
+    # triangle numbers; evr needs no 2 m^2 workspace, unlike divide and conquer (evd).
+    return scipy.linalg.eigh(sym.T, lower=False, driver="evr", overwrite_a=True, check_finite=False)
 
 
 @serial_blas
@@ -175,19 +185,26 @@ def alpha_paths(
     coefficient scheme decomposes G^T G = Q diag(E) Q^T and takes
     Q diag(1/(E + lam m^2)) Q^T G^T y. A ridge system that is not positive
     definite at some lam raises NumericalError. `g_values` must be finite,
-    as a GramMatrix's values are; they are not checked here.
+    as a GramMatrix's values are; they are not checked here. `g_values` is
+    used as scratch: it is decomposed in place, so pass a copy to keep it.
     """
     lams = np.asarray(lams, dtype=np.float64)
     if np.any(lams <= 0):
         raise ConfigError(f"lambda must be positive, got {lams.min()}")
     y = np.asarray(y, dtype=np.float64)
     m = len(y)
+    # What reads G intact comes first: G^T G, G^T y, then the upper triangle mirrored.
+    symmetric = np.array_equal(g_values, g_values.T)
+    if not symmetric:
+        if "coefficient_l2" in schemes:
+            eig_gtg, gty = _eigh(g_values.T @ g_values), g_values.T @ y
+        mirror_upper(g_values)
     eig_g = None
     paths = {}
     for scheme in schemes:
-        if check_scheme(scheme) == "coefficient_l2" and not np.array_equal(g_values, g_values.T):
-            evals, q = _eigh(g_values.T @ g_values)
-            num, denom = (q.T @ (g_values.T @ y))[:, None], evals[:, None] + lams * m * m
+        if check_scheme(scheme) == "coefficient_l2" and not symmetric:
+            evals, q = eig_gtg
+            num, denom = (q.T @ gty)[:, None], evals[:, None] + lams * m * m
         else:
             if eig_g is None:
                 eig_g = _eigh(g_values)
@@ -203,35 +220,6 @@ def alpha_paths(
                     )
         paths[scheme] = q @ (num / denom)
     return paths
-
-
-def _report(
-    system: np.ndarray,
-    rhs: np.ndarray,
-    alpha: np.ndarray,
-    factor: tuple[np.ndarray, bool],
-    norm1: float,
-    objective: float,
-    t0: float,
-) -> FitReport:
-    residual = np.linalg.norm(system @ alpha - rhs)
-    scale = np.linalg.norm(rhs)
-    rel_residual = residual / scale if scale > 0 else residual
-    rcond, _ = scipy.linalg.lapack.dpocon(factor[0], norm1, uplo="L" if factor[1] else "U")
-    cond = 1.0 / rcond if rcond > 0 else math.inf
-    if cond > CONDITION_WARN_THRESHOLD:
-        warnings.warn(
-            f"system condition estimate {cond:.3e} exceeds {CONDITION_WARN_THRESHOLD:.0e}; "
-            "solution is SPD-solvable but may be inaccurate",
-            IllConditionedWarning,
-            stacklevel=4,
-        )
-    return FitReport(
-        objective_value=float(objective),
-        residual_norm=float(rel_residual),
-        condition_estimate=cond,
-        wall_time=time.perf_counter() - t0,
-    )
 
 
 def coefficient_objective(g_values: np.ndarray, y: np.ndarray, lam: float, alpha: np.ndarray) -> float:
@@ -264,9 +252,10 @@ def _fit(
         raise InputError("train_bags must match the Gram matrix dimension")
     t0 = time.perf_counter()
     system, rhs = assemble_system(scheme, g.values, y, lam)
-    # Taken before factoring, so |system| is gone before the factor exists.
-    norm1 = float(np.linalg.norm(system, 1))
-    factor = _cho_factor(system)
+    # ||system||_1 as np.linalg.norm(system, 1) sums it, down each column in row
+    # order, but with no |system| copy; taken first, as the factor overwrites it.
+    norm1 = scipy.linalg.lapack.dlange("I", system.T)
+    factor = _cho_factor(scheme, system)
     alpha = scipy.linalg.cho_solve(factor, rhs)
     model = CoefficientModel(
         alpha=alpha,
@@ -278,7 +267,28 @@ def _fit(
         train_self_inners=g.self_inners,
     )
     objective = coefficient_objective if scheme == "coefficient_l2" else krr_objective
-    report = _report(system, rhs, alpha, factor, norm1, objective(g.values, y, lam, alpha), t0)
+    # The system is the factor by now, so the residual is evaluated from G.
+    m, g_alpha = len(y), g.values @ alpha
+    if scheme == "coefficient_l2":
+        applied = g.values.T @ g_alpha + lam * m * m * alpha
+    else:
+        applied = g_alpha + lam * m * alpha
+    residual, scale = np.linalg.norm(applied - rhs), np.linalg.norm(rhs)
+    rcond, _ = scipy.linalg.lapack.dpocon(factor[0], norm1, uplo="L" if factor[1] else "U")
+    cond = 1.0 / rcond if rcond > 0 else math.inf
+    if cond > CONDITION_WARN_THRESHOLD:
+        warnings.warn(
+            f"system condition estimate {cond:.3e} exceeds {CONDITION_WARN_THRESHOLD:.0e}; "
+            "solution is SPD-solvable but may be inaccurate",
+            IllConditionedWarning,
+            stacklevel=3,
+        )
+    report = FitReport(
+        objective_value=objective(g.values, y, lam, alpha),
+        residual_norm=float(residual / scale if scale > 0 else residual),
+        condition_estimate=cond,
+        wall_time=time.perf_counter() - t0,
+    )
     return model, report
 
 

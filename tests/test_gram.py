@@ -195,12 +195,17 @@ def test_kernel_tiles_bound_peak_memory(threads):
     # Each thread reduces in tiles of at most _CHUNK_BUDGET values (1 MiB), in
     # one buffer for the whole Gram. One row bag against all 6000 column points
     # at once would take 4.8 MB per thread; the 60 x 60 results take ~30 kB.
+    # A pair of 500-point bags would take 2 MB: its first bag's points are
+    # split across tiles instead.
     rng = np.random.default_rng(41)
     train, test = ([Bag(f"{p}{i}", rng.normal(size=(100, 1))) for i in range(60)] for p in "tb")
+    big = [Bag(f"c{i}", rng.normal(size=(500, 1))) for i in range(6)]
     espec, kspec = EmbeddingKernelSpec("gaussian", 0.5, 1), OuterKernelSpec.gaussian(1.0)
     for build in (
         lambda: build_gram(kspec, espec, train, threads=threads),
         lambda: build_cross_gram(kspec, espec, test, train, threads=threads),
+        lambda: build_gram(kspec, espec, big, threads=threads),
+        lambda: build_cross_gram(kspec, espec, big[:2], big[2:], threads=threads),
     ):
         tracemalloc.start()
         try:
@@ -210,6 +215,22 @@ def test_kernel_tiles_bound_peak_memory(threads):
             tracemalloc.stop()
         assert peak < threads * 1.5 * 2**20
 
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (7, 7), (40, 40), (13, 29), (29, 13)])
+def test_reorder_in_place_equals_fancy_indexing(shape):
+    from distreg.gram import _reorder
+
+    rng = np.random.default_rng(sum(shape))
+    a = rng.normal(size=shape)
+    for rows, cols in (
+        (rng.permutation(shape[0]), rng.permutation(shape[1])),
+        (np.arange(shape[0]), rng.permutation(shape[1])),
+        (rng.permutation(shape[0]), np.arange(shape[1])),
+    ):
+        want, got = a[np.ix_(rows, cols)], a.copy()
+        _reorder(got, rows, cols)
+        assert got.tobytes() == want.tobytes()
 
 class TestCrossGram:
     def test_equals_gram_when_test_is_train(self, gaussian_embedding):

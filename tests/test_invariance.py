@@ -304,8 +304,9 @@ def test_cli_outputs_do_not_depend_on_threads_across_processes(tmp_path):
     # generate, fit, predict and sweep as fresh processes, twice at --threads 1
     # and twice at --threads 2. Bags of 100 points put the Gram rows and the
     # cross-Gram rows of predict and of the sweep over the pool threshold, so
-    # 2 threads start a pool. The fit report is left out: its wall time varies
-    # by design.
+    # 2 threads start a pool. Of the fit report (`fit --json`) every field is
+    # compared but two: the wall time varies by design, and the condition
+    # estimate (LAPACK dpocon) still differs between processes.
     synth = {"scale": 0.1, "target": "linear_mean", "noise_sd": 0.05, "noise_bound": 2.0,
              "seed": 3}
     cfg, sweep_cfg = tmp_path / "config.json", tmp_path / "sweep.json"
@@ -329,13 +330,13 @@ def test_cli_outputs_do_not_depend_on_threads_across_processes(tmp_path):
     src = str(Path(distreg.__file__).resolve().parents[1])
     names = ("bags.ndjson", "model.json", "preds.csv", "sweep/rates.csv", "sweep/summary.json")
 
-    def run(index: int) -> list[bytes]:
+    def run(index: int) -> list:
         threads, out = "12"[index // 2], tmp_path / f"run{index}"
         bags, model, preds = (out / name for name in names[:3])
         out.mkdir()
         for argv in (
             ["generate", "--config", cfg, "--out", bags],
-            ["fit", "--config", cfg, "--out", model, "--threads", threads],
+            ["fit", "--config", cfg, "--out", model, "--threads", threads, "--json"],
             ["predict", "--model", model, "--bags", bags, "--out", preds, "--threads", threads],
             ["sweep", "--config", sweep_cfg, "--out", out / "sweep", "--threads", threads],
         ):
@@ -344,7 +345,11 @@ def test_cli_outputs_do_not_depend_on_threads_across_processes(tmp_path):
                 capture_output=True, text=True, env={"PYTHONPATH": src}, timeout=120,
             )
             assert proc.returncode == 0, proc.stderr
-        return [(out / name).read_bytes() for name in names]
+            if argv[0] == "fit":
+                report = json.loads(proc.stdout)
+        assert set(report) == {"objective_value", "residual_norm", "condition_estimate", "wall_time"}
+        del report["wall_time"], report["condition_estimate"]
+        return [(out / name).read_bytes() for name in names] + [report]
 
     with ThreadPoolExecutor(max_workers=4) as pool:
         outputs = list(pool.map(run, range(4)))

@@ -198,3 +198,59 @@ def test_spec_roundtrip_through_dict():
         assert back.symmetric == spec.symmetric
         if spec.ref_bag is not None:
             assert np.array_equal(back.ref_bag.points, spec.ref_bag.points)
+
+
+def one_shot_outer(kspec, inner, row_self, col_self, row_ref=None):
+    """The outer-kernel table as whole-matrix passes on a copy: the oracle for
+    `apply_outer`, which maps its `inner` in place one row chunk at a time."""
+    inner = inner.copy()
+    if kspec.family == "linear_embedding":
+        return inner
+    if kspec.family == "tanh_indefinite":
+        return np.tanh(inner * kspec.scale + kspec.offset)
+    d2 = np.add.outer(row_self, col_self)
+    d2 -= inner * 2.0
+    np.clip(d2, 0.0, None, out=d2)
+
+    def gaussian(sigma):
+        return np.exp(d2 * -0.5 / sigma**2)
+
+    if kspec.family == "dog_indefinite":
+        return gaussian(kspec.sigma1) - gaussian(kspec.sigma2) * kspec.c
+    values = gaussian(kspec.sigma)
+    if kspec.family == "tilted_asymmetric":
+        values *= (1.0 + kspec.c * row_ref)[:, None]
+    return values
+
+
+@pytest.mark.parametrize(
+    "rows, cols, budget",
+    [(23, 23, 51), (23, 17, 51), (17, 40, 7 * 40), (300, 1000, None), (1000, 300, None)],
+)
+def test_apply_outer_in_row_chunks_equals_one_shot_formula(rows, cols, budget, monkeypatch):
+    # Row counts that are not a multiple of the chunk's, square (Gram) and
+    # rectangular (cross-Gram) shapes, the shipped budget and small ones.
+    from distreg import embedding
+    from distreg.outer import apply_outer
+
+    if budget is not None:
+        monkeypatch.setattr(embedding, "_CHUNK_BUDGET", budget)
+    rng = np.random.default_rng(rows * cols)
+    mu_r, mu_c = rng.normal(size=(rows, 3)), rng.normal(size=(cols, 3))
+    mu_r[: min(rows, cols) // 2] = mu_c[: min(rows, cols) // 2]  # distances ~0: the clip acts
+    inner = mu_r @ mu_c.T
+    row_self, col_self = np.sum(mu_r**2, axis=1), np.sum(mu_c**2, axis=1)
+    row_ref = rng.normal(size=rows)
+    ref = Bag("ref", [[0.0]])
+    for kspec in (
+        OuterKernelSpec.linear(),
+        OuterKernelSpec.gaussian(0.7),
+        OuterKernelSpec.dog(0.3, 1.1, 0.8),
+        OuterKernelSpec.tanh(1.3, 0.2),
+        OuterKernelSpec.tilted(0.9, 0.6, ref),
+    ):
+        want = one_shot_outer(kspec, inner, row_self, col_self, row_ref)
+        scratch = inner.copy()
+        got = apply_outer(kspec, scratch, row_self, col_self, row_ref)
+        assert got is scratch
+        assert got.tobytes() == want.tobytes(), kspec.family

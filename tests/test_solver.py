@@ -19,7 +19,8 @@ from distreg import (
     fit_krr,
     predict,
 )
-from distreg.solver import assemble_system, coefficient_objective, krr_objective
+from distreg.blas import serial_blas
+from distreg.solver import assemble_system, coefficient_objective, krr_objective, solve_alpha
 
 from conftest import gram_from_matrix, make_bags, make_indefinite_fixture
 from test_gram import naive_outer
@@ -416,3 +417,155 @@ def test_alpha_length_validation():
             embedding_kernel=ESPEC,
             scheme="krr",
         )
+
+
+def oracle_fit(scheme, values, y, lam):
+    """alpha and condition estimate by whole-matrix formulas: factor a copy of the
+    system, its 1-norm from np.linalg.norm, LAPACK dpocon on the factor."""
+    import scipy.linalg
+
+    with serial_blas:
+        system, rhs = assemble_system(scheme, values, y, lam)
+        norm1 = np.linalg.norm(system, 1)
+        factor = scipy.linalg.cho_factor(system.copy())
+        rcond, _ = scipy.linalg.lapack.dpocon(factor[0], norm1, uplo="U")
+        return scipy.linalg.cho_solve(factor, rhs), 1.0 / rcond
+
+
+def hand_made_asymmetric(seed, m=50):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(m, m))
+    values = a @ a.T / m + np.eye(m) + 1e-3 * rng.normal(size=(m, m))
+    assert not np.array_equal(values, values.T)
+    return values, rng.normal(size=m)
+
+
+class TestInPlaceFitBits:
+    """A fit factors its own system in place and takes the 1-norm without a
+    copy; alpha, objective and condition estimate keep the bits of the formulas
+    on a copy. Only the residual, now evaluated from G, may move."""
+
+    @pytest.mark.parametrize("scheme", ["coefficient_l2", "krr"])
+    def test_built_gram(self, scheme):
+        espec = EmbeddingKernelSpec("gaussian", 0.3, 1)
+        bags = make_bags(71, 150, 4, 1)  # ids bag-00 ... bag-149: not in rank order
+        kspec = OuterKernelSpec.gaussian(0.8)
+        g = build_gram(kspec, espec, bags)
+        y = np.random.default_rng(3).normal(size=g.m)
+        fit = fit_coefficient if scheme == "coefficient_l2" else fit_krr
+        objective = coefficient_objective if scheme == "coefficient_l2" else krr_objective
+        for lam in (1e-6, 1e-3):
+            model, report = fit(g, y, lam, bags, kspec, espec)
+            alpha, cond = oracle_fit(scheme, g.values, y, lam)
+            assert model.alpha.tobytes() == alpha.tobytes()
+            assert report.condition_estimate == cond
+            assert report.objective_value == objective(g.values, y, lam, alpha)
+            assert report.residual_norm <= 1e-8
+            assert solve_alpha(scheme, g.values, y, lam).tobytes() == alpha.tobytes()
+
+    @pytest.mark.parametrize("scheme", ["coefficient_l2", "krr"])
+    def test_hand_made_asymmetric_gram(self, scheme):
+        # The ridge system is factored from its upper triangle, as on a copy;
+        # the caller's matrix is left as it was.
+        values, y = hand_made_asymmetric(5)
+        kept = values.copy()
+        g = gram_from_matrix(values)
+        fit = fit_coefficient if scheme == "coefficient_l2" else fit_krr
+        model, report = fit(g, y, 1e-3, _dummy_bags(g.m), PSD_KSPEC, ESPEC)
+        alpha, cond = oracle_fit(scheme, values, y, 1e-3)
+        assert model.alpha.tobytes() == alpha.tobytes()
+        assert report.condition_estimate == cond
+        assert solve_alpha(scheme, values, y, 1e-3).tobytes() == alpha.tobytes()
+        assert np.array_equal(values, kept)
+
+    def test_one_norm_without_a_copy_equals_numpy(self):
+        import scipy.linalg
+
+        a = np.random.default_rng(6).normal(size=(1000, 1000)) * np.logspace(0, 3, 1000)
+        assert scipy.linalg.lapack.dlange("I", a.T) == np.linalg.norm(a, 1)
+
+
+def oracle_paths(schemes, values, y, lams):
+    """alpha_paths by eigh on copies of G (or of G^T G), read from the upper triangle."""
+    import scipy.linalg
+
+    def eigh(a):
+        return scipy.linalg.eigh(a.copy(), lower=False, driver="evr", check_finite=False)
+
+    lams, m, out = np.asarray(lams), len(y), {}
+    with serial_blas:
+        for scheme in schemes:
+            if scheme == "coefficient_l2" and not np.array_equal(values, values.T):
+                e, q = eigh(values.T @ values)
+                num, den = (q.T @ (values.T @ y))[:, None], e[:, None] + lams * m * m
+            elif scheme == "coefficient_l2":
+                e, q = eigh(values)
+                num, den = (e * (q.T @ y))[:, None], e[:, None] ** 2 + lams * m * m
+            else:
+                e, q = eigh(values)
+                num, den = (q.T @ y)[:, None], e[:, None] + lams * m
+            out[scheme] = q @ (num / den)
+    return out
+
+
+@pytest.mark.parametrize("asymmetric", [False, True])
+@pytest.mark.parametrize("schemes", [("coefficient_l2", "krr"), ("krr", "coefficient_l2")])
+def test_alpha_paths_in_place_equal_eigh_on_a_copy(schemes, asymmetric):
+    from distreg.solver import alpha_paths
+
+    if asymmetric:
+        values, y = hand_made_asymmetric(8, m=70)
+    else:
+        values = random_psd_matrix(8, m=70) + np.eye(70)
+        y = np.random.default_rng(8).normal(size=70)
+    lams = np.logspace(-8, 0, 7)
+    want = oracle_paths(schemes, values, y, lams)
+    scratch = values.copy()
+    got = alpha_paths(schemes, scratch, y, lams)
+    assert list(got) == list(schemes)
+    for scheme in schemes:
+        assert got[scheme].tobytes() == want[scheme].tobytes()
+    assert not np.array_equal(scratch, values)  # decomposed in place
+
+
+class TestDenseStagesMemory:
+    """Gram assembly, lambda selection and each fit hold G plus at most 1.4 m^2
+    float64 above what they were given: the division, mirror, reordering and
+    outer-kernel map work in place on the Gram, and the lambda path and the
+    fits decompose their own block or system in place. Bag ids b0, b1, ... are
+    not in rank order, so the Gram is also put back in the callers' order."""
+
+    M = 1000
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        rng = np.random.default_rng(12)
+        bags = [Bag(f"b{i}", rng.normal(size=(4, 1))) for i in range(self.M)]
+        espec, kspec = EmbeddingKernelSpec("gaussian", 0.5, 1), OuterKernelSpec.gaussian(1.0)
+        return bags, espec, kspec, build_gram(kspec, espec, bags), rng.normal(size=self.M)
+
+    @pytest.mark.parametrize(
+        "stage", ["build_gram", "select_lambda_holdout", "fit_coefficient", "fit_krr", "solve_alpha"]
+    )
+    def test_peak_above_entry(self, problem, stage):
+        import tracemalloc
+
+        from distreg.analysis import select_lambda_holdout
+
+        bags, espec, kspec, g, y = problem
+        run = {
+            "build_gram": lambda: build_gram(kspec, espec, bags),
+            "select_lambda_holdout": lambda: select_lambda_holdout(
+                g.values, y, np.logspace(-8, 0, 5), ("coefficient_l2", "krr"), 0.3, 4
+            ),
+            "fit_coefficient": lambda: fit_coefficient(g, y, 1e-4, bags, kspec, espec),
+            "fit_krr": lambda: fit_krr(g, y, 1e-4, bags, kspec, espec),
+            "solve_alpha": lambda: solve_alpha("coefficient_l2", g.values, y, 1e-4),
+        }[stage]
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.4 * 8 * self.M**2

@@ -228,11 +228,13 @@ def _reorder(a: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> None:
 
 def _self_inners(espec: EmbeddingKernelSpec, bags: Sequence[Bag], threads: int) -> np.ndarray:
     out = np.empty(len(bags))
+    scratch = threading.local()  # one kernel tile buffer per thread, freed on return
 
     def fill(i: int) -> None:
         b = bags[i]
         bounds = np.array([0, b.size])
-        out[i] = pair_sums(espec, b.points, bounds, b.points, bounds, True)[0, 0] / b.size**2
+        total = pair_sums(espec, b.points, bounds, b.points, bounds, True, scratch)[0, 0]
+        out[i] = total / b.size**2
 
     evals = sum(b.size**2 for b in bags)
     _run_tasks(fill, range(len(bags)), threads, evals, len(bags))

@@ -3,7 +3,10 @@
 Bag files are NDJSON, one record per line: {"id", "y", "params"?, "points"}.
 A null "y" is allowed only where labels are not needed (prediction inputs).
 Model documents are single JSON objects embedding the full training bags;
-predictions need the training points, so model files can be large. Floats
+predictions need the training points, so model files can be large. They are
+written and read one training-bag record at a time: each record is encoded
+on its own and its points are parsed straight into an array, so neither the
+whole document string nor Python lists of every point exist at once. Floats
 are serialized with their shortest round-trip representation, making
 save/load exact.
 """
@@ -19,7 +22,7 @@ from typing import Iterable, Sequence, TextIO
 import numpy as np
 
 from .embedding import Bag, BagParams, EmbeddingKernelSpec
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, config_float
 from .gram import GramMatrix, kernel_fingerprint
 from .outer import OuterKernelSpec
 from .solver import CoefficientModel
@@ -94,7 +97,9 @@ def read_bags(path: str | Path, require_labels: bool = False) -> list[Bag]:
 
 
 def save_model(model: CoefficientModel, path: str | Path) -> None:
-    doc = {
+    """Write the model document, the bytes of json.dumps(doc) + "\\n", one
+    training-bag record at a time."""
+    head = {
         "format": MODEL_FORMAT,
         "scheme": model.scheme,
         "lambda": model.lam,
@@ -102,18 +107,32 @@ def save_model(model: CoefficientModel, path: str | Path) -> None:
         "outer_kernel": model.outer_kernel.to_dict(),
         "kernel_fingerprint": kernel_fingerprint(model.outer_kernel, model.embedding_kernel),
         "alpha": [float(a) for a in model.alpha],
-        "train_bags": [bag_to_record(b) for b in model.train_bags],
+        "train_bags": [],
     }
-    # One json.dumps goes through the C encoder; json.dump streams through the
-    # pure-Python one. The bytes are the same.
     with open(path, "w") as fh:
-        fh.write(json.dumps(doc) + "\n")
+        fh.write(json.dumps(head)[:-2])  # all but the empty list's "]}"
+        for k, bag in enumerate(model.train_bags):
+            fh.write((", " if k else "") + json.dumps(bag_to_record(bag)))
+        fh.write("]}\n")
+
+
+def _points_as_array(obj: dict) -> dict:
+    """json object_hook: a record's "points" list becomes a float64 array as soon
+    as the record is parsed. A list that does not convert is left for Bag to
+    reject with its own message."""
+    points = obj.get("points")
+    if isinstance(points, list):
+        try:
+            obj["points"] = np.array(points, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    return obj
 
 
 def load_model(path: str | Path) -> CoefficientModel:
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_hook=_points_as_array)
     except OSError as exc:
         raise InputError(f"cannot read model file {path}: {exc}") from exc
     except ValueError as exc:  # invalid JSON, or an integer past Python's digit limit
@@ -122,9 +141,14 @@ def load_model(path: str | Path) -> CoefficientModel:
         found = doc.get("format") if isinstance(doc, dict) else type(doc).__name__
         raise InputError(f"model file {path} has format {found!r}, expected {MODEL_FORMAT!r}")
     try:
+        if not isinstance(doc["alpha"], list):
+            raise ValueError("'alpha' must be a list of numbers")
+        lam = config_float(doc["lambda"], "'lambda'")
+        if not lam > 0:
+            raise ValueError(f"'lambda' must be positive, got {lam!r}")
         return CoefficientModel(
-            alpha=np.asarray(doc["alpha"], dtype=np.float64),
-            lam=float(doc["lambda"]),
+            alpha=np.array([config_float(a, "'alpha' entry") for a in doc["alpha"]]),
+            lam=lam,
             train_bags=tuple(
                 bag_from_record(r, where=f" in model file {path}") for r in doc["train_bags"]
             ),

@@ -21,7 +21,6 @@ inverses are formed. This linear algebra runs on one BLAS thread
 
 from __future__ import annotations
 
-import math
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -73,11 +72,13 @@ def check_scheme(scheme: str, outer_kernel: OuterKernelSpec | None = None) -> st
 class FitReport:
     """Diagnostics of one fit.
 
-    `condition_estimate` is LAPACK's estimate (dpocon, on the fit's Cholesky
-    factor) of the 1-norm condition number ||A||_1 ||A^-1||_1 of the system
-    matrix A, not of the 2-norm one. The estimate does not exceed the 1-norm
-    condition number and is rarely below a third of it; that number in turn
-    lies within a factor of m of the 2-norm one. `residual_norm` is the
+    `condition_estimate` is ||A||_1 times the Hager-Higham estimate of
+    ||A^-1||_1 (the algorithm of LAPACK's dlacn2, as in dpocon, on solves with
+    the fit's Cholesky factor): an estimate of the 1-norm condition number of
+    the system matrix A, not of the 2-norm one, with the same bits in every
+    process. The estimate does not exceed the 1-norm condition number and is
+    rarely below a third of it; that number in turn lies within a factor of m
+    of the 2-norm one. `residual_norm` is the
     relative residual ||A alpha - b|| / ||b|| of the normal equations, with
     A alpha evaluated from G, since the factorization overwrites A:
     G^T (G alpha) + lam m^2 alpha for the coefficient scheme, G alpha +
@@ -236,6 +237,41 @@ def krr_objective(g_values: np.ndarray, y: np.ndarray, lam: float, alpha: np.nda
     return float(fit @ fit / m + lam * (alpha @ (g_values @ alpha)))
 
 
+def _inverse_norm1(factor: tuple[np.ndarray, bool]) -> float:
+    """Hager-Higham estimate of ||A^-1||_1 for the SPD A factored by `factor`: the
+    algorithm of LAPACK's dlacn2, on solves with that factor (A^-1 is symmetric,
+    so one solve also serves A^-T). At most 11 solves; a lower bound on the norm.
+    Every step is a cho_solve or a numpy pass, so the bits do not depend on where
+    work arrays land in memory, as LAPACK's dpocon's do.
+    """
+
+    def solve(x: np.ndarray) -> np.ndarray:
+        return scipy.linalg.cho_solve(factor, x, check_finite=False)
+
+    def signs(x: np.ndarray) -> np.ndarray:
+        return np.where(x >= 0, 1.0, -1.0)
+
+    n = len(factor[0])
+    x = solve(np.full(n, 1.0 / n))
+    if n == 1:
+        return float(abs(x[0]))
+    est, sign = float(np.abs(x).sum()), signs(x)
+    j = int(np.argmax(np.abs(solve(sign))))
+    for _ in range(4):  # dlacn2's iterations 2 to ITMAX = 5
+        x = solve(np.eye(1, n, j)[0])
+        old, est = est, float(np.abs(x).sum())
+        if np.array_equal(signs(x), sign) or est <= old:  # converged, or cycling
+            break
+        sign = signs(x)
+        z = solve(sign)
+        last, j = j, int(np.argmax(np.abs(z)))
+        if z[last] == abs(z[j]):
+            break
+    # dlacn2's last test vector, signs alternating: 1, -(1 + 1/(n-1)), ..., +-2.
+    alt = (1.0 + np.arange(n) / (n - 1)) * np.where(np.arange(n) % 2, -1.0, 1.0)
+    return max(est, 2.0 * (float(np.abs(solve(alt)).sum()) / (3 * n)))
+
+
 @serial_blas
 def _fit(
     scheme: str,
@@ -274,8 +310,7 @@ def _fit(
     else:
         applied = g_alpha + lam * m * alpha
     residual, scale = np.linalg.norm(applied - rhs), np.linalg.norm(rhs)
-    rcond, _ = scipy.linalg.lapack.dpocon(factor[0], norm1, uplo="L" if factor[1] else "U")
-    cond = 1.0 / rcond if rcond > 0 else math.inf
+    cond = norm1 * _inverse_norm1(factor)
     if cond > CONDITION_WARN_THRESHOLD:
         warnings.warn(
             f"system condition estimate {cond:.3e} exceeds {CONDITION_WARN_THRESHOLD:.0e}; "

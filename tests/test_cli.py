@@ -143,6 +143,91 @@ class TestModelDocument:
         io.save_model(model, path)
         assert path.read_bytes() == (Path(__file__).parent / "data" / "model_small.json").read_bytes()
 
+    @staticmethod
+    def _one_string(model):
+        """The document as one json.dumps of the whole dict, the bytes save_model keeps."""
+        doc = {
+            "format": io.MODEL_FORMAT,
+            "scheme": model.scheme,
+            "lambda": model.lam,
+            "embedding_kernel": model.embedding_kernel.to_dict(),
+            "outer_kernel": model.outer_kernel.to_dict(),
+            "kernel_fingerprint": distreg.gram.kernel_fingerprint(
+                model.outer_kernel, model.embedding_kernel
+            ),
+            "alpha": [float(a) for a in model.alpha],
+            "train_bags": [io.bag_to_record(b) for b in model.train_bags],
+        }
+        return (json.dumps(doc) + "\n").encode()
+
+    @pytest.mark.parametrize(
+        "ids,tilted",
+        [
+            (['say "hi"', "back\\slash", "g\rh", "gr\u00fc\u00dfe", "\u65e5\u672c", "\U0001f600"],
+             False),
+            (["only"], False),
+            (["only"], True),
+            (["a", "b", "c"], True),
+        ],
+        ids=["odd-ids", "one-bag", "one-bag-tilted", "tilted"],
+    )
+    def test_streamed_bytes_equal_one_json_dumps(self, tmp_path, ids, tilted):
+        rng = np.random.default_rng(len(ids))
+        meta = MetaDistributionSpec(
+            dim=2, scale=0.1, target="linear_mean", noise_sd=0.1, noise_bound=2.0, seed=5
+        )
+        drawn = generate(meta, len(ids), 3).bags  # labels and params in every record
+        bags = [Bag(i, b.points, b.label, b.params) for i, b in zip(ids, drawn)]
+        ref = Bag("ref \"\u00e9\"", rng.normal(size=(4, 2)))
+        model = CoefficientModel(
+            alpha=np.array([1 / 3, -2.5e-7, 1e300, 5e-324, -0.0, 7.0][: len(bags)]),
+            lam=1e-3,
+            train_bags=tuple(bags),
+            outer_kernel=(
+                OuterKernelSpec.tilted(1.0, 0.5, ref) if tilted else OuterKernelSpec.gaussian(0.7)
+            ),
+            embedding_kernel=EmbeddingKernelSpec("gaussian", 0.5, 2),
+            scheme="coefficient_l2",
+        )
+        path = tmp_path / "model.json"
+        io.save_model(model, path)
+        assert path.read_bytes() == self._one_string(model)
+        loaded = io.load_model(path)
+        assert [b.id for b in loaded.train_bags] == ids
+        assert loaded.alpha.tobytes() == model.alpha.tobytes()
+        for a, b in zip(loaded.train_bags, model.train_bags):
+            assert a.points.tobytes() == b.points.tobytes() and a.label == b.label
+        if tilted:
+            assert loaded.outer_kernel.ref_bag.id == ref.id
+            assert loaded.outer_kernel.ref_bag.points.tobytes() == ref.points.tobytes()
+
+    def test_save_and_load_peak_memory(self, tmp_path):
+        # A model of 200 bags of 100 points (d=2), as distreg fit writes on the
+        # cli_fit_predict benchmark: 320 kB of points. One json.dumps of the
+        # whole document peaks at ~6.4 MB here, and json.load to lists at ~3.9 MB.
+        import tracemalloc
+
+        rng = np.random.default_rng(17)
+        bags = tuple(Bag(f"bag-{i:03d}", rng.normal(size=(100, 2)), 0.5) for i in range(200))
+        model = CoefficientModel(
+            alpha=rng.normal(size=200),
+            lam=1e-3,
+            train_bags=bags,
+            outer_kernel=OuterKernelSpec.tilted(1.0, 0.5, Bag("ref", rng.normal(size=(100, 2)))),
+            embedding_kernel=EmbeddingKernelSpec("gaussian", 0.25, 2),
+            scheme="coefficient_l2",
+        )
+        path = tmp_path / "model.json"
+        peaks = []
+        for step in (lambda: io.save_model(model, path), lambda: io.load_model(path)):
+            tracemalloc.start()
+            try:
+                step()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 0.5e6 and peaks[1] < 2.5e6, peaks
+
     def test_non_finite_cross_gram_raises(self, gaussian_embedding):
         bags = make_bags(74, 3, 3, 2)
         model = CoefficientModel(
@@ -577,11 +662,17 @@ class TestCmdPredict:
             ("outer_kernel", UNUSED_REF_KERNEL, "'ref_bag'"),
             ("lambda", 10**400, "malformed model file"),
             ("alpha", [10**400], "malformed model file"),
+            ("alpha", [[1.0]] * 12, "'alpha' entry must be a finite number, got [1.0]"),
+            ("alpha", [math.nan] + [1.0] * 11, "'alpha' entry must be a finite number, got nan"),
+            ("alpha", [True] + [1.0] * 11, "'alpha' entry must be a finite number, got True"),
+            ("lambda", -0.1, "'lambda' must be positive, got -0.1"),
+            ("lambda", math.nan, "'lambda' must be a finite number, got nan"),
         ],
         ids=["no-alpha", "string-alpha", "ragged-train-bag", "train-bags-not-a-list",
              "string-bandwidth", "negative-bandwidth", "string-outer-kernel",
              "ragged-ref-bag", "unused-outer-param", "ref-bag-on-gaussian",
-             "huge-lambda", "huge-alpha"],
+             "huge-lambda", "huge-alpha", "nested-alpha", "nan-alpha", "bool-alpha",
+             "negative-lambda", "nan-lambda"],
     )
     def test_malformed_model_exits_2(self, tmp_path, capsys, field, value, message):
         model_path = self._fit(tmp_path)
@@ -595,6 +686,50 @@ class TestCmdPredict:
         capsys.readouterr()
         assert main(["predict", "--model", str(model_path), "--bags", bags]) == 2
         assert message in one_error_line(capsys)
+
+    @pytest.mark.parametrize("where", ["train", "ref"])
+    @pytest.mark.parametrize(
+        "points,problem",
+        [
+            ([[0.1, 0.2], [0.3]], "points must be a nonempty (N, d) array of numbers"),
+            ([["abc", 0.1]], "points must be a nonempty (N, d) array of numbers"),
+            ([[10**400, 0.1]], "points must be a nonempty (N, d) array of numbers"),
+            ([[[0.1, 0.2]]], "points must be a nonempty (N, d) array of numbers"),
+            ([], "points must be a nonempty (N, d) array of numbers"),
+            ([[math.nan, 0.1]], "points contain non-finite values"),
+            ([[0.1, -math.inf]], "points contain non-finite values"),
+        ],
+        ids=["ragged", "string", "huge", "three-dim", "empty", "nan", "inf"],
+    )
+    def test_malformed_model_points_exit_2(self, tmp_path, capsys, where, points, problem):
+        # Points are parsed into arrays while the document is read; a list that
+        # does not convert still reaches Bag, which names the bag and the problem.
+        bags = make_bags(81, 3, 3, 2)
+        model = CoefficientModel(
+            alpha=np.ones(3),
+            lam=0.1,
+            train_bags=tuple(bags),
+            outer_kernel=OuterKernelSpec.tilted(1.0, 0.5, Bag("r", np.ones((2, 2)))),
+            embedding_kernel=EmbeddingKernelSpec("gaussian", 0.5, 2),
+            scheme="coefficient_l2",
+        )
+        path = tmp_path / "model.json"
+        io.save_model(model, path)
+        doc = json.loads(path.read_text())
+        if where == "train":
+            doc["train_bags"][1]["points"] = points
+            want = f"error: bag {bags[1].id!r}: {problem} in model file {path}"
+        else:
+            doc["outer_kernel"]["ref_bag"]["points"] = points
+            want = (
+                f"error: malformed model file {path}: malformed outer kernel spec: bag 'r': {problem}"
+            )
+        path.write_text(json.dumps(doc))
+        test = tmp_path / "test.ndjson"
+        io.write_bags([Bag("c", np.array([[0.3, 0.1]]))], test)
+        capsys.readouterr()
+        assert main(["predict", "--model", str(path), "--bags", str(test)]) == 2
+        assert one_error_line(capsys) == want
 
     def test_model_that_is_not_an_object_exits_2(self, tmp_path, capsys):
         model_path = tmp_path / "model.json"

@@ -216,6 +216,25 @@ def test_kernel_tiles_bound_peak_memory(threads):
         assert peak < threads * 1.5 * 2**20
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_self_inner_products_write_into_the_tile_buffer(threads, monkeypatch):
+    # The test bags' self inner products of a cross-Gram are reduced in slices of
+    # the per-thread tile, like the Gram's rows: every kernel block gets an `out`.
+    rng = np.random.default_rng(43)
+    test = [Bag(f"t{i}", rng.normal(size=(500, 1))) for i in range(3)]
+    train = [Bag(f"r{i}", rng.normal(size=(20, 1))) for i in range(4)]
+    espec, kspec = EmbeddingKernelSpec("gaussian", 0.5, 1), OuterKernelSpec.gaussian(1.0)
+    outs = []
+
+    def spy(spec, s, t, out=None):
+        outs.append(out)
+        return kernel_matrix(spec, s, t, out)
+
+    monkeypatch.setattr(embedding, "kernel_matrix", spy)
+    build_cross_gram(kspec, espec, test, train, threads=threads)
+    # Two slices for each 500 x 500 self inner product, and the cross blocks.
+    assert len(outs) >= 2 * len(test) and all(out is not None for out in outs)
+
 
 @pytest.mark.parametrize("shape", [(1, 1), (7, 7), (40, 40), (13, 29), (29, 13)])
 def test_reorder_in_place_equals_fancy_indexing(shape):

@@ -7,7 +7,8 @@ its arguments, the chunk budget or the thread count. The bags are ragged
 fall in different places for different paths; ids repeat, and some test bags
 are training bags themselves or copies of them. A second case of ~120 mostly
 tiny bags exercises row blocks of several bags and equal-segment sums. The
-last test checks the CLI's output files across fresh processes and threads.
+last tests check the CLI's output files across fresh processes and threads,
+and the fit report's condition estimate across fresh processes.
 """
 
 import json
@@ -305,8 +306,7 @@ def test_cli_outputs_do_not_depend_on_threads_across_processes(tmp_path):
     # and twice at --threads 2. Bags of 100 points put the Gram rows and the
     # cross-Gram rows of predict and of the sweep over the pool threshold, so
     # 2 threads start a pool. Of the fit report (`fit --json`) every field is
-    # compared but two: the wall time varies by design, and the condition
-    # estimate (LAPACK dpocon) still differs between processes.
+    # compared but the wall time, which varies by design.
     synth = {"scale": 0.1, "target": "linear_mean", "noise_sd": 0.05, "noise_bound": 2.0,
              "seed": 3}
     cfg, sweep_cfg = tmp_path / "config.json", tmp_path / "sweep.json"
@@ -348,9 +348,44 @@ def test_cli_outputs_do_not_depend_on_threads_across_processes(tmp_path):
             if argv[0] == "fit":
                 report = json.loads(proc.stdout)
         assert set(report) == {"objective_value", "residual_norm", "condition_estimate", "wall_time"}
-        del report["wall_time"], report["condition_estimate"]
+        del report["wall_time"]
         return [(out / name).read_bytes() for name in names] + [report]
 
     with ThreadPoolExecutor(max_workers=4) as pool:
         outputs = list(pool.map(run, range(4)))
     assert all(files == outputs[0] for files in outputs[1:])
+
+
+# Fits the coefficient scheme on 1000 bags of 4 points, as the many_small_bags
+# benchmark does, several times with differently sized objects allocated in
+# between, and prints every condition estimate in hex. LAPACK's dpocon, the
+# estimate before, gave two values here, within and between processes.
+CONDITION_SCRIPT = """
+from distreg import EmbeddingKernelSpec, OuterKernelSpec, build_gram, fit_coefficient, synth
+meta = synth.MetaDistributionSpec(dim=1, scale=0.1, target="smooth_composite",
+                                  noise_sd=0.05, noise_bound=2.0, seed=424242)
+espec, kspec = EmbeddingKernelSpec("gaussian", 0.25, 1), OuterKernelSpec.gaussian(1.0)
+train = synth.generate(meta, 1000, 4)
+g = build_gram(kspec, espec, train.bags)
+held = []
+for k in range(8):
+    held.append([bytes(8 * i + 8) for i in range(3 * k)])
+    _, report = fit_coefficient(g, train.labels(), 1e-6, train.bags, kspec, espec)
+    print(report.condition_estimate.hex())
+"""
+
+
+def test_condition_estimate_is_the_same_in_fresh_processes():
+    src = str(Path(distreg.__file__).resolve().parents[1])
+
+    def run(_):
+        proc = subprocess.run(
+            [sys.executable, "-c", CONDITION_SCRIPT],
+            capture_output=True, text=True, env={"PYTHONPATH": src}, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        values = [v for out in pool.map(run, range(8)) for v in out]
+    assert len(values) == 64 and len(set(values)) == 1, sorted(set(values))

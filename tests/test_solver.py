@@ -20,7 +20,13 @@ from distreg import (
     predict,
 )
 from distreg.blas import serial_blas
-from distreg.solver import assemble_system, coefficient_objective, krr_objective, solve_alpha
+from distreg.solver import (
+    _inverse_norm1,
+    assemble_system,
+    coefficient_objective,
+    krr_objective,
+    solve_alpha,
+)
 
 from conftest import gram_from_matrix, make_bags, make_indefinite_fixture
 from test_gram import naive_outer
@@ -390,7 +396,7 @@ def test_condition_warning_on_near_singular():
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("scheme", ["coefficient_l2", "krr"])
 def test_condition_estimate_brackets_two_norm_condition(scheme, seed):
-    # dpocon estimates the 1-norm condition number, which lies within a
+    # The estimate is of the 1-norm condition number, which lies within a
     # factor m of the 2-norm one; the estimate is rarely below a third of it.
     m = 40
     espec = EmbeddingKernelSpec("gaussian", 0.25, 1)
@@ -421,15 +427,34 @@ def test_alpha_length_validation():
 
 def oracle_fit(scheme, values, y, lam):
     """alpha and condition estimate by whole-matrix formulas: factor a copy of the
-    system, its 1-norm from np.linalg.norm, LAPACK dpocon on the factor."""
+    system, its 1-norm from np.linalg.norm, the inverse-norm estimate on that factor."""
     import scipy.linalg
 
     with serial_blas:
         system, rhs = assemble_system(scheme, values, y, lam)
         norm1 = np.linalg.norm(system, 1)
         factor = scipy.linalg.cho_factor(system.copy())
-        rcond, _ = scipy.linalg.lapack.dpocon(factor[0], norm1, uplo="U")
-        return scipy.linalg.cho_solve(factor, rhs), 1.0 / rcond
+        return scipy.linalg.cho_solve(factor, rhs), norm1 * _inverse_norm1(factor)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 60, 300])
+def test_inverse_norm_estimate_follows_lapack_dlacn2(n):
+    # LAPACK's dpocon runs dlacn2 on triangular solves of its own (dlatrs): the
+    # same iteration, so the same estimate up to the rounding of those solves.
+    # Like any estimate of this kind it never exceeds ||A^-1||_1.
+    import scipy.linalg
+
+    rng = np.random.default_rng(n)
+    for shift in (1e-6, 1e-2, 1.0):
+        a = rng.normal(size=(n, n))
+        system = a @ a.T + shift * np.eye(n)
+        with serial_blas:
+            factor = scipy.linalg.cho_factor(system.copy())
+            norm1 = np.linalg.norm(system, 1)
+            rcond, _ = scipy.linalg.lapack.dpocon(factor[0], norm1, uplo="U")
+            estimate = _inverse_norm1(factor)
+        assert norm1 * estimate == pytest.approx(1.0 / rcond, rel=1e-12)
+        assert estimate <= np.linalg.norm(np.linalg.inv(system), 1) * (1 + 1e-9)
 
 
 def hand_made_asymmetric(seed, m=50):

@@ -25,7 +25,7 @@ from .analysis import (
     schedule,
     select_lambda_holdout,
 )
-from .embedding import Bag, BagParams, EmbeddingKernelSpec, embed_inner, embed_sq_dist
+from .embedding import Bag, BagParams, EmbeddingKernelSpec, embed_inner
 from .errors import (
     ConfigError,
     ContractError,
@@ -41,7 +41,7 @@ from .gram import (
     kernel_fingerprint,
     spectrum,
 )
-from .outer import OuterKernelSpec, outer_eval
+from .outer import OuterKernelSpec
 from .solver import (
     CoefficientModel,
     FitReport,
@@ -50,6 +50,6 @@ from .solver import (
     fit_krr,
     predict,
 )
-from .synth import MetaDistributionSpec, TwoStageDataset, generate, resample_second_stage
+from .synth import MetaDistributionSpec, TwoStageDataset, generate
 
 __version__ = "0.1.0"

@@ -107,8 +107,7 @@ def fit_decay_exponent(report: SpectrumReport, head: int) -> float:
             f"exponent, got {usable.shape[0]}"
         )
     ranks = np.arange(1, usable.shape[0] + 1, dtype=np.float64)
-    slope, _ = np.polyfit(np.log(ranks), np.log(usable), deg=1)
-    return float(-slope)
+    return -rate_fit(list(zip(ranks, usable))).slope
 
 
 def schedule(p: ScheduleParams, m: int) -> Schedule:

@@ -231,12 +231,7 @@ def cmd_sweep(args) -> int:
             "lambda_mode": rule.mode,
         }
         if result.fit is not None:
-            summary["rate_fit"] = {
-                "slope": result.fit.slope,
-                "intercept": result.fit.intercept,
-                "r_squared": result.fit.r_squared,
-                "points": [list(p) for p in result.fit.points],
-            }
+            summary["rate_fit"] = asdict(result.fit)
         with open(out_dir / "summary.json", "w") as fh:
             json.dump(summary, fh, sort_keys=True, indent=2)
             fh.write("\n")

@@ -64,10 +64,6 @@ class EmbeddingKernelSpec:
         if self.dim < 1:
             raise ConfigError(f"dim must be >= 1, got {self.dim}")
 
-    @property
-    def holder_exponent(self) -> float:
-        return HOLDER_EXPONENT[self.family]
-
     def to_dict(self) -> dict:
         return {"family": self.family, "bandwidth": self.bandwidth, "dim": self.dim}
 
@@ -94,13 +90,23 @@ class BagParams:
         return {"theta": [float(v) for v in np.atleast_1d(self.theta)], "s": self.scale}
 
 
+def float_points(points) -> np.ndarray:
+    """`points` as a C-ordered float64 array, by the one rule for bag points: a
+    string or a boolean, which numpy would parse as a number, raises TypeError."""
+    if isinstance(points, np.ndarray) and points.dtype.kind in "fiu":
+        return np.array(points, dtype=np.float64, order="C")
+    values = np.array(points, dtype=object)  # then one cast: faster than parsing to float64
+    if any(issubclass(t, (str, bytes, bool, np.bool_)) for t in set(map(type, values.flat))):
+        raise TypeError("points must be numbers, not strings or booleans")
+    return values.astype(np.float64)
+
+
 @dataclass(frozen=True)
 class Bag:
     """One second-stage sample: an (N, d) point array plus an optional float label.
 
     `params` is present only for synthetically generated bags and records the
-    distribution parameters, which makes noiseless targets recomputable and
-    second-stage resampling possible.
+    distribution parameters, which makes noiseless targets recomputable.
     """
 
     id: str
@@ -111,8 +117,8 @@ class Bag:
     def __post_init__(self):
         shape_error = f"bag {self.id!r}: points must be a nonempty (N, d) array of numbers"
         try:
-            pts = np.array(self.points, dtype=np.float64, order="C")
-        except (TypeError, ValueError, OverflowError) as exc:  # ragged, strings, huge ints
+            pts = float_points(self.points)
+        except (TypeError, ValueError, OverflowError) as exc:  # strings, bools, ragged, huge ints
             raise InputError(shape_error) from exc
         if pts.ndim == 1:
             pts = pts.reshape(-1, 1)
@@ -279,13 +285,3 @@ def embed_inner(spec: EmbeddingKernelSpec, a: Bag, b: Bag) -> float:
     a_bounds, b_bounds = np.array([0, a.size]), np.array([0, b.size])
     total = pair_sums(spec, a.points, a_bounds, b.points, b_bounds, row_first)[0, 0]
     return float(total) / (a.size * b.size)
-
-
-def embed_sq_dist(spec: EmbeddingKernelSpec, a: Bag, b: Bag) -> float:
-    """Squared embedding distance ||mu_a - mu_b||^2, clamped at zero.
-
-    Expanded as <a,a> + <b,b> - 2<a,b>; roundoff can push the expansion a few
-    ulp below zero, hence the clamp.
-    """
-    d2 = embed_inner(spec, a, a) + embed_inner(spec, b, b) - 2.0 * embed_inner(spec, a, b)
-    return max(d2, 0.0)

@@ -8,9 +8,9 @@ is first, and the value of a pair depends on its two bags alone. Row bags
 are reduced in blocks of consecutive bags in rank order, each block against
 a packed run of column bags in one call per direction, so a Gram of many
 small bags costs a few kernel blocks rather than one per row. The Gram, the
-cross-Gram (in either argument order), the self inner products,
-`embed_inner` and `outer_eval` therefore agree bit for bit on every pair,
-whatever the block, the thread count or the chunk budget. Dense storage only.
+cross-Gram (in either argument order), the self inner products and
+`embed_inner` therefore agree bit for bit on every pair, whatever the block,
+the thread count or the chunk budget. Dense storage only.
 """
 
 from __future__ import annotations

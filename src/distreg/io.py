@@ -21,7 +21,7 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .embedding import Bag, BagParams, EmbeddingKernelSpec
+from .embedding import Bag, BagParams, EmbeddingKernelSpec, float_points
 from .errors import ConfigError, InputError, config_float
 from .gram import GramMatrix, kernel_fingerprint
 from .outer import OuterKernelSpec
@@ -118,12 +118,12 @@ def save_model(model: CoefficientModel, path: str | Path) -> None:
 
 def _points_as_array(obj: dict) -> dict:
     """json object_hook: a record's "points" list becomes a float64 array as soon
-    as the record is parsed. A list that does not convert is left for Bag to
-    reject with its own message."""
+    as the record is parsed, by Bag's own rule (`float_points`). A list that
+    does not convert is left for Bag to reject with its own message."""
     points = obj.get("points")
     if isinstance(points, list):
         try:
-            obj["points"] = np.array(points, dtype=np.float64)
+            obj["points"] = float_points(points)
         except (TypeError, ValueError, OverflowError):
             pass
     return obj

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import numpy as np
 
-from .embedding import Bag, EmbeddingKernelSpec, embed_inner, row_chunks
+from .embedding import Bag, row_chunks
 from .errors import ConfigError, InputError, config_float, config_keys
 
 # family -> (symmetric, PSD claimed, the parameters it takes)
@@ -188,19 +188,3 @@ def apply_outer(
             if kspec.family == "tilted_asymmetric":  # the tilt is a function of the row bag only
                 values *= (1.0 + kspec.c * row_ref[rows])[:, None]
     return inner
-
-
-def outer_eval(
-    kspec: OuterKernelSpec, espec: EmbeddingKernelSpec, a: Bag, b: Bag
-) -> float:
-    """Evaluate K(mu_a, mu_b) with `a` in the first kernel slot.
-
-    The table of `apply_outer` on 1 x 1 geometry, so the value equals the
-    matching Gram or cross-Gram entry bit for bit.
-    """
-    row_ref = None
-    if kspec.family == "tilted_asymmetric":
-        row_ref = np.array([embed_inner(espec, a, kspec.ref_bag)])
-    inner = np.array([[embed_inner(espec, a, b)]])
-    self_a, self_b = np.array([embed_inner(espec, a, a)]), np.array([embed_inner(espec, b, b)])
-    return float(apply_outer(kspec, inner, self_a, self_b, row_ref)[0, 0])

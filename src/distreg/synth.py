@@ -7,15 +7,16 @@ target map f is closed-form in the bag parameters, so noiseless targets are
 recomputable exactly and excess error can be Monte Carlo estimated.
 
 Bag i's points come from stream i, spawned off the master seed, so they do
-not depend on m and resampling with the same seed and N reproduces them. Each
-bag's first rejection batch is drawn from its stream; the batches of a group
-of bags are scaled, shifted and screened to [0,1]^d as one array, and only a
-bag with too few accepted points redraws alone.
+not depend on m, and the same seed at another N redraws the second stage of
+the same bags: thetas, labels and targets stay. Each bag's first rejection
+batch is drawn from its stream; the batches of a group of bags are scaled,
+shifted and screened to [0,1]^d as one array, and only a bag with too few
+accepted points redraws alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,19 +86,6 @@ class MetaDistributionSpec:
                 f"unknown target family {self.target!r}; expected one of {tuple(TARGETS)}"
             )
 
-    def target_value(self, theta: np.ndarray, scale: float | None = None) -> float:
-        return float(TARGETS[self.target](np.asarray(theta, np.float64), scale or self.scale))
-
-    def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "scale": self.scale,
-            "target": self.target,
-            "noise_sd": self.noise_sd,
-            "noise_bound": self.noise_bound,
-            "seed": self.seed,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "MetaDistributionSpec":
         config_keys(d, ("dim", "scale", "target", "noise_sd", "noise_bound", "seed"), "synthetic")
@@ -121,10 +109,6 @@ class TwoStageDataset:
     bags: tuple[Bag, ...]
     targets: np.ndarray
     meta: MetaDistributionSpec
-
-    @property
-    def m(self) -> int:
-        return len(self.bags)
 
     def labels(self) -> np.ndarray:
         return np.array([b.label for b in self.bags], dtype=np.float64)
@@ -181,10 +165,10 @@ def _truncated_label(
     raise NumericalError("label noise rejection cap exceeded")
 
 
-def _draw_bags(seed: int, thetas: np.ndarray, scales: np.ndarray, n: int) -> np.ndarray:
-    """n points for each bag i of thetas[i] and scales[i], as an (m, n, d) array.
+def _draw_bags(seed: int, thetas: np.ndarray, scale: float, n: int) -> np.ndarray:
+    """n points for each bag i of thetas[i], as an (m, n, d) array.
 
-    Bit for bit _draw_truncated_points(_bag_rng(seed, i), thetas[i], scales[i], n):
+    Bit for bit _draw_truncated_points(_bag_rng(seed, i), thetas[i], scale, n):
     theta + scale * z is rng.normal(theta, scale) and the first n accepted rows
     are kept in draw order. Groups of bags hold at most _GROUP_DRAWS draws.
     """
@@ -196,14 +180,14 @@ def _draw_bags(seed: int, thetas: np.ndarray, scales: np.ndarray, n: int) -> np.
         z = np.empty((min(group, m - lo), batch, d))
         for stream, rows in zip(streams[lo : lo + group], z):
             np.random.default_rng(stream).standard_normal(out=rows)
-        z *= scales[lo : lo + group, None, None]
+        z *= scale
         z += thetas[lo : lo + group, None, :]
         accepted = ((z >= 0.0) & (z <= 1.0)).all(axis=2)
         rank = accepted.cumsum(axis=1)
         full = rank[:, -1] >= n
         out[lo : lo + len(z)][full] = z[accepted & (rank <= n) & full[:, None]].reshape(-1, n, d)
         for i in lo + np.flatnonzero(~full):
-            out[i] = _draw_truncated_points(_bag_rng(seed, i), thetas[i], scales[i], n)
+            out[i] = _draw_truncated_points(_bag_rng(seed, i), thetas[i], scale, n)
     return out
 
 
@@ -223,34 +207,10 @@ def generate(meta: MetaDistributionSpec, m: int, n_points: int) -> TwoStageDatas
     labels = [
         _truncated_label(meta_rng, t, meta.noise_sd, meta.noise_bound) for t in targets.tolist()
     ]
-    points = _draw_bags(meta.seed, thetas, np.full(m, meta.scale), n_points)
+    points = _draw_bags(meta.seed, thetas, meta.scale, n_points)
     bags = tuple(
         Bag(f"bag-{i:04d}", points[i], labels[i], BagParams(thetas[i].copy(), meta.scale))
         for i in range(m)
     )
     return TwoStageDataset(bags=bags, targets=targets, meta=meta)
 
-
-def resample_second_stage(
-    dataset: TwoStageDataset, n_new: int, seed: int
-) -> TwoStageDataset:
-    """Redraw every bag's points from its stored parameters; labels unchanged.
-
-    With seed equal to the dataset's own seed and n_new equal to the original
-    bag size, the redraw reproduces the original points exactly.
-    """
-    if n_new < 1:
-        raise InputError(f"N_new must be >= 1, got {n_new}")
-    for bag in dataset.bags:
-        if bag.params is None:
-            raise InputError(
-                f"bag {bag.id!r} has no stored distribution parameters; cannot resample"
-            )
-    try:
-        thetas = np.array([bag.params.theta for bag in dataset.bags], dtype=np.float64)
-    except ValueError as exc:
-        raise InputError("cannot resample bags whose thetas differ in dimension") from exc
-    scales = np.array([bag.params.scale for bag in dataset.bags], dtype=np.float64)
-    points = _draw_bags(seed, thetas, scales, n_new)
-    bags = tuple(replace(bag, points=p) for bag, p in zip(dataset.bags, points))
-    return TwoStageDataset(bags=bags, targets=dataset.targets.copy(), meta=dataset.meta)

@@ -1,10 +1,12 @@
-"""Shared fixtures: seeded bag factories and the frozen indefinite configuration."""
+"""Shared fixtures: seeded bag factories, the frozen indefinite configuration, and
+per-pair references for embedding distances and outer-kernel values."""
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from distreg import Bag, EmbeddingKernelSpec, GramMatrix, OuterKernelSpec
+from distreg import Bag, EmbeddingKernelSpec, GramMatrix, OuterKernelSpec, embed_inner
+from distreg.outer import apply_outer
 
 # Every property test draws the same examples on every run, so the suite is
 # deterministic; tests without their own count run 1000 examples, enough
@@ -28,6 +30,32 @@ def make_bags(seed: int, m: int, n: int, d: int, spread: float = 0.5, box: float
         pts = center + spread * rng.normal(size=(n, d))
         bags.append(Bag(id=f"bag-{i:02d}", points=pts))
     return bags
+
+
+def embed_sq_dist(spec: EmbeddingKernelSpec, a: Bag, b: Bag) -> float:
+    """Squared embedding distance ||mu_a - mu_b||^2, clamped at zero.
+
+    Expanded as <a,a> + <b,b> - 2<a,b>, the expansion `apply_outer` makes;
+    roundoff can push it a few ulp below zero, hence the clamp.
+    """
+    d2 = embed_inner(spec, a, a) + embed_inner(spec, b, b) - 2.0 * embed_inner(spec, a, b)
+    return max(d2, 0.0)
+
+
+def outer_eval(
+    kspec: OuterKernelSpec, espec: EmbeddingKernelSpec, a: Bag, b: Bag
+) -> float:
+    """Evaluate K(mu_a, mu_b) with `a` in the first kernel slot.
+
+    The table of `apply_outer` on 1 x 1 geometry, so the value equals the
+    matching Gram or cross-Gram entry bit for bit.
+    """
+    row_ref = None
+    if kspec.family == "tilted_asymmetric":
+        row_ref = np.array([embed_inner(espec, a, kspec.ref_bag)])
+    inner = np.array([[embed_inner(espec, a, b)]])
+    self_a, self_b = np.array([embed_inner(espec, a, a)]), np.array([embed_inner(espec, b, b)])
+    return float(apply_outer(kspec, inner, self_a, self_b, row_ref)[0, 0])
 
 
 # Frozen indefinite fixture: found once by seeded search, kept as a regression

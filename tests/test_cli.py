@@ -383,6 +383,11 @@ MALFORMED_RECORDS = {
         "id": "c", "y": 1.0, "points": [[0.3]], "params": {"theta": [10**400], "s": 0.1}
     },
     "huge-s": {"id": "c", "y": 1.0, "points": [[0.3]], "params": {"theta": [0.3], "s": 10**400}},
+    # Strings and booleans, which numpy would parse as numbers.
+    "numeric-string-points": {"id": "c", "y": 1.0, "points": [["0.5"], ["1e3"]]},
+    "bool-points": {"id": "c", "y": 1.0, "points": [[True], [False]]},
+    "string-among-number-points": {"id": "c", "y": 1.0, "points": [[1], ["2"]]},
+    "bool-among-number-points": {"id": "c", "y": 1.0, "points": [[0.5], [True]]},
 }
 
 
@@ -437,6 +442,10 @@ UNUSED_C_KERNEL = {"family": "gaussian_on_embedding", "sigma": 1.0, "c": 3.0}
 UNUSED_REF_KERNEL = {
     "family": "gaussian_on_embedding", "sigma": 1.0, "ref_bag": {"id": "r", "points": [[0.5]]},
 }
+
+
+def ref_kernel_with(points) -> dict:
+    return {**BAD_REF_KERNEL, "ref_bag": {"id": "r", "points": points}}
 
 
 class TestCmdFit:
@@ -698,8 +707,13 @@ class TestCmdPredict:
             ([], "points must be a nonempty (N, d) array of numbers"),
             ([[math.nan, 0.1]], "points contain non-finite values"),
             ([[0.1, -math.inf]], "points contain non-finite values"),
+            ([["0.5", "0.1"]], "points must be a nonempty (N, d) array of numbers"),
+            ([[True, False]], "points must be a nonempty (N, d) array of numbers"),
+            ([[1, "2"]], "points must be a nonempty (N, d) array of numbers"),
+            ([[0.5, True]], "points must be a nonempty (N, d) array of numbers"),
         ],
-        ids=["ragged", "string", "huge", "three-dim", "empty", "nan", "inf"],
+        ids=["ragged", "string", "huge", "three-dim", "empty", "nan", "inf",
+             "numeric-string", "bool", "string-among-numbers", "bool-among-numbers"],
     )
     def test_malformed_model_points_exit_2(self, tmp_path, capsys, where, points, problem):
         # Points are parsed into arrays while the document is read; a list that
@@ -855,6 +869,18 @@ MALFORMED_VALUES = {
         "'schedule_params'",
     ),
     "ragged-ref-bag": ("fit", base_sections(outer_kernel=BAD_REF_KERNEL), "bag 'r'"),
+    "numeric-string-ref-bag": (
+        "fit", base_sections(outer_kernel=ref_kernel_with([["0.5"], ["1e3"]])), "bag 'r'"
+    ),
+    "bool-ref-bag": (
+        "fit", base_sections(outer_kernel=ref_kernel_with([[True], [False]])), "bag 'r'"
+    ),
+    "string-among-numbers-ref-bag": (
+        "fit", base_sections(outer_kernel=ref_kernel_with([[1], ["2"]])), "bag 'r'"
+    ),
+    "bool-among-numbers-ref-bag": (
+        "fit", base_sections(outer_kernel=ref_kernel_with([[0.5], [True]])), "bag 'r'"
+    ),
     "unused-outer-param": ("fit", base_sections(outer_kernel=UNUSED_C_KERNEL), "'c'"),
     "ref-bag-on-gaussian": ("fit", base_sections(outer_kernel=UNUSED_REF_KERNEL), "'ref_bag'"),
 }

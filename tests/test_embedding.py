@@ -21,12 +21,11 @@ from distreg import (
     EmbeddingKernelSpec,
     InputError,
     embed_inner,
-    embed_sq_dist,
 )
 from distreg import embedding
 from distreg.embedding import HOLDER_EXPONENT, KERNEL_BOUND, kernel_matrix
 
-from conftest import make_bags
+from conftest import embed_sq_dist, make_bags
 
 
 def naive_inner(spec: EmbeddingKernelSpec, a: Bag, b: Bag) -> float:
@@ -333,4 +332,4 @@ def test_holder_exponents_documented():
     assert HOLDER_EXPONENT["exponential"] == 0.5
     assert HOLDER_EXPONENT["cauchy"] == 1.0
     spec = EmbeddingKernelSpec("exponential", 1.0, 1)
-    assert spec.holder_exponent == 0.5
+    assert HOLDER_EXPONENT[spec.family] == 0.5

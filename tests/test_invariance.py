@@ -27,10 +27,11 @@ from distreg import (
     build_cross_gram,
     build_gram,
     embed_inner,
-    outer_eval,
 )
 import distreg
 from distreg import embedding, gram
+
+from conftest import outer_eval
 
 KERNEL_CASES = [("gaussian", 1), ("gaussian", 2), ("exponential", 2), ("cauchy", 1)]
 # Chunk budgets, in kernel values: one that takes every case below in one
@@ -302,8 +303,8 @@ def test_predict_reusing_fit_self_inners_equals_recomputing(case, threads, tmp_p
 
 
 def test_cli_outputs_do_not_depend_on_threads_across_processes(tmp_path):
-    # generate, fit, predict and sweep as fresh processes, twice at --threads 1
-    # and twice at --threads 2. Bags of 100 points put the Gram rows and the
+    # generate, fit, predict and sweep as fresh processes, 4 times at --threads 1
+    # and 4 times at --threads 2. Bags of 100 points put the Gram rows and the
     # cross-Gram rows of predict and of the sweep over the pool threshold, so
     # 2 threads start a pool. Of the fit report (`fit --json`) every field is
     # compared but the wall time, which varies by design.
@@ -331,7 +332,7 @@ def test_cli_outputs_do_not_depend_on_threads_across_processes(tmp_path):
     names = ("bags.ndjson", "model.json", "preds.csv", "sweep/rates.csv", "sweep/summary.json")
 
     def run(index: int) -> list:
-        threads, out = "12"[index // 2], tmp_path / f"run{index}"
+        threads, out = "12"[index // 4], tmp_path / f"run{index}"
         bags, model, preds = (out / name for name in names[:3])
         out.mkdir()
         for argv in (
@@ -352,7 +353,7 @@ def test_cli_outputs_do_not_depend_on_threads_across_processes(tmp_path):
         return [(out / name).read_bytes() for name in names] + [report]
 
     with ThreadPoolExecutor(max_workers=4) as pool:
-        outputs = list(pool.map(run, range(4)))
+        outputs = list(pool.map(run, range(8)))
     assert all(files == outputs[0] for files in outputs[1:])
 
 

@@ -15,10 +15,9 @@ from distreg import (
     build_cross_gram,
     build_gram,
     embed_inner,
-    outer_eval,
 )
 
-from conftest import make_bags, make_indefinite_fixture
+from conftest import embed_sq_dist, make_bags, make_indefinite_fixture, outer_eval
 
 
 def test_gaussian_on_embedding_identical_bags(gaussian_embedding):
@@ -48,8 +47,6 @@ def test_tilted_formula(gaussian_embedding):
     ref = Bag("ref", np.array([[0.5, 0.5]]))
     a, b = make_bags(5, 2, 4, 2)
     k = OuterKernelSpec.tilted(sigma=1.0, c=0.7, ref_bag=ref)
-    from distreg import embed_sq_dist
-
     d2 = embed_sq_dist(gaussian_embedding, a, b)
     tilt = 1.0 + 0.7 * embed_inner(gaussian_embedding, a, ref)
     assert outer_eval(k, gaussian_embedding, a, b) == pytest.approx(

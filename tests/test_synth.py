@@ -1,22 +1,13 @@
-"""Synthetic two-stage generator: determinism, truncation, resampling."""
+"""Synthetic two-stage generator: determinism, truncation, second-stage redraws."""
 
 import itertools
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distreg import (
-    ConfigError,
-    InputError,
-    MetaDistributionSpec,
-    generate,
-    resample_second_stage,
-    synth,
-)
-from distreg.embedding import Bag, BagParams
+from distreg import ConfigError, InputError, MetaDistributionSpec, generate, synth
 from distreg.synth import TARGETS
 
 
@@ -30,20 +21,18 @@ def meta(**overrides) -> MetaDistributionSpec:
 
 class TestTargets:
     def test_linear_mean_is_theta(self):
-        assert meta().target_value(np.array([0.5])) == 0.5
+        assert TARGETS["linear_mean"](np.array([0.5]), 0.1) == 0.5
 
     def test_quadratic_mean(self):
-        m = meta(target="quadratic_mean", dim=2)
-        assert m.target_value(np.array([0.5, 0.3])) == pytest.approx((0.25 + 0.09) / 2)
+        value = TARGETS["quadratic_mean"](np.array([0.5, 0.3]), 0.1)
+        assert value == pytest.approx((0.25 + 0.09) / 2)
 
     def test_mean_plus_variance(self):
-        m = meta(target="mean_plus_variance", scale=0.2)
-        assert m.target_value(np.array([0.4])) == pytest.approx(0.4 + 0.04)
+        assert TARGETS["mean_plus_variance"](np.array([0.4]), 0.2) == pytest.approx(0.4 + 0.04)
 
     def test_smooth_composite_peak(self):
-        m = meta(target="smooth_composite")
-        assert m.target_value(np.array([0.5])) == pytest.approx(1.0)
-        assert m.target_value(np.array([0.2])) < 1.0
+        assert TARGETS["smooth_composite"](np.array([0.5]), 0.1) == pytest.approx(1.0)
+        assert TARGETS["smooth_composite"](np.array([0.2]), 0.1) < 1.0
 
     def test_unknown_target(self):
         with pytest.raises(ConfigError):
@@ -82,7 +71,8 @@ class TestGenerate:
         ds = generate(meta(noise_sd=0.3), 10, 5)
         for bag, target in zip(ds.bags, ds.targets):
             assert bag.params is not None
-            assert ds.meta.target_value(bag.params.theta) == pytest.approx(target)
+            value = TARGETS[ds.meta.target](bag.params.theta, bag.params.scale)
+            assert value == pytest.approx(target)
 
     def test_bag_sizes_and_dimension(self):
         ds = generate(meta(dim=3), 4, 17)
@@ -118,35 +108,24 @@ class TestGenerate:
 
 
 class TestResample:
+    """The same spec at another N redraws the second stage of the same bags."""
+
     def test_same_seed_same_n_reproduces_points(self):
         ds = generate(meta(), 5, 8)
-        again = resample_second_stage(ds, 8, seed=ds.meta.seed)
+        again = generate(ds.meta, 5, 8)
         for a, b in zip(ds.bags, again.bags):
             assert np.array_equal(a.points, b.points)
 
-    def test_n_new_one(self):
-        ds = generate(meta(), 5, 8)
-        small = resample_second_stage(ds, 1, seed=777)
-        assert all(b.size == 1 for b in small.bags)
-
     def test_labels_and_targets_unchanged(self):
         ds = generate(meta(), 5, 8)
-        re = resample_second_stage(ds, 20, seed=1)
+        re = generate(ds.meta, 5, 20)
         assert np.array_equal(re.targets, ds.targets)
         assert [b.label for b in re.bags] == [b.label for b in ds.bags]
-
-    def test_requires_params(self):
-        ds = generate(meta(), 2, 3)
-        stripped = ds.bags[0]
-        bare = Bag(id=stripped.id, points=stripped.points, label=stripped.label)
-        broken = type(ds)(bags=(bare,) + ds.bags[1:], targets=ds.targets, meta=ds.meta)
-        with pytest.raises(InputError):
-            resample_second_stage(broken, 5, seed=2)
 
     def test_bag_means_concentrate(self):
         # |mean - theta| at N = 10_000 must beat N = 10 for >= 45 of 50 bags.
         ds = generate(meta(dim=1, scale=0.15, seed=2718), 50, 10)
-        big = resample_second_stage(ds, 10_000, seed=999)
+        big = generate(ds.meta, 50, 10_000)
         wins = 0
         for small_bag, big_bag in zip(ds.bags, big.bags):
             theta = small_bag.params.theta
@@ -219,7 +198,7 @@ GRID_M = (1, 5, 64)
 @pytest.mark.parametrize("target", sorted(TARGETS))
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_batched_draws_equal_per_bag_reference(target, dim):
-    """generate and resample_second_stage, byte for byte against one bag at a time."""
+    """generate at two N, byte for byte against one bag at a time."""
     for k, (n, scale, m) in enumerate(itertools.product(GRID_N, GRID_SCALE, GRID_M)):
         spec = meta(dim=dim, scale=scale, target=target, noise_sd=0.1, noise_bound=3.0, seed=k)
         ds = generate(spec, m, n)
@@ -227,21 +206,10 @@ def test_batched_draws_equal_per_bag_reference(target, dim):
         assert ds.targets.tobytes() == targets.tobytes()
         assert [b.id for b in ds.bags] == [f"bag-{i:04d}" for i in range(m)]
         assert_bags_equal(ds.bags, points, labels, thetas)
-        re = resample_second_stage(ds, n + 3, seed=1000 + k)
+        re = generate(spec, m, n + 3)
         assert re.targets.tobytes() == targets.tobytes()
-        points = reference_points(1000 + k, thetas, [scale] * m, n + 3)
+        points = reference_points(k, thetas, [scale] * m, n + 3)
         assert_bags_equal(re.bags, points, labels, thetas)
-
-
-def test_resample_uses_each_bags_own_scale():
-    ds = generate(meta(dim=2), 12, 5)
-    scales = np.linspace(0.05, 1.0, 12)
-    bags = tuple(
-        replace(b, params=BagParams(b.params.theta, float(s))) for b, s in zip(ds.bags, scales)
-    )
-    re = resample_second_stage(replace(ds, bags=bags), 9, seed=4)
-    thetas = [b.params.theta for b in ds.bags]
-    assert_bags_equal(re.bags, reference_points(4, thetas, scales, 9))
 
 
 def test_scale_one_redraws_short_bags(monkeypatch):
@@ -266,10 +234,10 @@ def test_scale_one_redraws_short_bags(monkeypatch):
 def test_group_of_one_bag_gives_the_same_bytes(monkeypatch):
     spec = meta(scale=1.0, dim=2, target="smooth_composite")
     ds = generate(spec, 30, 9)
-    re = resample_second_stage(ds, 20, seed=3)
+    re = generate(spec, 30, 20)
     monkeypatch.setattr(synth, "_GROUP_DRAWS", 1)
     assert_bags_equal(generate(spec, 30, 9).bags, [b.points for b in ds.bags])
-    assert_bags_equal(resample_second_stage(ds, 20, seed=3).bags, [b.points for b in re.bags])
+    assert_bags_equal(generate(spec, 30, 20).bags, [b.points for b in re.bags])
 
 
 @pytest.mark.parametrize("noise_sd", [0.0, 0.2])
@@ -284,16 +252,9 @@ def test_first_k_bags_do_not_depend_on_m(noise_sd):
     assert_bags_equal(few.bags, [b.points for b in many.bags[:7]], labels, thetas)
 
 
-def test_resample_rejects_thetas_of_mixed_dimension():
-    ds = generate(meta(), 3, 4)
-    odd = replace(ds.bags[1], params=BagParams(np.array([0.5, 0.5]), 0.1))
-    with pytest.raises(InputError, match="dimension"):
-        resample_second_stage(replace(ds, bags=(ds.bags[0], odd, ds.bags[2])), 4, seed=1)
-
-
 def test_target_value_matches_the_dataset_targets():
     for target in TARGETS:
         ds = generate(meta(dim=3, target=target, scale=0.3), 20, 2)
         for bag, t in zip(ds.bags, ds.targets):
-            value = ds.meta.target_value(bag.params.theta)
+            value = TARGETS[target](bag.params.theta, 0.3)
             assert value == t == reference_target(target, bag.params.theta, 0.3)

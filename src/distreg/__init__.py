@@ -25,7 +25,7 @@ from .analysis import (
     schedule,
     select_lambda_holdout,
 )
-from .embedding import Bag, BagParams, EmbeddingKernelSpec, embed_inner
+from .embedding import Bag, BagParams, EmbeddingKernelSpec
 from .errors import (
     ConfigError,
     ContractError,
@@ -35,9 +35,9 @@ from .errors import (
 )
 from .gram import (
     GramMatrix,
-    SpectrumReport,
     build_cross_gram,
     build_gram,
+    embed_inner,
     kernel_fingerprint,
     spectrum,
 )

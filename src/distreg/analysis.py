@@ -21,7 +21,7 @@ import numpy as np
 from .blas import serial_blas
 from .embedding import EmbeddingKernelSpec
 from .errors import ConfigError, InputError, config_float, config_keys
-from .gram import SpectrumReport, build_gram
+from .gram import build_gram
 from .outer import OuterKernelSpec
 from .solver import alpha_paths, check_scheme, excess_error, fit_coefficient, fit_krr
 from .solver import solve_alpha  # noqa: F401  (bench/spans.py wraps analysis.solve_alpha)
@@ -80,27 +80,25 @@ class Schedule(NamedTuple):
     n_points: int
 
 
-def effective_dimension(report: SpectrumReport, lam: float) -> float:
-    """Spectral complexity sum sigma_l / (sigma_l + lam) over the report.
+def effective_dimension(singular_values: np.ndarray, lam: float) -> float:
+    """Spectral complexity sum sigma_l / (sigma_l + lam) over the singular values.
 
     Strictly decreasing in lam and bounded by the number of nonzero singular
     values.
     """
     if lam <= 0:
         raise ConfigError(f"lambda must be positive, got {lam}")
-    sv = report.singular_values
-    return float(np.sum(sv / (sv + lam)))
+    return float(np.sum(singular_values / (singular_values + lam)))
 
 
-def fit_decay_exponent(report: SpectrumReport, head: int) -> float:
-    """Fitted polynomial decay exponent of the leading singular values.
+def fit_decay_exponent(singular_values: np.ndarray, head: int) -> float:
+    """Fitted polynomial decay exponent of the leading (descending) singular values.
 
     Least-squares slope of log sigma_l against log l over the first `head`
     values above the noise floor, negated so that sigma_l ~ l^-alpha gives
     alpha back.
     """
-    sv = report.singular_values
-    usable = sv[sv > DECAY_FLOOR][:head]
+    usable = singular_values[singular_values > DECAY_FLOOR][:head]
     if usable.shape[0] < 3:
         raise InputError(
             f"need at least 3 singular values above {DECAY_FLOOR} to fit a decay "

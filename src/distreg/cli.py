@@ -261,10 +261,10 @@ def cmd_spectrum(args) -> int:
     if len(bags) < 3:
         raise ConfigError(f"spectrum needs at least 3 bags, got {len(bags)}")
     g = build_gram(kspec, espec, bags, threads=args.threads)
-    report = spectrum(g)
+    singular = spectrum(g)
     head = config_int(cfg.get("decay_head", _DEFAULT_DECAY_HEAD), "'decay_head'", 3)
-    alpha_hat = analysis.fit_decay_exponent(report, head=head)
-    top = float(report.singular_values[0])
+    alpha_hat = analysis.fit_decay_exponent(singular, head=head)
+    top = float(singular[0])
     lam_grid = np.logspace(-6.0, 0.0, _EFFDIM_GRID_SIZE) * max(top, 1e-12)
     out_dir = Path(args.out or ".")
     try:
@@ -272,12 +272,12 @@ def cmd_spectrum(args) -> int:
         io.write_csv(
             out_dir / "spectrum.csv",
             ["l", "sigma"],
-            ([i + 1, float(s)] for i, s in enumerate(report.singular_values)),
+            ([i + 1, float(s)] for i, s in enumerate(singular)),
         )
         io.write_csv(
             out_dir / "effective_dimension.csv",
             ["lambda", "effective_dimension"],
-            ([float(lam), analysis.effective_dimension(report, float(lam))] for lam in lam_grid),
+            ([float(lam), analysis.effective_dimension(singular, float(lam))] for lam in lam_grid),
         )
         if args.dump_gram:
             io.write_gram_csv(g, out_dir / "gram.csv")

@@ -3,7 +3,9 @@
 A bag of points stands in for an unobserved distribution; its empirical mean
 embedding is the average of kernel sections over the points. Inner products
 and squared distances between embeddings reduce to double sums of pointwise
-kernel values, computed here exactly (no random-feature approximation).
+kernel values. The kernel and the one exact reduction of those sums
+(`pair_sums`, no random-feature approximation) live here; `gram` assembles
+every inner product from it.
 Intended scale: up to a few hundred bags of up to a few hundred points each;
 cost of one inner product is O(N_a * N_b).
 """
@@ -97,7 +99,7 @@ def float_points(points) -> np.ndarray:
         return np.array(points, dtype=np.float64, order="C")
     values = np.array(points, dtype=object)  # then one cast: faster than parsing to float64
     if any(issubclass(t, (str, bytes, bool, np.bool_)) for t in set(map(type, values.flat))):
-        raise TypeError("points must be numbers, not strings or booleans")
+        raise TypeError("values must be numbers, not strings or booleans")
     return values.astype(np.float64)
 
 
@@ -229,7 +231,7 @@ def pair_sums(
     points: np.ndarray,
     bounds: np.ndarray,
     row_first: bool,
-    scratch=None,
+    scratch,
 ) -> np.ndarray:
     """Double sums of kernel values of each bag of a packed row run against each
     bag of a packed column run, as a (rows, columns) array.
@@ -242,7 +244,8 @@ def pair_sums(
     value depends on the segment alone. `row_first` puts the row bags first in
     every pair; callers set it by Bag._order_key, so a pair's sum is fixed by
     its two bags, whatever the argument order, the rest of either run,
-    chunking or threads. With a `scratch` threading.local, tiles reuse one buffer per thread.
+    chunking or threads. Kernel tiles are views of one buffer per thread, kept
+    on the `scratch` threading.local.
     """
     row_starts = row_bounds[:-1]
     out = np.empty((len(row_starts), len(bounds) - 1))
@@ -260,28 +263,15 @@ def pair_sums(
         # Points of `first` in slices that fit one tile; a point's sums are its own.
         for part in row_chunks((len(first), len(second))):
             size, tile = len(first[part]) * len(second), None
-            if scratch is not None and size <= _CHUNK_BUDGET:
+            if size <= _CHUNK_BUDGET:
                 if not hasattr(scratch, "tile"):
                     scratch.tile = np.empty(_CHUNK_BUDGET)
                 tile = scratch.tile[:size].reshape(-1, len(second))
             kmat = kernel_matrix(spec, first[part], second, tile)
             per_point[:, part] = segment_sums(kmat, second_starts).T
-            del kmat  # a fresh array (no scratch) is freed before the next one
+            del kmat  # a fresh array (a column bag past the budget) is freed before the next one
         sums = segment_sums(per_point, first_starts)
         out[:, start:stop] = sums.T if row_first else sums
         start = stop
     return out
 
-
-def embed_inner(spec: EmbeddingKernelSpec, a: Bag, b: Bag) -> float:
-    """Inner product of the empirical mean embeddings of two bags.
-
-    <mu_a, mu_b> = (1/(N_a N_b)) sum_i sum_j k(a_i, b_j), by `pair_sums` on a
-    one-bag run with the smaller Bag._order_key first. So embed_inner(a, b)
-    and embed_inner(b, a) agree bit for bit, and equal the Gram entries.
-    """
-    check_dims(spec, (a, b))
-    row_first = a._order_key() <= b._order_key()
-    a_bounds, b_bounds = np.array([0, a.size]), np.array([0, b.size])
-    total = pair_sums(spec, a.points, a_bounds, b.points, b_bounds, row_first)[0, 0]
-    return float(total) / (a.size * b.size)

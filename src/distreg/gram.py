@@ -1,16 +1,19 @@
-"""Training Gram matrices, test-vs-train cross blocks, and spectrum extraction.
+"""Training Gram matrices, test-vs-train cross blocks, embedding inner products
+and the Gram spectrum.
 
 Entries are outer-kernel values on empirical mean embeddings, with the row
 bag always in the first kernel slot. Assembly reduces every entry to
 embedding inner products, each an exact double sum by the one canonical
 reduction, `embedding.pair_sums`: the bag with the smaller Bag._order_key
-is first, and the value of a pair depends on its two bags alone. Row bags
-are reduced in blocks of consecutive bags in rank order, each block against
-a packed run of column bags in one call per direction, so a Gram of many
-small bags costs a few kernel blocks rather than one per row. The Gram, the
-cross-Gram (in either argument order), the self inner products and
-`embed_inner` therefore agree bit for bit on every pair, whatever the block,
-the thread count or the chunk budget. Dense storage only.
+is first, and the value of a pair depends on its two bags alone. Cross
+inner products have one route, `_embedding_inners`: the Gram, the
+cross-Gram, the tilt against the reference bag and `embed_inner` (its 1 x 1
+block) all go through it, and a cross-Gram's self inner products through
+`_self_inners`. Row bags are reduced in blocks of consecutive bags in rank
+order, each block against a packed run of column bags in one call per
+direction, so a Gram of many small bags costs a few kernel blocks rather
+than one per row. All of these agree bit for bit on every pair, whatever
+the block, the thread count or the chunk budget. Dense storage only.
 """
 
 from __future__ import annotations
@@ -26,17 +29,10 @@ import numpy as np
 import scipy.linalg
 
 from .blas import serial_blas
-from .embedding import Bag, EmbeddingKernelSpec, check_dims, embed_inner, pair_sums, row_chunks
+from .embedding import Bag, EmbeddingKernelSpec, check_dims, pair_sums, row_chunks
 from .embedding import kernel_matrix  # noqa: F401  (bench/spans.py wraps gram.kernel_matrix)
 from .errors import ConfigError, InputError, NumericalError
 from .outer import OuterKernelSpec, apply_outer
-
-_SCALE_NOTE = (
-    "singular values and eigenvalues are those of (1/m) * gram; empirical "
-    "proxies for the integral-operator spectrum"
-)
-# Largest entrywise gap to the transpose at which spectrum() reports eigenvalues.
-_SYMMETRY_TOL = 1e-10
 
 # Pointwise kernel evaluations that make a row block, and the mean per row bag
 # from which a thread pool gains. A block of consecutive row bags is closed
@@ -92,18 +88,6 @@ class GramMatrix:
     @property
     def m(self) -> int:
         return self.values.shape[0]
-
-
-@dataclass(frozen=True)
-class SpectrumReport:
-    """Descending spectrum of (1/m) * gram.
-
-    `eigenvalues` is populated only when the matrix is numerically symmetric.
-    """
-
-    singular_values: np.ndarray
-    eigenvalues: np.ndarray | None
-    scale_note: str = _SCALE_NOTE
 
 
 def _run_tasks(fill: Callable, tasks: Sequence, threads: int, evals: int, rows: int) -> None:
@@ -255,7 +239,8 @@ def _outer_block(
     `col_self`, when given, must be those self inner products; they are then
     not recomputed.
     """
-    check_dims(espec, [*row_bags, *col_bags])
+    refs = [kspec.ref_bag] if kspec.family == "tilted_asymmetric" else []
+    check_dims(espec, [*row_bags, *col_bags, *refs])
     check_threads(threads)
     inner = _embedding_inners(espec, row_bags, col_bags, threads, symmetric)
     if symmetric:
@@ -264,10 +249,7 @@ def _outer_block(
         row_self = _self_inners(espec, row_bags, threads)
         if col_self is None:
             col_self = _self_inners(espec, col_bags, threads)
-    row_ref = None
-    if kspec.family == "tilted_asymmetric":
-        # Called through this module's name, which bench/spans.py wraps as the tilt.
-        row_ref = np.array([embed_inner(espec, b, kspec.ref_bag) for b in row_bags])
+    row_ref = _embedding_inners(espec, row_bags, refs, threads, False)[:, 0] if refs else None
     return apply_outer(kspec, inner, row_self, col_self, row_ref), col_self
 
 
@@ -316,13 +298,16 @@ def build_cross_gram(
     return values
 
 
+def embed_inner(espec: EmbeddingKernelSpec, a: Bag, b: Bag) -> float:
+    """Inner product <mu_a, mu_b> = (1/(N_a N_b)) sum_i sum_j k(a_i, b_j) of two bags'
+    empirical mean embeddings, as the 1 x 1 block of `_embedding_inners`: it equals
+    embed_inner(b, a) and the Gram entries bit for bit."""
+    check_dims(espec, (a, b))
+    return float(_embedding_inners(espec, [a], [b], 1, False)[0, 0])
+
+
 @serial_blas
-def spectrum(g: GramMatrix) -> SpectrumReport:
-    """Spectrum of (1/m) * gram: singular values, plus eigenvalues if symmetric."""
-    scaled = g.values / g.m
-    singular = np.sort(scipy.linalg.svdvals(scaled))[::-1]
-    eigenvalues = None
-    if np.max(np.abs(g.values - g.values.T)) <= _SYMMETRY_TOL:
-        sym = 0.5 * (scaled + scaled.T)
-        eigenvalues = np.sort(scipy.linalg.eigh(sym, eigvals_only=True))[::-1]
-    return SpectrumReport(singular_values=singular, eigenvalues=eigenvalues)
+def spectrum(g: GramMatrix) -> np.ndarray:
+    """Descending singular values of (1/m) * gram: empirical proxies for the
+    spectrum of the integral operator, which may be indefinite or asymmetric."""
+    return np.sort(scipy.linalg.svdvals(g.values / g.m))[::-1]

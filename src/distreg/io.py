@@ -50,11 +50,11 @@ def bag_from_record(rec: dict, where: str = "") -> Bag:
     if rec.get("params") is not None:
         p = rec["params"]
         try:
-            theta = np.asarray(p["theta"], dtype=np.float64)
-            if theta.ndim > 1:
-                raise ValueError(f"theta must be a number or a flat list, got {p['theta']!r}")
-            params = BagParams(theta=theta, scale=float(p["s"]))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            theta = float_points(p["theta"])
+            if theta.ndim > 1 or not np.isfinite(theta).all():
+                raise ValueError(f"theta must be a finite number or flat list, got {p['theta']!r}")
+            params = BagParams(theta=theta, scale=config_float(p["s"], "'s'"))
+        except (KeyError, TypeError, ValueError, OverflowError, ConfigError) as exc:
             raise InputError(f"malformed bag params{where}: {exc}") from exc
     try:
         return Bag(str(bag_id), points, label, params)

@@ -1,11 +1,14 @@
 """Shared fixtures: seeded bag factories, the frozen indefinite configuration, and
-per-pair references for embedding distances and outer-kernel values."""
+per-pair references for embedding inner products, distances and outer-kernel values."""
+
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from distreg import Bag, EmbeddingKernelSpec, GramMatrix, OuterKernelSpec, embed_inner
+from distreg import Bag, EmbeddingKernelSpec, GramMatrix, OuterKernelSpec
+from distreg.embedding import pair_sums
 from distreg.outer import apply_outer
 
 # Every property test draws the same examples on every run, so the suite is
@@ -32,13 +35,23 @@ def make_bags(seed: int, m: int, n: int, d: int, spread: float = 0.5, box: float
     return bags
 
 
+def pair_inner(spec: EmbeddingKernelSpec, a: Bag, b: Bag) -> float:
+    """<mu_a, mu_b> of one pair by `pair_sums` on one-bag runs, the smaller
+    Bag._order_key first: a reference independent of the Gram's block path."""
+    row_first = a._order_key() <= b._order_key()
+    a_bounds, b_bounds = np.array([0, a.size]), np.array([0, b.size])
+    scratch = threading.local()
+    total = pair_sums(spec, a.points, a_bounds, b.points, b_bounds, row_first, scratch)[0, 0]
+    return float(total) / (a.size * b.size)
+
+
 def embed_sq_dist(spec: EmbeddingKernelSpec, a: Bag, b: Bag) -> float:
     """Squared embedding distance ||mu_a - mu_b||^2, clamped at zero.
 
     Expanded as <a,a> + <b,b> - 2<a,b>, the expansion `apply_outer` makes;
     roundoff can push it a few ulp below zero, hence the clamp.
     """
-    d2 = embed_inner(spec, a, a) + embed_inner(spec, b, b) - 2.0 * embed_inner(spec, a, b)
+    d2 = pair_inner(spec, a, a) + pair_inner(spec, b, b) - 2.0 * pair_inner(spec, a, b)
     return max(d2, 0.0)
 
 
@@ -52,9 +65,9 @@ def outer_eval(
     """
     row_ref = None
     if kspec.family == "tilted_asymmetric":
-        row_ref = np.array([embed_inner(espec, a, kspec.ref_bag)])
-    inner = np.array([[embed_inner(espec, a, b)]])
-    self_a, self_b = np.array([embed_inner(espec, a, a)]), np.array([embed_inner(espec, b, b)])
+        row_ref = np.array([pair_inner(espec, a, kspec.ref_bag)])
+    inner = np.array([[pair_inner(espec, a, b)]])
+    self_a, self_b = np.array([pair_inner(espec, a, a)]), np.array([pair_inner(espec, b, b)])
     return float(apply_outer(kspec, inner, self_a, self_b, row_ref)[0, 0])
 
 

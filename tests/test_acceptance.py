@@ -150,10 +150,9 @@ def test_criterion_5_schedule_arithmetic():
 
 def test_criterion_6_capacity_bound():
     sv = 1.0 / np.arange(1, 201, dtype=np.float64) ** 2
-    rep = dr.SpectrumReport(singular_values=sv, eigenvalues=None)
     ok = True
     for lam in np.logspace(-4, 0, 20):
-        value = dr.effective_dimension(rep, float(lam))
+        value = dr.effective_dimension(sv, float(lam))
         exact = sum(s / (s + lam) for s in sv)  # independent scalar oracle
         ok &= abs(value - exact) <= 1e-12 * max(exact, 1.0)
         ok &= value <= 2.0 * lam ** (-0.5)

@@ -18,7 +18,6 @@ from distreg import (
     OuterKernelSpec,
     SaturationConfig,
     ScheduleParams,
-    SpectrumReport,
     SweepConfig,
     build_gram,
     effective_dimension,
@@ -36,27 +35,27 @@ from distreg.solver import solve_alpha
 from conftest import INDEFINITE_DOG, INDEFINITE_EMBEDDING, make_bags
 
 
-def report_from_values(sv) -> SpectrumReport:
-    sv = np.sort(np.asarray(sv, dtype=np.float64))[::-1]
-    return SpectrumReport(singular_values=sv, eigenvalues=None)
+def descending(sv) -> np.ndarray:
+    """`sv` as singular values in the order `spectrum` returns them."""
+    return np.sort(np.asarray(sv, dtype=np.float64))[::-1]
 
 
 class TestEffectiveDimension:
     def test_equal_values_closed_form(self):
-        rep = report_from_values([0.5] * 7)
+        rep = descending([0.5] * 7)
         lam = 0.25
         assert effective_dimension(rep, lam) == pytest.approx(7 * 0.5 / 0.75, rel=1e-14)
 
     def test_large_lambda_dominance(self):
         sv = 1.0 / np.arange(1, 101) ** 2
-        rep = report_from_values(sv)
+        rep = descending(sv)
         assert effective_dimension(rep, 1e9 * sv[0]) < 1e-6
 
     def test_inverse_square_spectrum_capacity_example(self):
         # sigma_l = l^-2 for l <= 100 at lam = 0.01: exact sum stays under the
         # closed-form cap 2 * lam^(-1/2) = 20.
         sv = 1.0 / np.arange(1, 101) ** 2
-        rep = report_from_values(sv)
+        rep = descending(sv)
         exact = sum(s / (s + 0.01) for s in sv)  # independent scalar sum
         value = effective_dimension(rep, 0.01)
         assert value == pytest.approx(exact, rel=1e-12)
@@ -64,54 +63,54 @@ class TestEffectiveDimension:
 
     def test_strictly_decreasing_in_lambda(self):
         sv = 1.0 / np.arange(1, 51) ** 1.5
-        rep = report_from_values(sv)
+        rep = descending(sv)
         values = [effective_dimension(rep, lam) for lam in np.logspace(-6, 2, 10)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_bounded_by_nonzero_count(self):
-        rep = report_from_values([1.0, 0.5, 0.25, 0.0, 0.0])
+        rep = descending([1.0, 0.5, 0.25, 0.0, 0.0])
         assert effective_dimension(rep, 1e-12) <= 3 + 1e-9
 
     @pytest.mark.parametrize("alpha,c_alpha", [(1.5, 1.0), (2.0, 1.0), (3.0, 2.5)])
     def test_capacity_bound_on_synthetic_spectra(self, alpha, c_alpha):
         sv = c_alpha / np.arange(1, 201, dtype=np.float64) ** alpha
-        rep = report_from_values(sv)
+        rep = descending(sv)
         cap = alpha * c_alpha / (alpha - 1)
         for lam in np.logspace(-4, 0, 20):
             assert effective_dimension(rep, lam) <= cap * lam ** (-1.0 / alpha)
 
     def test_lambda_must_be_positive(self):
         with pytest.raises(ConfigError):
-            effective_dimension(report_from_values([1.0]), 0.0)
+            effective_dimension(descending([1.0]), 0.0)
 
 
 class TestFitDecayExponent:
     def test_exact_inverse_square(self):
         sv = 1.0 / np.arange(1, 31, dtype=np.float64) ** 2
-        assert fit_decay_exponent(report_from_values(sv), 30) == pytest.approx(
+        assert fit_decay_exponent(descending(sv), 30) == pytest.approx(
             2.0, abs=1e-10
         )
 
     def test_prefactor_absorbed(self):
         sv = 3.0 / np.arange(1, 21, dtype=np.float64) ** 1.5
-        assert fit_decay_exponent(report_from_values(sv), 20) == pytest.approx(
+        assert fit_decay_exponent(descending(sv), 20) == pytest.approx(
             1.5, abs=1e-10
         )
 
     def test_head_limits_the_fit(self):
         sv = np.concatenate([1.0 / np.arange(1, 11) ** 2, np.full(10, 1e-15)])
-        assert fit_decay_exponent(report_from_values(sv), 10) == pytest.approx(
+        assert fit_decay_exponent(descending(sv), 10) == pytest.approx(
             2.0, abs=1e-10
         )
 
     def test_too_few_values(self):
         with pytest.raises(InputError):
-            fit_decay_exponent(report_from_values([1.0, 0.5]), 10)
+            fit_decay_exponent(descending([1.0, 0.5]), 10)
 
     def test_noise_floor_filtered(self):
         sv = [1.0, 0.5, 1e-13, 1e-14]
         with pytest.raises(InputError):
-            fit_decay_exponent(report_from_values(sv), 4)
+            fit_decay_exponent(descending(sv), 4)
 
     def test_frozen_gaussian_gram_fixture(self):
         # Frozen: 30 bags (seed 2, spread 0.5, box 2), gaussian outer sigma=1,

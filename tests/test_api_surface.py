@@ -1,10 +1,13 @@
-"""The package imports only what it uses, and the scripts use only what exists.
+"""The package imports only what it uses, the scripts use only what exists, and
+embedding inner products have one route.
 
 Every name a module of `src/distreg` imports must be read in that module, or
 be a shim that `bench/spans.py` wraps by (module, attribute) in its
-`WRAP_TABLE`. And every `distreg` name that `scripts/*.py` import or reach by
+`WRAP_TABLE`. Every `distreg` name that `scripts/*.py` import or reach by
 attribute (`dr.SweepConfig`, `OuterKernelSpec.gaussian`) must resolve, since
-no test runs the scripts. Both checks read the source with `ast`.
+no test runs the scripts. And the one reduction, `embedding.pair_sums`, is
+called only by the Gram's block path, always with a tile scratch. The checks
+read the source with `ast`.
 """
 
 import ast
@@ -77,3 +80,32 @@ def test_script_distreg_names_resolve(path):
                 break
             obj = getattr(obj, name)
     assert missing == []
+
+
+def _top_level_calls(tree: ast.Module, name: str):
+    """(enclosing top-level function or None, call) for every call of `name`."""
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if getattr(func, "id", None) == name or getattr(func, "attr", None) == name:
+                    yield getattr(top, "name", None), node
+
+
+def test_embedding_inner_products_have_one_route():
+    callers, defines = [], []
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        for caller, call in _top_level_calls(tree, "pair_sums"):
+            callers.append(f"{path.stem}.{caller}")
+            # The scratch goes last, by name (`*run` hides how many come before it).
+            last = call.args[-1] if call.args else None
+            passed = getattr(last, "id", None) == "scratch"
+            assert passed or any(k.arg == "scratch" for k in call.keywords), callers[-1]
+        defines += [
+            path.stem
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "embed_inner"
+        ]
+    assert sorted(set(callers)) == ["gram._embedding_inners", "gram._self_inners"]
+    assert defines == ["gram"]

@@ -368,6 +368,10 @@ class TestCmdGenerate:
         assert main(["generate", "--config", cfg, "--out", str(out), "--seed", "5"]) == 0
 
 
+def params_record(theta, s) -> dict:
+    return {"id": "c", "y": 1.0, "points": [[0.3]], "params": {"theta": theta, "s": s}}
+
+
 # Bag records that must give exit code 2 and one `error:` line, not a traceback.
 MALFORMED_RECORDS = {
     "ragged-points": {"id": "c", "y": 1.0, "points": [[0.1], [0.2, 0.3]]},
@@ -388,6 +392,13 @@ MALFORMED_RECORDS = {
     "bool-points": {"id": "c", "y": 1.0, "points": [[True], [False]]},
     "string-among-number-points": {"id": "c", "y": 1.0, "points": [[1], ["2"]]},
     "bool-among-number-points": {"id": "c", "y": 1.0, "points": [[0.5], [True]]},
+    # Generator parameters: strings, booleans and non-finite values.
+    "string-theta": params_record(["0.5"], 0.1),
+    "string-s": params_record([0.5], "0.1"),
+    "bool-theta": params_record([True], 0.1),
+    "bool-s": params_record([0.5], True),
+    "nan-theta": params_record([math.nan], 0.1),
+    "inf-s": params_record([0.5], math.inf),
 }
 
 
@@ -563,6 +574,18 @@ class TestCmdFit:
         assert shown in one_error_line(capsys)
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("ref_dim,dim", [(3, 2), (2, 1)])
+    def test_reference_bag_dimension_mismatch_exits_2(self, tmp_path, capsys, ref_dim, dim):
+        sections = base_sections(
+            data=_synth_with(dim=dim),
+            embedding_kernel={"family": "gaussian", "bandwidth": 0.25, "dim": dim},
+            outer_kernel={**BAD_REF_KERNEL, "ref_bag": {"id": "ref", "points": [[0.1] * ref_dim]}},
+        )
+        cfg = write_config(tmp_path, **sections)
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "m.json")]) == 2
+        want = f"error: bag 'ref' has dimension {ref_dim}, kernel expects {dim}"
+        assert one_error_line(capsys) == want
+
     def test_missing_bag_file_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, **base_sections(data={"path": str(tmp_path / "gone.ndjson")}))
         assert main(["fit", "--config", cfg]) == 2
@@ -663,6 +686,11 @@ class TestCmdPredict:
             ("alpha", "abc", "malformed model file"),
             ("train_bags", [{"id": "a", "y": 1.0, "points": [[0.1], [0.2, 0.3]]}], "bag 'a'"),
             ("train_bags", 7, "malformed model file"),
+            (
+                "train_bags",
+                [{"id": "a", "y": 1.0, "points": [[0.1]], "params": {"theta": [0.5], "s": "0.1"}}],
+                "malformed bag params in model file",
+            ),
             ("embedding_kernel", {"family": "gaussian", "bandwidth": "wide", "dim": 1}, "'wide'"),
             ("embedding_kernel", {"family": "gaussian", "bandwidth": -1.0, "dim": 1}, "bandwidth"),
             ("outer_kernel", "gaussian", "malformed model file"),
@@ -678,6 +706,7 @@ class TestCmdPredict:
             ("lambda", math.nan, "'lambda' must be a finite number, got nan"),
         ],
         ids=["no-alpha", "string-alpha", "ragged-train-bag", "train-bags-not-a-list",
+             "string-s-train-bag",
              "string-bandwidth", "negative-bandwidth", "string-outer-kernel",
              "ragged-ref-bag", "unused-outer-param", "ref-bag-on-gaussian",
              "huge-lambda", "huge-alpha", "nested-alpha", "nan-alpha", "bool-alpha",

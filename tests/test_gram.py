@@ -21,11 +21,12 @@ from distreg import (
     spectrum,
 )
 
-from distreg import ConfigError, embedding
+from distreg import ConfigError, embedding, gram
 from distreg.embedding import kernel_matrix
 from distreg.gram import kernel_fingerprint
+from distreg.outer import apply_outer
 
-from conftest import gram_from_matrix, make_bags
+from conftest import gram_from_matrix, make_bags, pair_inner
 from test_embedding import naive_inner
 
 
@@ -114,6 +115,18 @@ class TestBuildGram:
         bags = [Bag("a", np.zeros((2, 3)))]
         with pytest.raises(InputError):
             build_gram(OuterKernelSpec.linear(), gaussian_embedding, bags)
+
+    @pytest.mark.parametrize("ref_dim,dim", [(3, 2), (2, 1)])
+    def test_reference_bag_dimension_mismatch(self, ref_dim, dim):
+        # With dim 1 a 2-d reference bag would otherwise reach kernel_matrix's
+        # 1-d branch, which reads only the first coordinate.
+        espec = EmbeddingKernelSpec("gaussian", 1.0, dim)
+        bags = make_bags(27, 3, 4, dim)
+        kspec = OuterKernelSpec.tilted(1.0, 0.5, Bag("ref", np.zeros((2, ref_dim))))
+        with pytest.raises(InputError, match=f"bag 'ref' has dimension {ref_dim}"):
+            build_gram(kspec, espec, bags)
+        with pytest.raises(InputError, match=f"bag 'ref' has dimension {ref_dim}"):
+            build_cross_gram(kspec, espec, bags[:1], bags)
 
     def test_empty_bag_list(self, gaussian_embedding):
         with pytest.raises(InputError):
@@ -236,6 +249,51 @@ def test_self_inner_products_write_into_the_tile_buffer(threads, monkeypatch):
     assert len(outs) >= 2 * len(test) and all(out is not None for out in outs)
 
 
+@pytest.mark.parametrize("min_evals", [gram._POOL_MIN_EVALS, 0], ids=lambda v: f"pool{v}")
+@pytest.mark.parametrize("threads", [1, 2])
+def test_tilt_equals_the_pairwise_inner_products(threads, min_evals, monkeypatch):
+    # The tilt's <mu_row, mu_ref> reach apply_outer as `row_ref`.
+    rng = np.random.default_rng(44)
+    train = [Bag(f"r{i}", rng.normal(size=(n, 2))) for i, n in enumerate([30, 1, 12, 45, 7])]
+    test = [Bag(f"t{i}", rng.normal(size=(n, 2))) for i, n in enumerate([9, 30, 2])]
+    ref = Bag("ref", rng.normal(size=(17, 2)))
+    espec, kspec = EmbeddingKernelSpec("gaussian", 0.7, 2), OuterKernelSpec.tilted(0.9, 0.6, ref)
+    row_refs = []
+
+    def spy(kspec, inner, row_self, col_self, row_ref):
+        row_refs.append(row_ref.copy())
+        return apply_outer(kspec, inner, row_self, col_self, row_ref)
+
+    monkeypatch.setattr(gram, "_POOL_MIN_EVALS", min_evals)
+    monkeypatch.setattr(gram, "apply_outer", spy)
+    build_gram(kspec, espec, train, threads=threads)
+    build_cross_gram(kspec, espec, test, train, threads=threads)
+    want = [[pair_inner(espec, b, ref) for b in bags] for bags in (train, test)]
+    assert [r.tolist() for r in row_refs] == want
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_tilt_writes_into_the_tile_buffer(threads, monkeypatch):
+    # The tilt's inner products with the reference bag are reduced in the
+    # per-thread tile, like the Gram's rows: every kernel block gets an `out`.
+    rng = np.random.default_rng(45)
+    train = [Bag(f"r{i}", rng.normal(size=(40, 1))) for i in range(4)]
+    ref = Bag("ref", rng.normal(size=(25, 1)))
+    espec = EmbeddingKernelSpec("gaussian", 0.5, 1)
+    kspec = OuterKernelSpec.tilted(1.0, 0.5, ref)
+    outs = []
+
+    def spy(spec, s, t, out=None):
+        outs.append((len(s), len(t), out))
+        return kernel_matrix(spec, s, t, out)
+
+    monkeypatch.setattr(embedding, "kernel_matrix", spy)
+    build_gram(kspec, espec, train, threads=threads)
+    # The reference bag's 25 points meet the row bags' in at least one block.
+    assert any(25 in (rows, cols) for rows, cols, _ in outs)
+    assert all(out is not None for _, _, out in outs)
+
+
 @pytest.mark.parametrize("shape", [(1, 1), (7, 7), (40, 40), (13, 29), (29, 13)])
 def test_reorder_in_place_equals_fancy_indexing(shape):
     from distreg.gram import _reorder
@@ -295,47 +353,41 @@ class TestCrossGram:
 
 class TestSpectrum:
     def test_identity_three(self):
-        rep = spectrum(gram_from_matrix(np.eye(3)))
-        assert np.allclose(rep.singular_values, [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
-        assert rep.eigenvalues is not None
-        assert np.allclose(rep.eigenvalues, [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
+        sv = spectrum(gram_from_matrix(np.eye(3)))
+        assert np.allclose(sv, [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
 
     def test_diagonal(self):
-        rep = spectrum(gram_from_matrix(np.diag([3.0, 2.0, 1.0])))
-        assert np.allclose(rep.singular_values, [1.0, 2 / 3, 1 / 3], atol=1e-15)
+        sv = spectrum(gram_from_matrix(np.diag([3.0, 2.0, 1.0])))
+        assert np.allclose(sv, [1.0, 2 / 3, 1 / 3], atol=1e-15)
 
     def test_descending_and_nonnegative(self, gaussian_embedding):
         bags = make_bags(41, 12, 5, 2)
         g = build_gram(OuterKernelSpec.dog(0.4, 1.5, 0.9), gaussian_embedding, bags)
-        rep = spectrum(g)
-        sv = rep.singular_values
+        sv = spectrum(g)
         assert np.all(sv[:-1] >= sv[1:]) and np.all(sv >= 0)
 
     def test_matches_svd_oracle_on_20_bag_gram(self, gaussian_embedding):
         # Oracle: singular values via the eigendecomposition of A^T A.
         bags = make_bags(42, 20, 5, 2)
         g = build_gram(OuterKernelSpec.gaussian(0.8), gaussian_embedding, bags)
-        rep = spectrum(g)
+        sv = spectrum(g)
         scaled = g.values / 20
         ev = np.linalg.eigvalsh(scaled.T @ scaled)
         oracle = np.sqrt(np.clip(ev, 0.0, None))[::-1]
-        assert np.allclose(rep.singular_values, oracle, atol=1e-8)
+        assert np.allclose(sv, oracle, atol=1e-8)
 
     def test_trace_consistency(self, gaussian_embedding):
+        # A Gaussian outer Gram is PSD, so its singular values are its eigenvalues.
         bags = make_bags(43, 15, 4, 2)
         g = build_gram(OuterKernelSpec.gaussian(1.0), gaussian_embedding, bags)
-        rep = spectrum(g)
-        assert rep.eigenvalues is not None
-        assert np.sum(rep.eigenvalues) == pytest.approx(
-            np.trace(g.values) / g.m, abs=1e-8
-        )
+        sv = spectrum(g)
+        assert np.sum(sv) == pytest.approx(np.trace(g.values) / g.m, abs=1e-8)
 
     def test_asymmetric_has_no_eigenvalues(self, gaussian_embedding):
         bags = make_bags(44, 5, 3, 2)
         kspec = OuterKernelSpec.tilted(1.0, 1.0, bags[0])
-        rep = spectrum(build_gram(kspec, gaussian_embedding, bags))
-        assert rep.eigenvalues is None
-        assert np.all(rep.singular_values >= 0)
+        sv = spectrum(build_gram(kspec, gaussian_embedding, bags))
+        assert np.all(sv >= 0)
 
     def test_non_square_rejected(self):
         # A GramMatrix is square by construction, so spectrum never sees one that is not.
@@ -343,7 +395,3 @@ class TestSpectrum:
             GramMatrix(values=np.zeros((2, 3)), ids=("a", "b"))
         with pytest.raises(InputError, match="shape"):
             GramMatrix(values=np.zeros((3, 3)), ids=("a", "b"))
-
-    def test_scale_note_mentions_proxy(self):
-        rep = spectrum(gram_from_matrix(np.eye(2)))
-        assert "proxies" in rep.scale_note

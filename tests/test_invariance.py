@@ -31,7 +31,7 @@ from distreg import (
 import distreg
 from distreg import embedding, gram
 
-from conftest import outer_eval
+from conftest import outer_eval, pair_inner
 
 KERNEL_CASES = [("gaussian", 1), ("gaussian", 2), ("exponential", 2), ("cauchy", 1)]
 # Chunk budgets, in kernel values: one that takes every case below in one
@@ -118,9 +118,10 @@ def test_pooled_rows_give_the_serial_bits(case, monkeypatch, pool_starts):
     assert pool_starts == []
     monkeypatch.setattr(gram, "_POOL_MIN_EVALS", 0)
     pooled = run(2)
-    # One pool for the Gram, three for the cross-Gram (inner products and the
-    # self inner products of both bag lists), one for the last call.
-    assert len(pool_starts) == 5
+    # Two pools for the Gram (inner products and the tilt), four for the
+    # cross-Gram (inner products, the self inner products of both bag lists and
+    # the tilt), one for the last call.
+    assert len(pool_starts) == 7
     for a, b in zip(serial, pooled):
         assert np.array_equal(a, b)
 
@@ -183,8 +184,8 @@ def tiny_bags():
 def tiny_case():
     espec, train, test = tiny_bags()
     reference = (
-        np.array([[embed_inner(espec, a, b) for b in train] for a in train]),
-        np.array([[embed_inner(espec, a, b) for b in train] for a in test]),
+        np.array([[pair_inner(espec, a, b) for b in train] for a in train]),
+        np.array([[pair_inner(espec, a, b) for b in train] for a in test]),
     )
     return espec, train, test, reference
 
@@ -195,7 +196,7 @@ def tiny_case():
 def test_row_blocks_of_tiny_bags_give_the_pairwise_bits(
     tiny_case, monkeypatch, budget, threads, min_evals
 ):
-    # The reference is embed_inner, one bag pair at a time.
+    # The reference is pair_inner, one bag pair at a time outside the block path.
     espec, train, test, (inner, cross) = tiny_case
     monkeypatch.setattr(embedding, "_CHUNK_BUDGET", budget)
     monkeypatch.setattr(gram, "_POOL_MIN_EVALS", min_evals)
@@ -209,7 +210,7 @@ def test_tiny_bag_blocks_straddle_the_diagonal_and_the_band(tiny_case, monkeypat
     espec, train, test, _ = tiny_case
     calls = []
 
-    def spy(spec, row_points, row_bounds, points, bounds, row_first, scratch=None):
+    def spy(spec, row_points, row_bounds, points, bounds, row_first, scratch):
         calls.append((len(row_bounds) - 1, len(bounds) - 1, row_first))
         return embedding.pair_sums(spec, row_points, row_bounds, points, bounds, row_first, scratch)
 
@@ -260,7 +261,7 @@ def test_cross_gram_argument_order_is_a_transpose(case):
 def test_self_inner_products_equal_gram_diagonal(case):
     espec, train, test = case
     diag = np.diag(build_gram(OuterKernelSpec.linear(), espec, train).values)
-    assert np.array_equal(diag, [embed_inner(espec, b, b) for b in train])
+    assert np.array_equal(diag, [pair_inner(espec, b, b) for b in train])
     assert np.array_equal(diag, gram._self_inners(espec, train, threads=2))
     assert np.array_equal(gram._self_inners(espec, test, threads=1)[[0, 4]], diag[[3, 0]])
 

@@ -2,12 +2,13 @@
 """Desk-scale learning-rate experiment: error vs first-stage sample size.
 
 Runs the coefficient scheme (or the ridge baseline) over a list of m values
-with replications, writes rates.csv / summary.json / rates.svg, and prints
+with replications, writes rates.csv and summary.json, and prints
 the fitted log-log slope.
 """
 
 import argparse
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -56,10 +57,12 @@ if __name__ == "__main__":
     with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
         json.dump(build_config(args), fh)
         config_path = fh.name
-    code = cli_main(
-        ["sweep", "--config", config_path, "--out", args.out, "--svg",
-         "--threads", str(args.threads)]
-    )
+    try:
+        code = cli_main(
+            ["sweep", "--config", config_path, "--out", args.out, "--threads", str(args.threads)]
+        )
+    finally:
+        os.remove(config_path)
     if code == 0:
         print(f"outputs in {Path(args.out).resolve()}")
     sys.exit(code)

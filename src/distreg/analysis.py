@@ -21,7 +21,7 @@ import numpy as np
 from .blas import serial_blas
 from .embedding import EmbeddingKernelSpec
 from .errors import ConfigError, InputError, config_float, config_keys
-from .gram import build_gram
+from .gram import build_gram, check_threads
 from .outer import OuterKernelSpec
 from .solver import alpha_paths, check_scheme, excess_error, fit_coefficient, fit_krr
 from .solver import solve_alpha  # noqa: F401  (bench/spans.py wraps analysis.solve_alpha)
@@ -288,6 +288,7 @@ class SweepConfig:
 
     def __post_init__(self):
         check_scheme(self.scheme, self.outer_kernel)
+        check_threads(self.threads)
         self.lambda_rule  # validates the lambda fields
         if self.replications < 1:
             raise ConfigError(f"replications must be >= 1, got {self.replications}")

@@ -22,7 +22,7 @@ from .embedding import EmbeddingKernelSpec
 from .errors import (
     ConfigError, ContractError, InputError, NumericalError, config_float, config_int, config_keys,
 )
-from .gram import build_gram, kernel_fingerprint, spectrum
+from .gram import build_gram, check_threads, kernel_fingerprint, spectrum
 from .outer import OuterKernelSpec
 from .solver import check_scheme, fit_coefficient, fit_krr, predict
 from .synth import MetaDistributionSpec, generate
@@ -211,42 +211,29 @@ def cmd_sweep(args) -> int:
         holdout_frac=rule.holdout_frac,
         threads=args.threads,
     )
+    out_dir = Path(args.out or ".")
+    out_dir.mkdir(parents=True, exist_ok=True)
     if len(sweep_cfg.m_values) < 3:
         print("warning: fewer than 3 m values; table emitted without a rate fit", file=sys.stderr)
     result = analysis.run_rate_experiment(sweep_cfg)
-    out_dir = Path(args.out or ".")
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        io.write_csv(
-            out_dir / "rates.csv",
-            ["m", "N", "lambda", "rep", "scheme", "error"],
-            ([r.m, r.n_points, r.lam, r.rep, r.scheme, r.error] for r in result.rows),
-        )
-        summary = {
-            "medians": {str(m): e for m, e in result.medians.items()},
-            "n_by_m": {str(m): n for m, n in result.n_by_m.items()},
-            "n_max": sweep_cfg.n_max,
-            "capped_m": list(result.capped_m),
-            "scheme": sweep_cfg.scheme,
-            "lambda_mode": rule.mode,
-        }
-        if result.fit is not None:
-            summary["rate_fit"] = asdict(result.fit)
-        with open(out_dir / "summary.json", "w") as fh:
-            json.dump(summary, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        if args.svg:
-            io.write_svg_loglog(
-                out_dir / "rates.svg",
-                [(float(m), result.medians[m]) for m in sweep_cfg.m_values],
-                xlabel="first-stage sample size m",
-                ylabel="excess error",
-                fit_slope=result.fit.slope if result.fit else None,
-                fit_intercept=result.fit.intercept if result.fit else None,
-                title="error vs sample size (log-log)",
-            )
-    except OSError as exc:
-        raise InputError(f"cannot write outputs to {out_dir}: {exc}") from exc
+    io.write_csv(
+        out_dir / "rates.csv",
+        ["m", "N", "lambda", "rep", "scheme", "error"],
+        ([r.m, r.n_points, r.lam, r.rep, r.scheme, r.error] for r in result.rows),
+    )
+    summary = {
+        "medians": {str(m): e for m, e in result.medians.items()},
+        "n_by_m": {str(m): n for m, n in result.n_by_m.items()},
+        "n_max": sweep_cfg.n_max,
+        "capped_m": list(result.capped_m),
+        "scheme": sweep_cfg.scheme,
+        "lambda_mode": rule.mode,
+    }
+    if result.fit is not None:
+        summary["rate_fit"] = asdict(result.fit)
+    with open(out_dir / "summary.json", "w") as fh:
+        json.dump(summary, fh, sort_keys=True, indent=2)
+        fh.write("\n")
     if result.fit is not None:
         print(f"rate slope {result.fit.slope:.4f} (r^2 {result.fit.r_squared:.3f})")
     if args.json:
@@ -257,32 +244,31 @@ def cmd_sweep(args) -> int:
 def cmd_spectrum(args) -> int:
     cfg = _load_config(args.config, args.seed)
     kspec, espec = _kernels(cfg)
-    bags = _bags(_data(cfg), require_labels=False)
+    source = _data(cfg)
+    head = config_int(cfg.get("decay_head", _DEFAULT_DECAY_HEAD), "'decay_head'", 3)
+    check_threads(args.threads)
+    out_dir = Path(args.out or ".")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    bags = _bags(source, require_labels=False)
     if len(bags) < 3:
         raise ConfigError(f"spectrum needs at least 3 bags, got {len(bags)}")
     g = build_gram(kspec, espec, bags, threads=args.threads)
     singular = spectrum(g)
-    head = config_int(cfg.get("decay_head", _DEFAULT_DECAY_HEAD), "'decay_head'", 3)
     alpha_hat = analysis.fit_decay_exponent(singular, head=head)
     top = float(singular[0])
     lam_grid = np.logspace(-6.0, 0.0, _EFFDIM_GRID_SIZE) * max(top, 1e-12)
-    out_dir = Path(args.out or ".")
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        io.write_csv(
-            out_dir / "spectrum.csv",
-            ["l", "sigma"],
-            ([i + 1, float(s)] for i, s in enumerate(singular)),
-        )
-        io.write_csv(
-            out_dir / "effective_dimension.csv",
-            ["lambda", "effective_dimension"],
-            ([float(lam), analysis.effective_dimension(singular, float(lam))] for lam in lam_grid),
-        )
-        if args.dump_gram:
-            io.write_gram_csv(g, out_dir / "gram.csv")
-    except OSError as exc:
-        raise InputError(f"cannot write outputs to {out_dir}: {exc}") from exc
+    io.write_csv(
+        out_dir / "spectrum.csv",
+        ["l", "sigma"],
+        ([i + 1, float(s)] for i, s in enumerate(singular)),
+    )
+    io.write_csv(
+        out_dir / "effective_dimension.csv",
+        ["lambda", "effective_dimension"],
+        ([float(lam), analysis.effective_dimension(singular, float(lam))] for lam in lam_grid),
+    )
+    if args.dump_gram:
+        io.write_gram_csv(g, out_dir / "gram.csv")
     payload = {"alpha_hat": alpha_hat, "m": len(bags), "top_singular_value": top}
     if args.json:
         print(json.dumps(payload, sort_keys=True))
@@ -349,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="rate experiment over a list of m values")
     add_common(p_sweep)
-    p_sweep.add_argument("--svg", action="store_true", help="also write a log-log SVG plot")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_spec = sub.add_parser("spectrum", help="Gram spectrum, decay fit, effective dimension")

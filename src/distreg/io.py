@@ -1,4 +1,4 @@
-"""File formats: newline-delimited bag records, model documents, CSV, SVG.
+"""File formats: newline-delimited bag records, model documents, CSV.
 
 Bag files are NDJSON, one record per line: {"id", "y", "params"?, "points"}.
 A null "y" is allowed only where labels are not needed (prediction inputs).
@@ -141,6 +141,11 @@ def load_model(path: str | Path) -> CoefficientModel:
         found = doc.get("format") if isinstance(doc, dict) else type(doc).__name__
         raise InputError(f"model file {path} has format {found!r}, expected {MODEL_FORMAT!r}")
     try:
+        kspec = OuterKernelSpec.from_dict(doc["outer_kernel"])
+        espec = EmbeddingKernelSpec.from_dict(doc["embedding_kernel"])
+        stored, computed = doc.get("kernel_fingerprint"), kernel_fingerprint(kspec, espec)
+        if stored != computed:
+            raise ValueError(f"kernel_fingerprint is {stored!r}, its kernels hash to {computed!r}")
         if not isinstance(doc["alpha"], list):
             raise ValueError("'alpha' must be a list of numbers")
         lam = config_float(doc["lambda"], "'lambda'")
@@ -152,8 +157,8 @@ def load_model(path: str | Path) -> CoefficientModel:
             train_bags=tuple(
                 bag_from_record(r, where=f" in model file {path}") for r in doc["train_bags"]
             ),
-            outer_kernel=OuterKernelSpec.from_dict(doc["outer_kernel"]),
-            embedding_kernel=EmbeddingKernelSpec.from_dict(doc["embedding_kernel"]),
+            outer_kernel=kspec,
+            embedding_kernel=espec,
             scheme=doc["scheme"],
         )
     except KeyError as exc:
@@ -182,72 +187,3 @@ def write_gram_csv(g: GramMatrix, path: str | Path) -> None:
     """Row-major Gram dump with a header of column bag ids, for debugging."""
     write_csv(path, ["row_id", *g.ids], ([i, *r.tolist()] for i, r in zip(g.ids, g.values)))
 
-
-def write_svg_loglog(
-    path: str | Path,
-    points: Sequence[tuple[float, float]],
-    xlabel: str,
-    ylabel: str,
-    fit_slope: float | None = None,
-    fit_intercept: float | None = None,
-    title: str = "",
-) -> None:
-    """Minimal hand-rolled log-log plot: one polyline of data, optional fit line."""
-    if any(x <= 0 or y <= 0 for x, y in points):
-        raise InputError("log-log plot needs strictly positive coordinates")
-    width, height, margin = 640, 480, 70
-    xs = np.log10([p[0] for p in points])
-    ys = np.log10([p[1] for p in points])
-    x_lo, x_hi = float(xs.min()), float(xs.max())
-    y_lo, y_hi = float(ys.min()), float(ys.max())
-    x_pad = 0.05 * max(x_hi - x_lo, 1e-9)
-    y_pad = 0.05 * max(y_hi - y_lo, 1e-9)
-    x_lo, x_hi = x_lo - x_pad, x_hi + x_pad
-    y_lo, y_hi = y_lo - y_pad, y_hi + y_pad
-
-    def px(x: float) -> float:
-        return margin + (x - x_lo) / (x_hi - x_lo) * (width - 2 * margin)
-
-    def py(y: float) -> float:
-        return height - margin - (y - y_lo) / (y_hi - y_lo) * (height - 2 * margin)
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" '
-        f'y2="{height - margin}" stroke="black"/>',
-        f'<line x1="{margin}" y1="{margin}" x2="{margin}" y2="{height - margin}" '
-        f'stroke="black"/>',
-        f'<text x="{width / 2:.1f}" y="{height - 20}" text-anchor="middle" '
-        f'font-size="14">{xlabel}</text>',
-        f'<text x="20" y="{height / 2:.1f}" text-anchor="middle" font-size="14" '
-        f'transform="rotate(-90 20 {height / 2:.1f})">{ylabel}</text>',
-    ]
-    if title:
-        parts.append(
-            f'<text x="{width / 2:.1f}" y="30" text-anchor="middle" font-size="16">{title}</text>'
-        )
-    for log_x, log_y in zip(xs, ys):
-        parts.append(
-            f'<text x="{px(log_x):.1f}" y="{height - margin + 18:.1f}" text-anchor="middle" '
-            f'font-size="11">{10 ** log_x:.3g}</text>'
-        )
-        parts.append(
-            f'<text x="{margin - 8:.1f}" y="{py(log_y) + 4:.1f}" text-anchor="end" '
-            f'font-size="11">{10 ** log_y:.3g}</text>'
-        )
-    coords = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
-    parts.append(f'<polyline points="{coords}" fill="none" stroke="steelblue" stroke-width="2"/>')
-    for x, y in zip(xs, ys):
-        parts.append(f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="4" fill="steelblue"/>')
-    if fit_slope is not None and fit_intercept is not None:
-        # fit was done in natural log; convert to log10 coordinates
-        y0 = (fit_slope * (x_lo * np.log(10)) + fit_intercept) / np.log(10)
-        y1 = (fit_slope * (x_hi * np.log(10)) + fit_intercept) / np.log(10)
-        parts.append(
-            f'<line x1="{px(x_lo):.2f}" y1="{py(float(y0)):.2f}" x2="{px(x_hi):.2f}" '
-            f'y2="{py(float(y1)):.2f}" stroke="firebrick" stroke-dasharray="6,4"/>'
-        )
-    parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")

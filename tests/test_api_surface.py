@@ -1,24 +1,30 @@
-"""The package imports only what it uses, the scripts use only what exists, and
-embedding inner products have one route.
+"""The package imports only what it uses, the scripts use only what exists, the
+README names every option, and embedding inner products have one route.
 
 Every name a module of `src/distreg` imports must be read in that module, or
 be a shim that `bench/spans.py` wraps by (module, attribute) in its
 `WRAP_TABLE`. Every `distreg` name that `scripts/*.py` import or reach by
-attribute (`dr.SweepConfig`, `OuterKernelSpec.gaussian`) must resolve, since
-no test runs the scripts. And the one reduction, `embedding.pair_sums`, is
-called only by the Gram's block path, always with a tile scratch. The checks
-read the source with `ast`.
+attribute (`dr.SweepConfig`, `OuterKernelSpec.gaussian`), and every `--flag`
+they pass to the CLI's `main`, must exist, since no test runs the scripts.
+README.md must name every CLI option and head a config-table row with every
+top-level config key. And the one reduction, `embedding.pair_sums`, is called
+only by the Gram's block path, always with a tile scratch. The checks read the
+source with `ast`.
 """
 
+import argparse
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
 
+from distreg import cli
 from test_bench_spans import _wrap_table
 
 ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text()
 MODULES = sorted(p for p in (ROOT / "src" / "distreg").glob("*.py") if p.name != "__init__.py")
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
@@ -80,6 +86,35 @@ def test_script_distreg_names_resolve(path):
                 break
             obj = getattr(obj, name)
     assert missing == []
+
+
+def _subcommand_options() -> dict[str, set[str]]:
+    """Subcommand -> its option strings, from the CLI's own parser."""
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {name: set(p._option_string_actions) - {"-h", "--help"}
+            for name, p in sub.choices.items()}
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
+def test_script_cli_flags_exist(path):
+    tree = ast.parse(path.read_text())
+    mains = {name for name, obj in _distreg_roots(tree).items() if obj is cli.main}
+    options = _subcommand_options()
+    stale = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) in mains):
+            continue
+        (argv,) = node.args
+        words = [e.value for e in argv.elts if isinstance(e, ast.Constant)]
+        stale += [w for w in words if w.startswith("--") and w not in options[words[0]]]
+    assert stale == []
+
+
+def test_readme_names_every_option_and_config_key():
+    flags = set().union(*_subcommand_options().values())
+    assert [f for f in sorted(flags) if not re.search(rf"{f}(?![\w-])", README)] == []
+    rows = [k for k in cli._CONFIG_KEYS if not re.search(rf"^\| `{k}(\.\w+)*`", README, re.M)]
+    assert rows == []
 
 
 def _top_level_calls(tree: ast.Module, name: str):

@@ -276,19 +276,6 @@ def test_gram_csv_header_quotes_odd_ids(tmp_path, gaussian_embedding):
     assert [[float(v) for v in r[1:]] for r in rows[1:]] == g.values.tolist()
 
 
-def test_svg_writer(tmp_path):
-    path = tmp_path / "plot.svg"
-    io.write_svg_loglog(
-        path, [(10, 1.0), (100, 0.3), (1000, 0.1)], xlabel="m", ylabel="err",
-        fit_slope=-0.5, fit_intercept=0.0,
-    )
-    text = path.read_text()
-    assert text.startswith("<svg")
-    assert "polyline" in text and "m</text>" in text
-    with pytest.raises(InputError):
-        io.write_svg_loglog(tmp_path / "bad.svg", [(10, 0.0)], "x", "y")
-
-
 def test_gram_csv(tmp_path, gaussian_embedding):
     bags = make_bags(74, 3, 2, 2)
     g = build_gram(OuterKernelSpec.gaussian(1.0), gaussian_embedding, bags)
@@ -704,13 +691,31 @@ class TestCmdPredict:
             ("alpha", [True] + [1.0] * 11, "'alpha' entry must be a finite number, got True"),
             ("lambda", -0.1, "'lambda' must be positive, got -0.1"),
             ("lambda", math.nan, "'lambda' must be a finite number, got nan"),
+            # The fitted kernels hash to 0fd697e255be269c; a hand-edited kernel
+            # no longer matches the stored fingerprint.
+            (
+                "outer_kernel",
+                {"family": "gaussian_on_embedding", "sigma": 7.0},
+                "kernel_fingerprint is '0fd697e255be269c', its kernels hash to '1083cff9ba650bba'",
+            ),
+            (
+                "embedding_kernel",
+                {"family": "gaussian", "bandwidth": 3.0, "dim": 1},
+                "kernel_fingerprint is '0fd697e255be269c', its kernels hash to '4dd268f9ce1c75b5'",
+            ),
+            (
+                "kernel_fingerprint",
+                None,
+                "kernel_fingerprint is None, its kernels hash to '0fd697e255be269c'",
+            ),
         ],
         ids=["no-alpha", "string-alpha", "ragged-train-bag", "train-bags-not-a-list",
              "string-s-train-bag",
              "string-bandwidth", "negative-bandwidth", "string-outer-kernel",
              "ragged-ref-bag", "unused-outer-param", "ref-bag-on-gaussian",
              "huge-lambda", "huge-alpha", "nested-alpha", "nan-alpha", "bool-alpha",
-             "negative-lambda", "nan-lambda"],
+             "negative-lambda", "nan-lambda",
+             "edited-outer-kernel", "edited-embedding-kernel", "no-fingerprint"],
     )
     def test_malformed_model_exits_2(self, tmp_path, capsys, field, value, message):
         model_path = self._fit(tmp_path)
@@ -971,12 +976,12 @@ class TestCmdSweep:
     def test_outputs_and_reproducibility(self, tmp_path, capsys):
         cfg = write_config(tmp_path, **sweep_sections())
         out1, out2 = tmp_path / "run1", tmp_path / "run2"
-        assert main(["sweep", "--config", cfg, "--out", str(out1), "--svg"]) == 0
-        assert main(["sweep", "--config", cfg, "--out", str(out2), "--svg"]) == 0
+        assert main(["sweep", "--config", cfg, "--out", str(out1)]) == 0
+        assert main(["sweep", "--config", cfg, "--out", str(out2)]) == 0
+        assert sorted(p.name for p in out1.iterdir()) == ["rates.csv", "summary.json"]
         rates1 = (out1 / "rates.csv").read_text()
         assert rates1 == (out2 / "rates.csv").read_text()
         assert (out1 / "summary.json").read_text() == (out2 / "summary.json").read_text()
-        assert (out1 / "rates.svg").read_text() == (out2 / "rates.svg").read_text()
         lines = rates1.splitlines()
         assert lines[0] == "m,N,lambda,rep,scheme,error"
         assert len(lines) == 1 + 3 * 2
@@ -1020,11 +1025,35 @@ class TestCmdSweep:
         assert (out / "rates.csv").exists()
         assert "rate_fit" not in json.loads((out / "summary.json").read_text())
 
-    def test_unwritable_out_exits_2(self, tmp_path):
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, monkeypatch):
+        # An output under a plain file fails in the OS; main prints its one line.
         blocker = tmp_path / "blocked"
         blocker.write_text("file, not dir")
-        cfg = write_config(tmp_path, **sweep_sections())
-        assert main(["sweep", "--config", cfg, "--out", str(blocker)]) == 2
+        out = str(blocker / "out")
+        cfg = write_config(tmp_path, **base_sections())
+        model = tmp_path / "model.json"
+        bags = tmp_path / "bags.ndjson"
+        assert main(["fit", "--config", cfg, "--out", str(model)]) == 0
+        assert main(["generate", "--config", cfg, "--out", str(bags)]) == 0
+        capsys.readouterr()
+        assert main(["fit", "--config", cfg, "--out", out]) == 2
+        assert out in one_error_line(capsys)
+        assert main(["generate", "--config", cfg, "--out", out]) == 2
+        assert out in one_error_line(capsys)
+        assert main(["predict", "--model", str(model), "--bags", str(bags), "--out", out]) == 2
+        assert out in one_error_line(capsys)
+
+        # sweep and spectrum make their directory before any of the work.
+        def not_reached(*args, **kwargs):
+            raise AssertionError("work started before the output directory was made")
+
+        monkeypatch.setattr(distreg.analysis, "run_rate_experiment", not_reached)
+        monkeypatch.setattr(distreg.cli, "build_gram", not_reached)
+        sweep_cfg = write_config(tmp_path, name="sweep.json", **sweep_sections())
+        for argv in (["sweep", "--config", sweep_cfg], ["spectrum", "--config", cfg]):
+            for target in (out, str(blocker)):
+                assert main([*argv, "--out", target]) == 2
+                assert target in one_error_line(capsys)
 
     def test_noiseless_easy_target_negative_slope(self, tmp_path):
         # Frozen-seed fixture: error keeps dropping with m even without label

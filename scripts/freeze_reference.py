@@ -10,6 +10,7 @@ Expect several minutes of runtime for the 50-replication sweep.
 
 import argparse
 import json
+from dataclasses import asdict
 
 import numpy as np
 
@@ -53,7 +54,7 @@ def saturation_ratio(threads: int) -> dict:
         n_points=50,
         threads=threads,
     )
-    return dr.saturation_compare(cfg).to_dict()
+    return asdict(dr.saturation_compare(cfg))
 
 
 def indefinite_min_eigenvalue() -> float:

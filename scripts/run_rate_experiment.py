@@ -13,6 +13,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+from distreg.analysis import DEFAULT_LAMBDA_GRID
 from distreg.cli import main as cli_main
 
 
@@ -31,7 +32,7 @@ def build_config(args) -> dict:
         "embedding_kernel": {"family": "gaussian", "bandwidth": 0.25, "dim": 1},
         "outer_kernel": {"family": "gaussian_on_embedding", "sigma": 1.0},
         "scheme": args.scheme,
-        "lambda": {"grid": [10.0**e for e in range(-8, 1)]},
+        "lambda": {"grid": DEFAULT_LAMBDA_GRID},
         "schedule_params": {"r": 1.0, "alpha_decay": 2.0, "h": 1.0},
         "m": args.m,
         "replications": args.replications,

@@ -7,6 +7,7 @@ report records each scheme's best held-out excess error and their ratio.
 
 import argparse
 import json
+from dataclasses import asdict
 
 from distreg import (
     EmbeddingKernelSpec,
@@ -41,4 +42,4 @@ if __name__ == "__main__":
         threads=args.threads,
     )
     report = saturation_compare(config)
-    print(json.dumps(report.to_dict(), indent=2))
+    print(json.dumps(asdict(report), indent=2))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -237,14 +237,20 @@ class LambdaRule:
         if not 0 < self.holdout_frac < 1:
             raise ConfigError(f"holdout_frac must lie in (0, 1), got {self.holdout_frac}")
 
+    def check(self, m: int | None, seed: int | None) -> None:
+        """Raise, before any work, what `pick` would on m bags (None: not yet known)."""
+        if self.mode == "grid" and seed is None:
+            raise ConfigError("lambda grid selection requires a seed")
+        if self.mode == "grid" and m is not None and m < 3:
+            raise InputError(f"holdout selection needs at least 3 bags, got {m}")
+
     def pick(self, g_values: np.ndarray, y: np.ndarray, schemes: Sequence[str], seed: int | None):
         """One lambda per scheme; one holdout split and selection serve them all."""
+        self.check(len(y), seed)
         if self.mode == "fixed":
             return (float(self.fixed),) * len(schemes)
         if self.mode == "schedule":
             return (schedule(self.schedule_params, len(y)).lam,) * len(schemes)
-        if seed is None:
-            raise ConfigError("lambda grid selection requires a seed")
         picks = select_lambda_holdout(g_values, y, self.grid, schemes, self.holdout_frac, seed)
         return tuple(picks[scheme][0] for scheme in schemes)
 
@@ -377,9 +383,6 @@ class SaturationReport:
     lambda_krr: float
     ratio: float  # err_coefficient / err_krr
     winner: str
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "lambda_grid": list(self.lambda_grid)}
 
 
 def saturation_compare(config: SaturationConfig) -> SaturationReport:

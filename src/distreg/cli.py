@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -31,6 +32,8 @@ EXIT_OK = 0
 EXIT_IO = 2
 EXIT_CONFIG = 3
 EXIT_NUMERICAL = 4
+_EXIT_CODES = ((InputError, EXIT_IO), (OSError, EXIT_IO), (ConfigError, EXIT_CONFIG),
+               (ContractError, EXIT_CONFIG), (NumericalError, EXIT_NUMERICAL))
 
 _EFFDIM_GRID_SIZE = 20
 _DEFAULT_DECAY_HEAD = 10
@@ -150,7 +153,10 @@ def cmd_fit(args) -> int:
     scheme = check_scheme(cfg.get("scheme", "coefficient_l2"), kspec)
     rule = _lambda_rule(cfg)
     seed = None if cfg.get("seed") is None else config_int(cfg["seed"], "'seed'", 0)
-    bags = _bags(_data(cfg), require_labels=True)
+    source = _data(cfg)
+    rule.check(None, seed)
+    bags = _bags(source, require_labels=True)
+    rule.check(len(bags), seed)
     y = np.array([b.label for b in bags], dtype=np.float64)
     g = build_gram(kspec, espec, bags, threads=args.threads)
     (lam,) = rule.pick(g.values, y, (scheme,), seed)
@@ -357,17 +363,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # sweep and spectrum make their --out directory before the work; a run that
+    # fails removes the topmost directory of that path which it found missing.
+    out = Path(args.out or ".") if args.command in ("sweep", "spectrum") else Path(".")
+    made = next((p for p in (*reversed(out.parents), out) if not p.exists()), None)
     try:
         return args.func(args)
-    except (InputError, OSError) as exc:
+    except tuple(kind for kind, _ in _EXIT_CODES) as exc:
+        if made is not None and made.exists():
+            shutil.rmtree(made)
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (ConfigError, ContractError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -20,10 +20,6 @@ import numpy as np
 
 from .errors import ConfigError, InputError, config_float, config_int, config_keys
 
-# All supported families take the value 1 at zero distance, so the embedding
-# kernel bound is a shared constant.
-KERNEL_BOUND = 1.0
-
 # Kernel values in one tile of the double-sum reduction: 1 MiB of float64, so its
 # numpy passes stay in a core's L2 (2 MiB on the 2-core Xeon measured, where 2^16
 # ran ~20% slower on 200-bag Grams and 2^18 no faster). Tiles are views of a

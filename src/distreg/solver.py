@@ -72,14 +72,16 @@ def check_scheme(scheme: str, outer_kernel: OuterKernelSpec | None = None) -> st
 class FitReport:
     """Diagnostics of one fit.
 
+    `objective_value` is (1/m) ||G alpha - y||^2 plus lam m ||alpha||^2 for the
+    coefficient scheme, plus lam alpha^T G alpha for the ridge.
     `condition_estimate` is ||A||_1 times the Hager-Higham estimate of
     ||A^-1||_1 (the algorithm of LAPACK's dlacn2, as in dpocon, on solves with
     the fit's Cholesky factor): an estimate of the 1-norm condition number of
     the system matrix A, not of the 2-norm one, with the same bits in every
     process. The estimate does not exceed the 1-norm condition number and is
     rarely below a third of it; that number in turn lies within a factor of m
-    of the 2-norm one. `residual_norm` is the
-    relative residual ||A alpha - b|| / ||b|| of the normal equations, with
+    of the 2-norm one. `residual_norm` is the relative residual
+    ||A alpha - b|| / ||b|| of the normal equations, with
     A alpha evaluated from G, since the factorization overwrites A:
     G^T (G alpha) + lam m^2 alpha for the coefficient scheme, G alpha +
     lam m alpha for the ridge. `wall_time` covers the system assembly, the
@@ -121,49 +123,48 @@ class CoefficientModel:
             )
 
 
-def _validate_fit_inputs(g: GramMatrix, y: np.ndarray, lam: float) -> np.ndarray:
+def _solve(scheme: str, g_values: np.ndarray, y, lam: float, train_bags: Sequence | None = None):
+    """Assemble, factor and solve the scheme's normal equations A alpha = b.
+
+    Checks lam, the scheme, y and, when given, that `train_bags` has one bag
+    per row of G, in that order. Returns alpha, the Cholesky factor of A,
+    ||A||_1, y as a float vector and b.
+    """
     if lam <= 0:
         raise ConfigError(f"lambda must be positive, got {lam}")
+    check_scheme(scheme)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
-    if y.shape[0] != g.m:
-        raise InputError(f"y has length {y.shape[0]}, Gram matrix is {g.m} x {g.m}")
+    m = len(g_values)
+    if y.shape[0] != m:
+        raise InputError(f"y has length {y.shape[0]}, Gram matrix is {m} x {m}")
     if not np.all(np.isfinite(y)):
         raise InputError("y contains non-finite values")
-    return y
-
-
-def _cho_factor(scheme: str, system: np.ndarray) -> tuple[np.ndarray, bool]:
+    if train_bags is not None and len(train_bags) != m:
+        raise InputError("train_bags must match the Gram matrix dimension")
+    if scheme == "coefficient_l2":
+        system, rhs, shift = g_values.T @ g_values, g_values.T @ y, lam * m * m
+    else:
+        system, rhs, shift = np.array(g_values, dtype=np.float64), y, lam * m
+    system.flat[:: m + 1] += shift
+    # ||system||_1 as np.linalg.norm(system, 1) sums it, down each column in row
+    # order, but with no |system| copy; taken first, as the factor overwrites it.
+    norm1 = scipy.linalg.lapack.dlange("I", system.T)
     # Factors the F-ordered view system.T in place, whose upper triangle is the lower
     # one of `system`. G^T G is exactly symmetric; a ridge system, whose G may be
     # hand-made, first gets its own upper triangle mirrored there.
     if scheme == "krr":
         mirror_upper(system)
     try:
-        return scipy.linalg.cho_factor(system.T, overwrite_a=True)
+        factor = scipy.linalg.cho_factor(system.T, overwrite_a=True)
     except scipy.linalg.LinAlgError as exc:
         raise NumericalError(f"SPD factorization failed: {exc}") from exc
-
-
-def assemble_system(
-    scheme: str, g_values: np.ndarray, y: np.ndarray, lam: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """System matrix and right-hand side of the scheme's normal equations."""
-    m = len(y)
-    if check_scheme(scheme) == "coefficient_l2":
-        system, rhs, shift = g_values.T @ g_values, g_values.T @ y, lam * m * m
-    else:
-        system, rhs, shift = np.array(g_values, dtype=np.float64), y, lam * m
-    system.flat[:: m + 1] += shift
-    return system, rhs
+    return scipy.linalg.cho_solve(factor, rhs), factor, norm1, y, rhs
 
 
 @serial_blas
 def solve_alpha(scheme: str, g_values: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
-    """Matrix-level solve for either scheme, without building a model."""
-    if lam <= 0:
-        raise ConfigError(f"lambda must be positive, got {lam}")
-    system, rhs = assemble_system(scheme, g_values, np.asarray(y, dtype=np.float64), lam)
-    return scipy.linalg.cho_solve(_cho_factor(scheme, system), rhs)
+    """Matrix-level solve for either scheme, without building a model: the fit's alpha."""
+    return _solve(scheme, g_values, y, lam)[0]
 
 
 def _eigh(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -223,20 +224,6 @@ def alpha_paths(
     return paths
 
 
-def coefficient_objective(g_values: np.ndarray, y: np.ndarray, lam: float, alpha: np.ndarray) -> float:
-    """(1/m) ||G alpha - y||^2 + lam * m * ||alpha||^2."""
-    m = len(y)
-    fit = g_values @ alpha - y
-    return float(fit @ fit / m + lam * m * (alpha @ alpha))
-
-
-def krr_objective(g_values: np.ndarray, y: np.ndarray, lam: float, alpha: np.ndarray) -> float:
-    """(1/m) ||G alpha - y||^2 + lam * alpha^T G alpha (PSD kernels)."""
-    m = len(y)
-    fit = g_values @ alpha - y
-    return float(fit @ fit / m + lam * (alpha @ (g_values @ alpha)))
-
-
 def _inverse_norm1(factor: tuple[np.ndarray, bool]) -> float:
     """Hager-Higham estimate of ||A^-1||_1 for the SPD A factored by `factor`: the
     algorithm of LAPACK's dlacn2, on solves with that factor (A^-1 is symmetric,
@@ -283,16 +270,8 @@ def _fit(
     embedding_kernel: EmbeddingKernelSpec,
 ) -> tuple[CoefficientModel, FitReport]:
     check_scheme(scheme, outer_kernel)
-    y = _validate_fit_inputs(g, y, lam)
-    if len(train_bags) != g.m:
-        raise InputError("train_bags must match the Gram matrix dimension")
     t0 = time.perf_counter()
-    system, rhs = assemble_system(scheme, g.values, y, lam)
-    # ||system||_1 as np.linalg.norm(system, 1) sums it, down each column in row
-    # order, but with no |system| copy; taken first, as the factor overwrites it.
-    norm1 = scipy.linalg.lapack.dlange("I", system.T)
-    factor = _cho_factor(scheme, system)
-    alpha = scipy.linalg.cho_solve(factor, rhs)
+    alpha, factor, norm1, y, rhs = _solve(scheme, g.values, y, lam, train_bags)
     model = CoefficientModel(
         alpha=alpha,
         lam=lam,
@@ -302,13 +281,13 @@ def _fit(
         scheme=scheme,
         train_self_inners=g.self_inners,
     )
-    objective = coefficient_objective if scheme == "coefficient_l2" else krr_objective
-    # The system is the factor by now, so the residual is evaluated from G.
+    # The system is the factor by now, so the report is evaluated from G alpha.
     m, g_alpha = len(y), g.values @ alpha
     if scheme == "coefficient_l2":
-        applied = g.values.T @ g_alpha + lam * m * m * alpha
+        applied, penalty = g.values.T @ g_alpha + lam * m * m * alpha, lam * m * (alpha @ alpha)
     else:
-        applied = g_alpha + lam * m * alpha
+        applied, penalty = g_alpha + lam * m * alpha, lam * (alpha @ g_alpha)
+    misfit = g_alpha - y
     residual, scale = np.linalg.norm(applied - rhs), np.linalg.norm(rhs)
     cond = norm1 * _inverse_norm1(factor)
     if cond > CONDITION_WARN_THRESHOLD:
@@ -319,7 +298,7 @@ def _fit(
             stacklevel=3,
         )
     report = FitReport(
-        objective_value=objective(g.values, y, lam, alpha),
+        objective_value=float(misfit @ misfit / m + penalty),
         residual_norm=float(residual / scale if scale > 0 else residual),
         condition_estimate=cond,
         wall_time=time.perf_counter() - t0,

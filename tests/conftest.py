@@ -1,5 +1,6 @@
 """Shared fixtures: seeded bag factories, the frozen indefinite configuration, and
-per-pair references for embedding inner products, distances and outer-kernel values."""
+per-pair references for embedding inner products, distances and outer-kernel values,
+and the whole-matrix forms of the solver's normal equations and objectives."""
 
 import threading
 
@@ -10,6 +11,7 @@ from hypothesis import settings
 from distreg import Bag, EmbeddingKernelSpec, GramMatrix, OuterKernelSpec
 from distreg.embedding import pair_sums
 from distreg.outer import apply_outer
+from distreg.solver import check_scheme
 
 # Every property test draws the same examples on every run, so the suite is
 # deterministic; tests without their own count run 1000 examples, enough
@@ -69,6 +71,33 @@ def outer_eval(
     inner = np.array([[pair_inner(espec, a, b)]])
     self_a, self_b = np.array([pair_inner(espec, a, a)]), np.array([pair_inner(espec, b, b)])
     return float(apply_outer(kspec, inner, self_a, self_b, row_ref)[0, 0])
+
+
+def assemble_system(
+    scheme: str, g_values: np.ndarray, y: np.ndarray, lam: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """System matrix and right-hand side of the scheme's normal equations."""
+    m = len(y)
+    if check_scheme(scheme) == "coefficient_l2":
+        system, rhs, shift = g_values.T @ g_values, g_values.T @ y, lam * m * m
+    else:
+        system, rhs, shift = np.array(g_values, dtype=np.float64), y, lam * m
+    system.flat[:: m + 1] += shift
+    return system, rhs
+
+
+def coefficient_objective(g_values: np.ndarray, y: np.ndarray, lam: float, alpha: np.ndarray) -> float:
+    """(1/m) ||G alpha - y||^2 + lam * m * ||alpha||^2."""
+    m = len(y)
+    fit = g_values @ alpha - y
+    return float(fit @ fit / m + lam * m * (alpha @ alpha))
+
+
+def krr_objective(g_values: np.ndarray, y: np.ndarray, lam: float, alpha: np.ndarray) -> float:
+    """(1/m) ||G alpha - y||^2 + lam * alpha^T G alpha (PSD kernels)."""
+    m = len(y)
+    fit = g_values @ alpha - y
+    return float(fit @ fit / m + lam * (alpha @ (g_values @ alpha)))
 
 
 # Frozen indefinite fixture: found once by seeded search, kept as a regression

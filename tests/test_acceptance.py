@@ -15,9 +15,14 @@ import distreg as dr
 from distreg import ContractError
 from distreg import io as dio
 from distreg.cli import main as cli_main
-from distreg.solver import coefficient_objective, krr_objective
 
-from conftest import gram_from_matrix, make_bags, make_indefinite_fixture
+from conftest import (
+    coefficient_objective,
+    gram_from_matrix,
+    krr_objective,
+    make_bags,
+    make_indefinite_fixture,
+)
 from test_embedding import naive_inner
 from test_solver import (
     pinv_coefficient_alpha,

@@ -408,6 +408,10 @@ class TestRateExperiment:
         with pytest.raises(ConfigError):
             _sweep_config(replications=0)
 
+    def test_n_max_validated(self):
+        with pytest.raises(ConfigError, match="n_max must be >= 1"):
+            _sweep_config(n_max=0)
+
 
 class TestSaturationCompare:
     def _config(self, **overrides):

@@ -600,6 +600,35 @@ class TestCmdFit:
         cfg = write_config(tmp_path, **sections)
         assert main(["fit", "--config", cfg]) == 3
 
+    @staticmethod
+    def _refuse_work(monkeypatch, *names):
+        def not_reached(*args, **kwargs):
+            raise AssertionError("work started before the lambda grid's preconditions")
+
+        for module, name in (("cli", "generate"), ("cli", "build_gram"), *names):
+            monkeypatch.setattr(getattr(distreg, module), name, not_reached)
+
+    @pytest.mark.parametrize("source", ["synth", "path"])
+    def test_grid_without_seed_exits_3_before_any_bag(self, tmp_path, capsys, monkeypatch, source):
+        bag_path = tmp_path / "bags.ndjson"
+        io.write_bags([Bag(f"b{i}", [[0.1 * i]], label=float(i)) for i in range(5)], bag_path)
+        sections = _grid_fit() if source == "synth" else _grid_fit(data={"path": str(bag_path)})
+        del sections["seed"]
+        cfg = write_config(tmp_path, **sections)
+        self._refuse_work(monkeypatch, ("io", "read_bags"))
+        out = tmp_path / "m.json"
+        assert main(["fit", "--config", cfg, "--out", str(out)]) == 3
+        assert one_error_line(capsys) == "error: lambda grid selection requires a seed"
+        assert not out.exists()
+
+    def test_grid_on_two_bags_exits_2_before_the_gram(self, tmp_path, capsys, monkeypatch):
+        bag_path = tmp_path / "two.ndjson"
+        io.write_bags([Bag("a", [[0.0]], label=1.0), Bag("b", [[1.0]], label=2.0)], bag_path)
+        cfg = write_config(tmp_path, **_grid_fit(data={"path": str(bag_path)}))
+        self._refuse_work(monkeypatch)
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "m.json")]) == 2
+        assert one_error_line(capsys) == "error: holdout selection needs at least 3 bags, got 2"
+
 
 class TestCmdPredict:
     def _fit(self, tmp_path):
@@ -1055,6 +1084,21 @@ class TestCmdSweep:
                 assert main([*argv, "--out", target]) == 2
                 assert target in one_error_line(capsys)
 
+    def test_failed_run_removes_only_the_out_it_made(self, tmp_path, capsys, monkeypatch):
+        def fail(config):
+            raise NumericalError("SPD factorization failed: planted")
+
+        monkeypatch.setattr(distreg.analysis, "run_rate_experiment", fail)
+        cfg = write_config(tmp_path, **sweep_sections())
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        (kept / "notes.txt").write_text("mine")
+        for out in (tmp_path / "new" / "sweep", kept):
+            assert main(["sweep", "--config", cfg, "--out", str(out)]) == 4
+            assert "planted" in one_error_line(capsys)
+        assert not (tmp_path / "new").exists()
+        assert (kept / "notes.txt").read_text() == "mine"
+
     def test_noiseless_easy_target_negative_slope(self, tmp_path):
         # Frozen-seed fixture: error keeps dropping with m even without label
         # noise, so the fitted log-log slope is negative.
@@ -1109,6 +1153,21 @@ class TestCmdSpectrum:
         io.write_bags([Bag("only", [[0.0]])], bag_path)
         cfg = write_config(tmp_path, **base_sections(data={"path": str(bag_path)}))
         assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "s")]) == 3
+
+    @pytest.mark.parametrize("n_bags, code", [(None, 2), (2, 3)], ids=["missing-file", "two-bags"])
+    def test_failed_run_removes_only_the_out_it_made(self, tmp_path, capsys, n_bags, code):
+        bag_path = tmp_path / "bags.ndjson"
+        if n_bags is not None:
+            io.write_bags(make_bags(5, n_bags, 3, 1), bag_path)
+        cfg = write_config(tmp_path, **base_sections(data={"path": str(bag_path)}))
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        (kept / "notes.txt").write_text("mine")
+        for out in (tmp_path / "new" / "spec", kept):
+            assert main(["spectrum", "--config", cfg, "--out", str(out)]) == code
+            one_error_line(capsys)
+        assert not (tmp_path / "new").exists()
+        assert (kept / "notes.txt").read_text() == "mine"
 
 
 class TestCmdSchedule:

@@ -20,15 +20,16 @@ from distreg import (
     predict,
 )
 from distreg.blas import serial_blas
-from distreg.solver import (
-    _inverse_norm1,
+from distreg.solver import _inverse_norm1, alpha_paths, solve_alpha
+
+from conftest import (
     assemble_system,
     coefficient_objective,
+    gram_from_matrix,
     krr_objective,
-    solve_alpha,
+    make_bags,
+    make_indefinite_fixture,
 )
-
-from conftest import gram_from_matrix, make_bags, make_indefinite_fixture
 from test_gram import naive_outer
 
 ESPEC = EmbeddingKernelSpec("gaussian", 1.0, 2)
@@ -97,6 +98,42 @@ class TestFitCoefficient:
             fit_coefficient(
                 gram_from_matrix(np.eye(2)), np.ones(2), 0.0, _dummy_bags(2), PSD_KSPEC, ESPEC
             )
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0])
+    @pytest.mark.parametrize("route", ["solve_alpha", "fit_coefficient", "fit_krr"])
+    def test_every_solve_refuses_non_positive_lambda(self, route, lam):
+        g, y = gram_from_matrix(np.eye(3)), np.ones(3)
+        run = {
+            "solve_alpha": lambda: solve_alpha("krr", g.values, y, lam),
+            "fit_coefficient": lambda: fit_coefficient(g, y, lam, _dummy_bags(3), PSD_KSPEC, ESPEC),
+            "fit_krr": lambda: fit_krr(g, y, lam, _dummy_bags(3), PSD_KSPEC, ESPEC),
+        }[route]
+        with pytest.raises(ConfigError, match="lambda must be positive"):
+            run()
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0])
+    def test_alpha_paths_refuses_non_positive_lambda(self, lam):
+        with pytest.raises(ConfigError, match="lambda must be positive"):
+            alpha_paths(("coefficient_l2", "krr"), np.eye(3), np.ones(3), [1e-3, lam])
+
+    def test_train_bags_must_match_the_gram(self):
+        with pytest.raises(InputError, match="train_bags must match the Gram matrix dimension"):
+            fit_coefficient(
+                gram_from_matrix(np.eye(3)), np.ones(3), 0.1, _dummy_bags(2), PSD_KSPEC, ESPEC
+            )
+
+    @pytest.mark.parametrize("fit", [fit_coefficient, fit_krr])
+    def test_checks_run_in_order(self, fit):
+        # Each input below holds every error from its own on: the first one wins.
+        g, bags = gram_from_matrix(np.eye(3)), _dummy_bags(2)
+        cases = [
+            (0.0, [np.nan, 1.0], ConfigError, "lambda must be positive"),
+            (0.1, [np.nan, 1.0], InputError, "y has length 2"),
+            (0.1, [np.nan, 1.0, 0.0], InputError, "y contains non-finite values"),
+        ]
+        for lam, y, kind, message in cases:
+            with pytest.raises(kind, match=message):
+                fit(g, np.array(y), lam, bags, PSD_KSPEC, ESPEC)
 
     def test_y_length_mismatch(self):
         with pytest.raises(InputError):

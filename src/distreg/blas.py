@@ -1,20 +1,16 @@
-"""One BLAS thread inside distreg's dense linear algebra.
+"""One BLAS thread inside distreg's dense linear algebra, and scipy.linalg
+imported at its first use.
 
-numpy and scipy each map their own OpenBLAS. Its worker threads compete with
-the Gram thread pool, and with more than one of them a solve can sum in
-another order, so alpha and predictions would depend on the core count.
-`serial_blas`, as a context manager (`with serial_blas:`) or a decorator
-(`@serial_blas`), runs those libraries on one thread and then restores
-their thread counts.
-
-It calls `openblas_set_num_threads_local(1)` (OpenBLAS >= 0.3.27) in every
-OpenBLAS library that /proc/self/maps lists when it is first used, and on
-exit passes back the count that call returned. Where no library exports that
-symbol (not Linux, MKL, Accelerate, an older OpenBLAS) it does nothing.
-
-In OpenBLAS's pthreads builds, such as the numpy and scipy wheels, that
-setter changes the library's count for the whole process, not for the
-calling thread. Scopes are therefore counted across threads: the first one
+numpy and scipy each map their own OpenBLAS, whose worker threads compete with
+the Gram thread pool and can make a solve sum in another order, so alpha and
+predictions would depend on the core count. `serial_blas`, a context manager
+(`with serial_blas:`) and decorator (`@serial_blas`), calls
+`openblas_set_num_threads_local(1)` (OpenBLAS >= 0.3.27) in every OpenBLAS
+library that /proc/self/maps lists at its first use, and on exit passes back
+the count that call returned. Where no library exports that symbol (not
+Linux, MKL, Accelerate, an older OpenBLAS) it does nothing. In the pthreads
+builds of the numpy and scipy wheels that setter acts on the whole process,
+not the calling thread, so scopes are counted across threads: the first one
 entered sets one thread, the last one left restores the counts, and in
 between BLAS calls from other threads run on one thread too.
 """
@@ -51,6 +47,7 @@ class _SerialBlas(contextlib.ContextDecorator):
         self._setters: list | None = None
         self._depth = 0
         self._saved: list[int] = []
+        self._linalg = None
 
     def __enter__(self):
         with self._lock:
@@ -64,9 +61,26 @@ class _SerialBlas(contextlib.ContextDecorator):
         with self._lock:
             self._depth -= 1
             if self._depth == 0:
-                for set_threads, count in zip(self._setters, self._saved):
+                for set_threads, count in reversed(list(zip(self._setters, self._saved))):
                     set_threads(count)
         return False
 
+    def linalg(self):
+        """scipy.linalg, imported at the first call (~0.25 s; predict never makes one).
+        The libraries are then listed once more, known ones too; in an open scope each
+        takes one thread at once. Counts are restored last saved first, so a library
+        listed twice ends with the count saved first."""
+        if self._linalg is None:
+            import scipy.linalg
+            with self._lock:
+                if self._linalg is None and self._setters is not None:
+                    found = _find_setters()
+                    self._setters += found
+                    if self._depth > 0:
+                        self._saved += [set_threads(1) for set_threads in found]
+                self._linalg = scipy.linalg
+        return self._linalg
+
 
 serial_blas = _SerialBlas()
+linalg = serial_blas.linalg

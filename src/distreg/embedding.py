@@ -27,6 +27,12 @@ from .errors import ConfigError, InputError, config_float, config_int, config_ke
 # The dense m x m passes work in row chunks of as many values (`row_chunks`).
 _CHUNK_BUDGET = 1 << 17
 
+# Tile rows of at least this many values take the difference passes with numpy's
+# smallest ufunc buffer (16): numpy 2.4 buffers a broadcast pass whose rows are
+# shorter than its 8192-value buffer. On the 2-core Xeon a 100 x 1310 tile's pass
+# cost 1.3-1.4 ns per value buffered, 0.3 ns not; rows of 28 values ran slower.
+_UNBUFFERED_ROW = 64
+
 # Holder exponent of the feature map s -> k(., s) in the embedding norm,
 # per family: ||k(.,s) - k(.,t)||^2 = 2 - 2 k(s,t).
 HOLDER_EXPONENT = {
@@ -158,22 +164,29 @@ def kernel_matrix(spec: EmbeddingKernelSpec, s: np.ndarray, t: np.ndarray, out=N
     """Pointwise kernel values k(s_i, t_j) as an (len(s), len(t)) matrix,
     written into `out` (C-contiguous, of that shape) when given.
 
-    Evaluated in place on the squared distances; k(s_i, t_j) == k(t_j, s_i) bitwise.
-    Each family's constants are folded into one multiplier, so a value costs
-    one multiply and no division before exp or reciprocal. The values are
-    those of the two-pass form (x * -0.5 / bw**2, x / -bw, x / bw**2) bit for
-    bit when bw**2 (for the exponential family, bw) is a power of two, since
-    then the multiplier is exact; otherwise they can differ in the last bit.
+    Squared distances are summed coordinate by coordinate, in the order and to
+    the bits of scipy.spatial's squared Euclidean distance; one past the float
+    range is inf, with kernel value 0. The kernel is evaluated in place, and
+    k(s_i, t_j) == k(t_j, s_i) bitwise. Each family's constants are folded
+    into one multiplier, so a value costs one multiply and no division
+    before exp or reciprocal. The values are those of the two-pass form
+    (x * -0.5 / bw**2, x / -bw, x / bw**2) bit for bit when bw**2 (for the
+    exponential family, bw) is a power of two, since then the multiplier is
+    exact; otherwise they can differ in the last bit.
     """
-    if s.shape[1] == 1:
-        d2 = np.subtract.outer(s[:, 0], t[:, 0], out=out)
-        d2 *= d2
-    else:
-        # Imported on first use: scipy.spatial adds ~0.13 s to every process
-        # start, and only d >= 2 needs it.
-        from scipy.spatial.distance import cdist
-
-        d2 = cdist(s, t, "sqeuclidean", out=out)
+    s, t = np.ascontiguousarray(s.T), np.ascontiguousarray(t.T)  # one row per coordinate
+    bufsize = np.setbufsize(16) if t.shape[1] >= _UNBUFFERED_ROW else None
+    try:  # np.errstate scopes the buffer size only on numpy >= 2
+        with np.errstate(over="ignore", invalid="ignore"):
+            d2 = np.subtract.outer(s[0], t[0], out=out)
+            d2 *= d2
+            for k in range(1, len(s)):
+                diff = np.subtract.outer(s[k], t[k], out=None if k == 1 else diff)
+                diff *= diff
+                d2 += diff
+    finally:
+        if bufsize is not None:
+            np.setbufsize(bufsize)
     if spec.family == "gaussian":
         d2 *= -0.5 / spec.bandwidth**2
     elif spec.family == "exponential":

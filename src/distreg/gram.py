@@ -26,9 +26,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 
-from .blas import serial_blas
+from .blas import linalg, serial_blas
 from .embedding import Bag, EmbeddingKernelSpec, check_dims, pair_sums, row_chunks
 from .embedding import kernel_matrix  # noqa: F401  (bench/spans.py wraps gram.kernel_matrix)
 from .errors import ConfigError, InputError, NumericalError
@@ -310,4 +309,4 @@ def embed_inner(espec: EmbeddingKernelSpec, a: Bag, b: Bag) -> float:
 def spectrum(g: GramMatrix) -> np.ndarray:
     """Descending singular values of (1/m) * gram: empirical proxies for the
     spectrum of the integral operator, which may be indefinite or asymmetric."""
-    return np.sort(scipy.linalg.svdvals(g.values / g.m))[::-1]
+    return np.sort(linalg().svdvals(g.values / g.m))[::-1]

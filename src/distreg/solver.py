@@ -16,7 +16,8 @@ when G is exactly symmetric, of the coefficient scheme too (G^T G = G^2, so
 no product is formed and the condition number is not squared). Only an
 asymmetric G makes the coefficient scheme diagonalize G^T G instead. No
 inverses are formed. This linear algebra runs on one BLAS thread
-(`blas.serial_blas`), so its results do not depend on the BLAS thread count.
+(`blas.serial_blas`), so its results do not depend on the BLAS thread count,
+and imports scipy.linalg at its first call (`blas.linalg`): predict never does.
 """
 
 from __future__ import annotations
@@ -27,9 +28,8 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
-from .blas import serial_blas
+from .blas import linalg, serial_blas
 from .embedding import Bag, EmbeddingKernelSpec
 from .errors import ConfigError, ContractError, InputError, NumericalError
 from .gram import GramMatrix, build_cross_gram, check_threads, mirror_upper
@@ -148,17 +148,17 @@ def _solve(scheme: str, g_values: np.ndarray, y, lam: float, train_bags: Sequenc
     system.flat[:: m + 1] += shift
     # ||system||_1 as np.linalg.norm(system, 1) sums it, down each column in row
     # order, but with no |system| copy; taken first, as the factor overwrites it.
-    norm1 = scipy.linalg.lapack.dlange("I", system.T)
+    norm1 = linalg().lapack.dlange("I", system.T)
     # Factors the F-ordered view system.T in place, whose upper triangle is the lower
     # one of `system`. G^T G is exactly symmetric; a ridge system, whose G may be
     # hand-made, first gets its own upper triangle mirrored there.
     if scheme == "krr":
         mirror_upper(system)
     try:
-        factor = scipy.linalg.cho_factor(system.T, overwrite_a=True)
-    except scipy.linalg.LinAlgError as exc:
+        factor = linalg().cho_factor(system.T, overwrite_a=True)
+    except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SPD factorization failed: {exc}") from exc
-    return scipy.linalg.cho_solve(factor, rhs), factor, norm1, y, rhs
+    return linalg().cho_solve(factor, rhs), factor, norm1, y, rhs
 
 
 @serial_blas
@@ -170,7 +170,7 @@ def solve_alpha(scheme: str, g_values: np.ndarray, y: np.ndarray, lam: float) ->
 def _eigh(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # In place on the F-ordered view of the exactly symmetric `sym`, from the same upper
     # triangle numbers; evr needs no 2 m^2 workspace, unlike divide and conquer (evd).
-    return scipy.linalg.eigh(sym.T, lower=False, driver="evr", overwrite_a=True, check_finite=False)
+    return linalg().eigh(sym.T, lower=False, driver="evr", overwrite_a=True, check_finite=False)
 
 
 @serial_blas
@@ -233,7 +233,7 @@ def _inverse_norm1(factor: tuple[np.ndarray, bool]) -> float:
     """
 
     def solve(x: np.ndarray) -> np.ndarray:
-        return scipy.linalg.cho_solve(factor, x, check_finite=False)
+        return linalg().cho_solve(factor, x, check_finite=False)
 
     def signs(x: np.ndarray) -> np.ndarray:
         return np.where(x >= 0, 1.0, -1.0)

@@ -124,6 +124,34 @@ def test_scopes_on_many_threads_restore_only_after_the_last_exit():
     assert count[0] == 4 and scope._depth == 0
 
 
+def test_a_library_mapped_inside_a_scope_runs_one_thread_until_the_last_exit(monkeypatch):
+    # Fake libraries by name; importing scipy.linalg maps "scipy" inside a scope.
+    counts = {"numpy": 4, "scipy": 3}
+    mapped = ["numpy"]
+
+    def setter(name):
+        def set_threads(n):
+            previous, counts[name] = counts[name], n
+            return previous
+        return set_threads
+
+    monkeypatch.setattr(blas, "_find_setters", lambda: [setter(name) for name in mapped])
+    scope = blas._SerialBlas()
+    with scope:
+        mapped.append("scipy")
+        with scope:
+            assert scope.linalg() is scipy.linalg
+            assert counts == {"numpy": 1, "scipy": 1}
+        assert counts == {"numpy": 1, "scipy": 1}
+    assert counts == {"numpy": 4, "scipy": 3}
+    # The libraries were listed once more at the import, and are not again.
+    mapped.append("later")
+    with scope:
+        scope.linalg()
+        assert counts == {"numpy": 1, "scipy": 1}
+    assert counts == {"numpy": 4, "scipy": 3} and scope._depth == 0
+
+
 # A tilted (asymmetric) d=2 problem: lambda selection decomposes G^T G, and
 # the fit factors a 200 x 200 system, both large enough for OpenBLAS to
 # thread when it may.
@@ -152,16 +180,41 @@ print(lam, hashlib.sha256(model.alpha.tobytes()).hexdigest(),
 """
 
 
-@needs_setter
-def test_results_do_not_depend_on_the_blas_thread_count():
+# A prediction first: it opens and closes a serial_blas scope before scipy is
+# loaded, so scipy's OpenBLAS is mapped only later, inside the lambda search.
+PREDICT_FIRST = """
+import sys
+from pathlib import Path
+from distreg import io, predict, generate, MetaDistributionSpec
+model = io.load_model(Path({data!r}) / "model_small.json")
+meta = MetaDistributionSpec(dim=2, scale=0.1, target="linear_mean", noise_sd=0.1,
+                            noise_bound=2.0, seed=4)
+predict(model, generate(meta, 3, 4).bags)
+assert not any(m.startswith("scipy") for m in sys.modules)
+"""
+
+
+def outputs_by_blas_thread_count(code: str) -> set[str]:
+    """The distinct stdouts of `code` run at OPENBLAS_NUM_THREADS 1 and 2."""
     src = str(Path(distreg.__file__).resolve().parents[1])
     outputs = set()
     for threads in ("1", "2"):
         proc = subprocess.run(
-            [sys.executable, "-c", PROBE],
+            [sys.executable, "-c", code],
             capture_output=True, text=True, timeout=120,
             env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
         )
         assert proc.returncode == 0, proc.stderr
         outputs.add(proc.stdout)
-    assert len(outputs) == 1
+    return outputs
+
+
+@needs_setter
+def test_results_do_not_depend_on_the_blas_thread_count():
+    assert len(outputs_by_blas_thread_count(PROBE)) == 1
+
+
+@needs_setter
+def test_results_do_not_depend_on_the_blas_thread_count_when_scipy_loads_late():
+    data = str(Path(__file__).parent / "data")
+    assert len(outputs_by_blas_thread_count(PREDICT_FIRST.format(data=data) + PROBE)) == 1

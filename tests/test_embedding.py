@@ -20,6 +20,8 @@ from distreg import (
     Bag,
     EmbeddingKernelSpec,
     InputError,
+    OuterKernelSpec,
+    build_gram,
     embed_inner,
 )
 from distreg import embedding
@@ -85,12 +87,8 @@ class TestKernelEval:
 
 def two_pass_kernel_matrix(spec: EmbeddingKernelSpec, s, t, out=None) -> np.ndarray:
     """The kernel block as evaluated before the constants were folded into one
-    multiplier: a scale and a division per element."""
-    if s.shape[1] == 1:
-        d2 = np.subtract.outer(s[:, 0], t[:, 0])
-        d2 *= d2
-    else:
-        d2 = cdist(s, t, "sqeuclidean")
+    multiplier, a scale and a division per element, on scipy's cdist distances."""
+    d2 = cdist(s, t, "sqeuclidean")
     if spec.family == "gaussian":
         d2 *= -0.5
         d2 /= spec.bandwidth**2
@@ -106,15 +104,28 @@ def two_pass_kernel_matrix(spec: EmbeddingKernelSpec, s, t, out=None) -> np.ndar
 
 FAMILY_DIMS = [(family, d) for family in HOLDER_EXPONENT for d in (1, 2)]
 
+# Tile shapes on both sides of embedding._UNBUFFERED_ROW (64 values per row).
+TILE_SHAPES = [(70, 90), (300, 20)]
+
 
 class TestKernelMatrix:
-    @pytest.mark.parametrize("family,d", FAMILY_DIMS)
+    @pytest.mark.parametrize("family,d", [(f, d) for f in HOLDER_EXPONENT for d in (1, 2, 3, 5)])
     @pytest.mark.parametrize("bandwidth", [0.25, 0.5, 1.0, 4.0])
     def test_power_of_two_bandwidth_keeps_two_pass_bits(self, family, d, bandwidth):
+        # Distances summed coordinate by coordinate are cdist's, bit for bit,
+        # whether the tile's rows take the difference passes buffered or not.
         rng = np.random.default_rng(11)
-        s, t = rng.normal(size=(70, d)), 2.0 * rng.normal(size=(90, d))
         spec = EmbeddingKernelSpec(family, bandwidth, d)
-        assert np.array_equal(kernel_matrix(spec, s, t), two_pass_kernel_matrix(spec, s, t))
+        for rows, cols in TILE_SHAPES:
+            s, t = rng.normal(size=(rows, d)), 2.0 * rng.normal(size=(cols, d))
+            expected = two_pass_kernel_matrix(spec, s, t)
+            assert np.array_equal(kernel_matrix(spec, s, t), expected)
+            # Into a view of a larger buffer, as the Gram's tiles are.
+            buffer = np.full(2 * rows * cols, np.nan)
+            out = buffer[: rows * cols].reshape(rows, cols)
+            assert kernel_matrix(spec, s, t, out) is out
+            assert np.array_equal(out, expected)
+            assert np.isnan(buffer[rows * cols :]).all()
 
     @pytest.mark.parametrize("family,d", FAMILY_DIMS)
     def test_other_bandwidth_values_within_1e15(self, family, d):
@@ -139,15 +150,41 @@ class TestKernelMatrix:
         two_pass = np.array([[embed_inner(spec, a, b) for b in bags] for a in bags])
         assert np.allclose(folded, two_pass, rtol=1e-15, atol=0.0)
 
-    def test_starting_the_cli_does_not_load_scipy_spatial(self):
-        # Only d >= 2 needs cdist; scipy.spatial would cost every process ~0.13 s.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_distances_out_of_range_give_zero_and_no_warning(self, d):
+        # 2e200 apart: the squared distance is inf, and the kernel value 0.
+        bags = [Bag("plus", np.full((1, d), 1e200)), Bag("minus", np.full((1, d), -1e200))]
+        espec = EmbeddingKernelSpec("gaussian", 1.0, d)
+        assert kernel_matrix(espec, bags[0].points, bags[1].points)[0, 0] == 0.0
+        g = build_gram(OuterKernelSpec.gaussian(1.0), espec, bags)
+        # Embedding distance^2 2 (self inner products 1, cross 0): exp(-2 / 2).
+        assert np.array_equal(np.diag(g.values), [1.0, 1.0])
+        assert g.values[0, 1] == g.values[1, 0] == pytest.approx(math.exp(-1.0), rel=1e-15)
+
+    def test_predict_loads_no_scipy(self, tmp_path):
+        # Prediction is a cross-Gram and a mat-vec: numpy alone. scipy.linalg
+        # would cost every `distreg predict` ~0.25 s and ~30 MB.
+        bags = tmp_path / "bags.ndjson"
+        bags.write_text(
+            '{"id": "t0", "y": null, "points": [[0.1, 0.2], [0.3, 0.4], [0.5, 0.1]]}\n'
+            '{"id": "t1", "y": null, "points": [[0.9, 0.8]]}\n'
+        )
+        model = Path(__file__).parent / "data" / "model_small.json"  # d=2, tilted
+        code = (
+            "import sys, distreg.cli as cli\n"
+            f"rc = cli.main(['predict', '--model', {str(model)!r}, '--bags', {str(bags)!r}])\n"
+            "print(rc, sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        )
         src = str(Path(distreg.__file__).resolve().parents[1])
         proc = subprocess.run(
-            [sys.executable, "-c", "import sys, distreg.cli; print('scipy.spatial' in sys.modules)"],
+            [sys.executable, "-c", code],
             capture_output=True, text=True, env={"PYTHONPATH": src}, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "id,prediction" and len(lines) == 4
+        assert lines[-1] == "0 []"
 
 
 def spread_values(rng, shape) -> np.ndarray:

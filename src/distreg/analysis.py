@@ -183,10 +183,10 @@ def select_lambda_holdout(
     {scheme: (best lambda, (lambda, mse) table)}. Every scheme sees the same
     split. Ties break toward the smaller lambda via first-minimum selection
     on an ascending grid. The fits come from `solver.alpha_paths`, which
-    decomposes the kept block (a copy) in place, once for every lambda and,
-    when it is exactly symmetric, for both schemes; they agree with
-    per-lambda solves to rounding, not bit for bit. `g_values` must be
-    finite, as a GramMatrix's values are.
+    reduces the kept block (a copy) to tridiagonal form in place, once for
+    every lambda and, when it is exactly symmetric, for both schemes; they
+    agree with per-lambda solves to rounding, not bit for bit. `g_values`
+    must be finite, as a GramMatrix's values are.
     """
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     m = y.shape[0]

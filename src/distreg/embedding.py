@@ -162,7 +162,9 @@ def check_dims(spec: EmbeddingKernelSpec, bags: Iterable[Bag]) -> None:
 
 def kernel_matrix(spec: EmbeddingKernelSpec, s: np.ndarray, t: np.ndarray, out=None) -> np.ndarray:
     """Pointwise kernel values k(s_i, t_j) as an (len(s), len(t)) matrix,
-    written into `out` (C-contiguous, of that shape) when given.
+    written into `out` (C-contiguous, of that shape) when given. `out` may also
+    be a pair of such arrays, as numpy's ufuncs take one: the values go to the
+    first, and at d >= 2 the coordinate differences to the second.
 
     Squared distances are summed coordinate by coordinate, in the order and to
     the bits of scipy.spatial's squared Euclidean distance; one past the float
@@ -175,13 +177,14 @@ def kernel_matrix(spec: EmbeddingKernelSpec, s: np.ndarray, t: np.ndarray, out=N
     exact; otherwise they can differ in the last bit.
     """
     s, t = np.ascontiguousarray(s.T), np.ascontiguousarray(t.T)  # one row per coordinate
+    out, diff = out if isinstance(out, tuple) else (out, None)
     bufsize = np.setbufsize(16) if t.shape[1] >= _UNBUFFERED_ROW else None
     try:  # np.errstate scopes the buffer size only on numpy >= 2
         with np.errstate(over="ignore", invalid="ignore"):
             d2 = np.subtract.outer(s[0], t[0], out=out)
             d2 *= d2
             for k in range(1, len(s)):
-                diff = np.subtract.outer(s[k], t[k], out=None if k == 1 else diff)
+                diff = np.subtract.outer(s[k], t[k], out=diff)
                 diff *= diff
                 d2 += diff
     finally:
@@ -253,8 +256,9 @@ def pair_sums(
     value depends on the segment alone. `row_first` puts the row bags first in
     every pair; callers set it by Bag._order_key, so a pair's sum is fixed by
     its two bags, whatever the argument order, the rest of either run,
-    chunking or threads. Kernel tiles are views of one buffer per thread, kept
-    on the `scratch` threading.local.
+    chunking or threads. Kernel tiles, and at d >= 2 the coordinate
+    differences, are views of two buffers per thread, kept on the `scratch`
+    threading.local.
     """
     row_starts = row_bounds[:-1]
     out = np.empty((len(row_starts), len(bounds) - 1))
@@ -274,8 +278,9 @@ def pair_sums(
             size, tile = len(first[part]) * len(second), None
             if size <= _CHUNK_BUDGET:
                 if not hasattr(scratch, "tile"):
-                    scratch.tile = np.empty(_CHUNK_BUDGET)
-                tile = scratch.tile[:size].reshape(-1, len(second))
+                    scratch.tile = np.empty((min(spec.dim, 2), _CHUNK_BUDGET))
+                views = tuple(buf[:size].reshape(-1, len(second)) for buf in scratch.tile)
+                tile = views if spec.dim > 1 else views[0]
             kmat = kernel_matrix(spec, first[part], second, tile)
             per_point[:, part] = segment_sums(kmat, second_starts).T
             del kmat  # a fresh array (a column bag past the budget) is freed before the next one

@@ -9,13 +9,14 @@ scheme survive indefinite and asymmetric kernels. The ridge baseline solves
 
 A fit factors its system once (Cholesky) and solves with that factor; the
 same factor gives the fit report's condition estimate. A lambda search
-decomposes once for the whole grid, since lam only shifts eigenvalues (the
-ridge path, Hastie, Tibshirani & Friedman, ESL 3.4.1): `alpha_paths`
-diagonalizes G and reads every alpha(lam) of the ridge scheme off it, and,
-when G is exactly symmetric, of the coefficient scheme too (G^T G = G^2, so
-no product is formed and the condition number is not squared). Only an
-asymmetric G makes the coefficient scheme diagonalize G^T G instead. No
-inverses are formed. This linear algebra runs on one BLAS thread
+reduces once for the whole grid, since lam only shifts the spectrum (the
+ridge path, ESL 3.4.1): `alpha_paths` reduces G = Q T Q^T to a tridiagonal
+T (Householder, Golub & Van Loan 8.3) and solves each alpha(lam) of the
+ridge scheme in O(m), and, when G is exactly symmetric, of the coefficient
+scheme too (G^T G = Q T^2 Q^T, through the shift T - i sqrt(lam) m I, so
+the condition number is not squared). Only an asymmetric G makes the
+coefficient scheme reduce G^T G instead. Neither Q nor an inverse is
+formed. This linear algebra runs on one BLAS thread
 (`blas.serial_blas`), so its results do not depend on the BLAS thread count,
 and imports scipy.linalg at its first call (`blas.linalg`): predict never does.
 """
@@ -167,10 +168,28 @@ def solve_alpha(scheme: str, g_values: np.ndarray, y: np.ndarray, lam: float) ->
     return _solve(scheme, g_values, y, lam)[0]
 
 
-def _eigh(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # In place on the F-ordered view of the exactly symmetric `sym`, from the same upper
-    # triangle numbers; evr needs no 2 m^2 workspace, unlike divide and conquer (evd).
-    return linalg().eigh(sym.T, lower=False, driver="evr", overwrite_a=True, check_finite=False)
+def _apply_q(trans: str, q, c: np.ndarray) -> np.ndarray:
+    """Q c (trans "N") or Q^T c (trans "T") in place on the (m, k) `c`, as LAPACK's
+    dormtr for UPLO='L': H(1) ... H(m-1) act on rows 2..m, and row 1 is left as it is."""
+    if len(c) > 1:
+        dormqr = linalg().lapack.dormqr
+        lwork = int(dormqr("L", trans, *q, c[1:], -1)[1][0])
+        c[1:] = dormqr("L", trans, *q, c[1:], lwork)[0]
+    return c
+
+
+def _reduce(sym: np.ndarray, rhs: np.ndarray):
+    """sym = Q T Q^T by LAPACK's blocked dsytrd, in place on the F-ordered view of the
+    exactly symmetric `sym` (UPLO='L': the upper triangle of `sym`). Returns T's
+    diagonal and subdiagonal, Q as its reflectors and tau, and Q^T rhs as a column.
+    The reflectors go to dormqr as dormtr passes them, A(2, 1) with leading
+    dimension m: a view one element into the reduced array, not a copy."""
+    lapack, m = linalg().lapack, len(sym)
+    lwork = int(lapack.dsytrd_lwork(m, lower=1)[0])
+    a, d, e, tau, _ = lapack.dsytrd(sym.T, lower=1, lwork=lwork, overwrite_a=1)
+    q = a.reshape(-1, order="F")[1 : 1 + m * (m - 1)].reshape(m, m - 1, order="F"), tau
+    e = e if m > 1 else np.zeros(1)  # dptsv's and zgtsv's wrappers take at least one
+    return d, e, q, _apply_q("T", q, rhs[:, None].copy())
 
 
 @serial_blas
@@ -180,47 +199,50 @@ def alpha_paths(
     """solve_alpha at every lam of `lams` for each scheme of `schemes`.
 
     Returns {scheme: (m, len(lams)) array of alphas, one column per lam}.
-    With G = Q diag(e) Q^T, read from its upper triangle as the Cholesky
-    solve reads it, the ridge alphas are Q diag(1/(e + lam m)) Q^T y. When G
-    is exactly symmetric, G^T G = G^2 and the coefficient alphas come from
-    the same decomposition: Q diag(e/(e^2 + lam m^2)) Q^T y. Otherwise the
-    coefficient scheme decomposes G^T G = Q diag(E) Q^T and takes
-    Q diag(1/(E + lam m^2)) Q^T G^T y. A ridge system that is not positive
-    definite at some lam raises NumericalError. `g_values` must be finite,
-    as a GramMatrix's values are; they are not checked here. `g_values` is
-    used as scratch: it is decomposed in place, so pass a copy to keep it.
+    With G = Q T Q^T (T tridiagonal), reduced from its upper triangle as the
+    Cholesky solve reads it, the ridge alphas are Q (T + lam m I)^-1 Q^T y.
+    When G is exactly symmetric, G^T G = G^2 and the coefficient alphas come
+    from the same reduction: Q (T^2 + lam m^2 I)^-1 T Q^T y, the real part of
+    Q (T - i sqrt(lam) m I)^-1 Q^T y, so T is never squared. Otherwise the
+    coefficient scheme reduces G^T G = Q T Q^T and takes
+    Q (T + lam m^2 I)^-1 Q^T G^T y: one O(m) tridiagonal solve per lam. A
+    system not positive definite at some lam (a ridge one on an indefinite
+    G) raises NumericalError naming the first such lam of `lams`. `g_values`
+    must be finite, as a GramMatrix's values are; they are not checked here.
+    `g_values` is used as scratch: it is reduced in place, so pass a copy.
     """
     lams = np.asarray(lams, dtype=np.float64)
     if np.any(lams <= 0):
         raise ConfigError(f"lambda must be positive, got {lams.min()}")
+    lapack = linalg().lapack
     y = np.asarray(y, dtype=np.float64)
     m = len(y)
     # What reads G intact comes first: G^T G, G^T y, then the upper triangle mirrored.
     symmetric = np.array_equal(g_values, g_values.T)
     if not symmetric:
         if "coefficient_l2" in schemes:
-            eig_gtg, gty = _eigh(g_values.T @ g_values), g_values.T @ y
+            reduced_gtg = _reduce(g_values.T @ g_values, g_values.T @ y)
         mirror_upper(g_values)
-    eig_g = None
+    reduced_g = None
     paths = {}
     for scheme in schemes:
-        if check_scheme(scheme) == "coefficient_l2" and not symmetric:
-            evals, q = eig_gtg
-            num, denom = (q.T @ gty)[:, None], evals[:, None] + lams * m * m
+        coefficient = check_scheme(scheme) == "coefficient_l2"
+        if coefficient and not symmetric:
+            d, e, q, w = reduced_gtg
         else:
-            if eig_g is None:
-                eig_g = _eigh(g_values)
-            evals, q = eig_g
-            if scheme == "coefficient_l2":
-                num, denom = (evals * (q.T @ y))[:, None], evals[:, None] ** 2 + lams * m * m
+            if reduced_g is None:
+                reduced_g = _reduce(g_values, y)
+            d, e, q, w = reduced_g
+        alphas = np.empty((m, len(lams)), order="F")
+        for j, lam in enumerate(lams):
+            if coefficient and symmetric:
+                x, info = lapack.zgtsv(e, d - 1j * (np.sqrt(lam) * m), e, w.astype(complex))[3:]
             else:
-                num, denom = (q.T @ y)[:, None], evals[:, None] + lams * m
-                if not np.all(denom > 0):
-                    bad = lams[np.any(denom <= 0, axis=0)]
-                    raise NumericalError(
-                        f"{scheme} system is not positive definite at lambda {bad[0]:g}"
-                    )
-        paths[scheme] = q @ (num / denom)
+                x, info = lapack.dptsv(d + lam * (m * m if coefficient else m), e, w)[2:]
+            if info > 0:
+                raise NumericalError(f"{scheme} system is not positive definite at lambda {lam:g}")
+            alphas[:, j] = x[:, 0].real
+        paths[scheme] = _apply_q("N", q, alphas)
     return paths
 
 

@@ -1,6 +1,7 @@
 """Effective dimension, decay fitting, schedules, rate fits, saturation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from distreg import (
     spectrum,
 )
 
-from distreg.solver import solve_alpha
+from distreg.solver import alpha_paths, solve_alpha
 
 from conftest import INDEFINITE_DOG, INDEFINITE_EMBEDDING, make_bags
 
@@ -280,14 +281,30 @@ class TestSelectLambda:
             select_lambda_holdout(values, y, grid, ("krr",), 0.3, seed=13)
 
 
+    def test_ridge_error_names_the_first_lambda_with_an_indefinite_system(self):
+        values, y = _selection_gram("dog_indefinite")
+        n_hold = round(0.3 * len(y))
+        kept = np.random.default_rng(np.random.SeedSequence(entropy=13)).permutation(len(y))[n_hold:]
+        block, m = values[np.ix_(kept, kept)], len(kept)
+        e_min = scipy.linalg.eigvalsh(block)[0]
+        assert e_min < 0
+        # e_min + lam m changes sign at -e_min / m; no grid value lies within rounding of it.
+        grid = [-e_min / m * f for f in (4.0, 2.0, 0.5, 0.25)]
+        first = next(lam for lam in sorted(grid) if e_min + lam * m <= 0)
+        with pytest.raises(NumericalError, match=re.escape(f"at lambda {first:g}") + "$"):
+            select_lambda_holdout(values, y, grid, ("krr",), 0.3, seed=13)
+        # alpha_paths keeps the order it is given: the first failing value is the third.
+        with pytest.raises(NumericalError, match=re.escape(f"at lambda {grid[2]:g}") + "$"):
+            alpha_paths(("krr",), block.copy(), y[kept], grid)
+
     @pytest.mark.parametrize("kind", ["random_spd", "dog_indefinite"])
-    def test_both_schemes_share_one_decomposition(self, kind, eigh_calls):
+    def test_both_schemes_share_one_decomposition(self, kind, dsytrd_calls):
         values, y = _selection_gram(kind)
         grid = list(np.logspace(-8, 0, 10))
         if kind != "random_spd":
             grid = list(np.logspace(0, 2, 9))  # where every ridge system is PD
         both = select_lambda_holdout(values, y, grid, ("coefficient_l2", "krr"), 0.3, seed=13)
-        assert len(eigh_calls) == 1
+        assert len(dsytrd_calls) == 1
         for scheme in ("coefficient_l2", "krr"):
             lam, table = both[scheme]
             assert lam == select_lambda_holdout(values, y, grid, (scheme,), 0.3, seed=13)[scheme][0]
@@ -296,14 +313,14 @@ class TestSelectLambda:
             for (_, mse), (_, want) in zip(table, oracle):
                 assert mse == pytest.approx(want, rel=1e-8, abs=0)
 
-    def test_one_asymmetric_entry_takes_the_gram_product_route(self, eigh_calls):
+    def test_one_asymmetric_entry_takes_the_gram_product_route(self, dsytrd_calls):
         values, y = _selection_gram("random_spd")
         n_hold = round(0.3 * len(y))
         kept = np.random.default_rng(np.random.SeedSequence(entropy=13)).permutation(len(y))[n_hold:]
         values[kept[0], kept[1]] += 1e-3
         grid = list(np.logspace(-8, 0, 10))
         both = select_lambda_holdout(values, y, grid, ("coefficient_l2", "krr"), 0.3, seed=13)
-        assert len(eigh_calls) == 2  # G for the ridge scheme, G^T G for the coefficient one
+        assert len(dsytrd_calls) == 2  # G for the ridge scheme, G^T G for the coefficient one
         for scheme in ("coefficient_l2", "krr"):
             lam, table = both[scheme]
             oracle_lam, oracle = holdout_oracle(values, y, grid, scheme, 0.3, seed=13)
@@ -313,16 +330,16 @@ class TestSelectLambda:
 
 
 @pytest.fixture
-def eigh_calls(monkeypatch):
-    """Count scipy.linalg.eigh calls; the list holds one entry per call."""
+def dsytrd_calls(monkeypatch):
+    """Count tridiagonal reductions (LAPACK dsytrd calls); one list entry per call."""
     calls = []
-    original = scipy.linalg.eigh
+    original = scipy.linalg.lapack.dsytrd
 
     def counted(*args, **kwargs):
         calls.append(args[0].shape)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "eigh", counted)
+    monkeypatch.setattr(scipy.linalg.lapack, "dsytrd", counted)
     return calls
 
 
@@ -456,9 +473,9 @@ class TestSaturationCompare:
         assert report.lambda_coefficient in report.lambda_grid
         assert report.lambda_krr in report.lambda_grid
 
-    def test_one_eigendecomposition_selects_both_lambdas(self, eigh_calls):
+    def test_one_eigendecomposition_selects_both_lambdas(self, dsytrd_calls):
         saturation_compare(self._config())
-        assert len(eigh_calls) == 1
+        assert len(dsytrd_calls) == 1
 
     def test_one_cross_gram_scores_both_schemes(self, monkeypatch):
         from dataclasses import replace

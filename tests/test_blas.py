@@ -152,9 +152,11 @@ def test_a_library_mapped_inside_a_scope_runs_one_thread_until_the_last_exit(mon
     assert counts == {"numpy": 4, "scipy": 3} and scope._depth == 0
 
 
-# A tilted (asymmetric) d=2 problem: lambda selection decomposes G^T G, and
+# A tilted (asymmetric) d=2 problem: lambda selection reduces G^T G, and
 # the fit factors a 200 x 200 system, both large enough for OpenBLAS to
-# thread when it may.
+# thread when it may. Then a lambda search for both schemes on a symmetric
+# Gram whose kept block is 308 x 308, past the sizes where dsytrd and dormqr
+# switch to their blocked paths; its tables are printed whole.
 PROBE = """
 import hashlib
 import numpy as np
@@ -177,6 +179,10 @@ model, _ = fit_coefficient(g, y, lam, train, kspec, espec)
 preds = predict(model, test)
 print(lam, hashlib.sha256(model.alpha.tobytes()).hexdigest(),
       hashlib.sha256(preds.tobytes()).hexdigest())
+wide = generate(meta(4), 440, 5).bags
+g = build_gram(OuterKernelSpec.gaussian(1.0), espec, wide)
+y = np.array([b.label for b in wide])
+print(select_lambda_holdout(g.values, y, grid, ("coefficient_l2", "krr"), 0.3, 7))
 """
 
 

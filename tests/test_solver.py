@@ -548,7 +548,8 @@ class TestInPlaceFitBits:
 
 
 def oracle_paths(schemes, values, y, lams):
-    """alpha_paths by eigh on copies of G (or of G^T G), read from the upper triangle."""
+    """alpha_paths by the eigen formula: eigh on copies of G (or of G^T G), read from
+    the upper triangle."""
     import scipy.linalg
 
     def eigh(a):
@@ -570,24 +571,93 @@ def oracle_paths(schemes, values, y, lams):
     return out
 
 
+def reduction_paths(schemes, values, y, lams):
+    """alpha_paths by the same tridiagonal reduction on copies: dsytrd on a copy of
+    G (or of G^T G), and dormqr given a copy of the reflector block."""
+    import scipy.linalg
+
+    lapack, lams, m, out = scipy.linalg.lapack, np.asarray(lams), len(y), {}
+
+    def reduce(a):
+        lwork = int(lapack.dsytrd_lwork(m, lower=1)[0])
+        c, d, e, tau, _ = lapack.dsytrd(np.asfortranarray(a.T), lower=1, lwork=lwork)
+        return d, e, np.asfortranarray(c[1:, :-1]), tau
+
+    def apply(trans, refl, tau, c):
+        lwork = int(lapack.dormqr("L", trans, refl, tau, c[1:], -1)[1][0])
+        c[1:] = lapack.dormqr("L", trans, refl, tau, c[1:], lwork)[0]
+        return c
+
+    symmetric = np.array_equal(values, values.T)
+    with serial_blas:
+        for scheme in schemes:
+            if scheme == "coefficient_l2" and not symmetric:
+                d, e, refl, tau = reduce(values.T @ values)
+                w, shift = apply("T", refl, tau, (values.T @ y)[:, None]), m * m
+            else:
+                d, e, refl, tau = reduce(np.triu(values) + np.triu(values, 1).T)
+                w, shift = apply("T", refl, tau, y[:, None].copy()), m
+            cols = []
+            for lam in lams:
+                if scheme == "coefficient_l2" and symmetric:
+                    b = w.astype(complex)
+                    cols.append(lapack.zgtsv(e, d - 1j * (np.sqrt(lam) * m), e, b)[3].real)
+                else:
+                    cols.append(lapack.dptsv(d + lam * shift, e, w)[2])
+            out[scheme] = apply("N", refl, tau, np.asfortranarray(np.hstack(cols)))
+    return out
+
+
 @pytest.mark.parametrize("asymmetric", [False, True])
 @pytest.mark.parametrize("schemes", [("coefficient_l2", "krr"), ("krr", "coefficient_l2")])
 def test_alpha_paths_in_place_equal_eigh_on_a_copy(schemes, asymmetric):
-    from distreg.solver import alpha_paths
-
+    # The reflectors stay in the reduced block, which dormqr reads uncopied; the
+    # alphas keep the bits of the same reduction on copies.
     if asymmetric:
         values, y = hand_made_asymmetric(8, m=70)
     else:
         values = random_psd_matrix(8, m=70) + np.eye(70)
         y = np.random.default_rng(8).normal(size=70)
     lams = np.logspace(-8, 0, 7)
-    want = oracle_paths(schemes, values, y, lams)
+    want = reduction_paths(schemes, values, y, lams)
     scratch = values.copy()
     got = alpha_paths(schemes, scratch, y, lams)
     assert list(got) == list(schemes)
     for scheme in schemes:
         assert got[scheme].tobytes() == want[scheme].tobytes()
-    assert not np.array_equal(scratch, values)  # decomposed in place
+    assert not np.array_equal(scratch, values)  # reduced in place
+
+
+@pytest.mark.parametrize("values", [[[2.0]], [[2.0, 0.5], [0.4, 1.0]]], ids=["1x1", "2x2"])
+def test_alpha_paths_of_the_smallest_blocks_equal_the_solves(values):
+    values, y = np.array(values), np.linspace(1.0, 2.0, len(values))
+    got = alpha_paths(("coefficient_l2", "krr"), values.copy(), y, [0.1, 1.0])
+    for scheme in ("coefficient_l2", "krr"):
+        for j, lam in enumerate((0.1, 1.0)):
+            want = solve_alpha(scheme, values, y, lam)
+            assert np.allclose(got[scheme][:, j], want, rtol=1e-14, atol=0), scheme
+
+
+@pytest.mark.parametrize("kind", ["symmetric", "indefinite", "asymmetric"])
+def test_alpha_paths_agree_with_the_eigen_formula(kind):
+    # m = 200 takes dsytrd's and dormqr's blocked paths.
+    m, schemes = 200, ("coefficient_l2", "krr")
+    y = np.random.default_rng(8).normal(size=m)
+    if kind == "symmetric":
+        values = random_psd_matrix(8, m=m) + np.eye(m)
+    elif kind == "asymmetric":
+        values, y = hand_made_asymmetric(8, m=m)
+    else:
+        kspec, espec, _ = make_indefinite_fixture()
+        values = build_gram(kspec, espec, make_bags(5, m, 8, 2, spread=0.3, box=3.0)).values
+        assert np.linalg.eigvalsh(values)[0] < 0
+        schemes = ("coefficient_l2",)  # no ridge system is positive definite at every lam
+    lams = np.logspace(-8, 0, 9)
+    want = oracle_paths(schemes, values, y, lams)
+    got = alpha_paths(schemes, values.copy(), y, lams)
+    for scheme in schemes:
+        gap = np.linalg.norm(got[scheme] - want[scheme], axis=0)
+        assert np.all(gap <= 1e-7 * np.linalg.norm(want[scheme], axis=0)), (scheme, gap)
 
 
 class TestDenseStagesMemory:
@@ -631,3 +701,21 @@ class TestDenseStagesMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 1.4 * 8 * self.M**2
+
+    def test_lambda_search_holds_no_eigenvector_matrix(self, problem):
+        # The kept block (0.49 m^2 at a 0.3 hold-out share) and the hold-out rows
+        # against it (0.21 m^2); an eigenvector matrix would add another 0.49 m^2.
+        import tracemalloc
+
+        from distreg.analysis import select_lambda_holdout
+
+        _, _, _, g, y = problem
+        tracemalloc.start()
+        try:
+            select_lambda_holdout(
+                g.values, y, np.logspace(-8, 0, 5), ("coefficient_l2", "krr"), 0.3, 4
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.0 * 8 * self.M**2

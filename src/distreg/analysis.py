@@ -198,10 +198,11 @@ def select_lambda_holdout(
     n_hold = min(m - 2, max(1, round(holdout_frac * m)))
     perm = np.random.default_rng(np.random.SeedSequence(entropy=seed)).permutation(m)
     hold_idx, fit_idx = perm[:n_hold], perm[n_hold:]
-    sub = g_values[np.ix_(fit_idx, fit_idx)]
+    paths = alpha_paths(schemes, g_values[np.ix_(fit_idx, fit_idx)], y[fit_idx], grid)
+    # Taken after the path, so the held-out rows never sit beside the kept block.
     cross = g_values[np.ix_(hold_idx, fit_idx)]
     picks = {}
-    for scheme, alphas in alpha_paths(schemes, sub, y[fit_idx], grid).items():
+    for scheme, alphas in paths.items():
         residuals = cross @ alphas - y[hold_idx][:, None]
         table = [(lam, float(mse)) for lam, mse in zip(grid, np.mean(residuals**2, axis=0))]
         best = min(range(len(table)), key=lambda i: table[i][1])

@@ -1,5 +1,5 @@
-"""One BLAS thread inside distreg's dense linear algebra, and scipy.linalg
-imported at its first use.
+"""One BLAS thread inside distreg's dense linear algebra, and scipy's LAPACK
+extension loaded at its first use.
 
 numpy and scipy each map their own OpenBLAS, whose worker threads compete with
 the Gram thread pool and can make a solve sum in another order, so alpha and
@@ -13,14 +13,20 @@ builds of the numpy and scipy wheels that setter acts on the whole process,
 not the calling thread, so scopes are counted across threads: the first one
 entered sets one thread, the last one left restores the counts, and in
 between BLAS calls from other threads run on one thread too.
+
+LAPACK routines come from `lapack()`: scipy's extension scipy.linalg._flapack,
+loaded alone, without the few hundred modules of the scipy.linalg package.
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
+import importlib.util
 import os
+import sys
 import threading
+from importlib.machinery import EXTENSION_SUFFIXES
 
 
 def _find_setters() -> list:
@@ -40,6 +46,22 @@ def _find_setters() -> list:
     return setters
 
 
+def _load_flapack():
+    """The module already imported, else loaded from its file under its own name."""
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:
+        import scipy  # on Windows wheels this registers the DLL directory of its OpenBLAS
+
+        path = os.path.join(scipy.__path__[0], "linalg", "_flapack" + EXTENSION_SUFFIXES[0])
+        if not os.path.isfile(path):
+            raise ImportError(f"scipy {scipy.__version__} has no LAPACK extension at {path}")
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return sys.modules[name]
+
+
 class _SerialBlas(contextlib.ContextDecorator):
     # One instance: the counts it saves and restores belong to the process.
     def __init__(self):
@@ -47,7 +69,7 @@ class _SerialBlas(contextlib.ContextDecorator):
         self._setters: list | None = None
         self._depth = 0
         self._saved: list[int] = []
-        self._linalg = None
+        self._lapack = None
 
     def __enter__(self):
         with self._lock:
@@ -65,22 +87,24 @@ class _SerialBlas(contextlib.ContextDecorator):
                     set_threads(count)
         return False
 
-    def linalg(self):
-        """scipy.linalg, imported at the first call (~0.25 s; predict never makes one).
-        The libraries are then listed once more, known ones too; in an open scope each
-        takes one thread at once. Counts are restored last saved first, so a library
-        listed twice ends with the count saved first."""
-        if self._linalg is None:
-            import scipy.linalg
+    def lapack(self):
+        """scipy.linalg._flapack, whose routines scipy.linalg.lapack re-exports, loaded
+        at the first call without running scipy/linalg/__init__.py: ~10 ms and ~2.6 MB
+        against ~0.25 s and ~25 MB for the package; predict never makes one. The
+        libraries are then listed once more, known ones too; in an open scope each takes
+        one thread at once. Counts are restored last saved first, so a library listed
+        twice ends with the count saved first."""
+        if self._lapack is None:
+            module = _load_flapack()
             with self._lock:
-                if self._linalg is None and self._setters is not None:
+                if self._lapack is None and self._setters is not None:
                     found = _find_setters()
                     self._setters += found
                     if self._depth > 0:
                         self._saved += [set_threads(1) for set_threads in found]
-                self._linalg = scipy.linalg
-        return self._linalg
+                self._lapack = module
+        return self._lapack
 
 
 serial_blas = _SerialBlas()
-linalg = serial_blas.linalg
+lapack = serial_blas.lapack

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .blas import linalg, serial_blas
+from .blas import lapack, serial_blas
 from .embedding import Bag, EmbeddingKernelSpec, check_dims, pair_sums, row_chunks
 from .embedding import kernel_matrix  # noqa: F401  (bench/spans.py wraps gram.kernel_matrix)
 from .errors import ConfigError, InputError, NumericalError
@@ -308,5 +308,11 @@ def embed_inner(espec: EmbeddingKernelSpec, a: Bag, b: Bag) -> float:
 @serial_blas
 def spectrum(g: GramMatrix) -> np.ndarray:
     """Descending singular values of (1/m) * gram: empirical proxies for the
-    spectrum of the integral operator, which may be indefinite or asymmetric."""
-    return np.sort(linalg().svdvals(g.values / g.m))[::-1]
+    spectrum of the integral operator, which may be indefinite or asymmetric.
+    LAPACK's dgesdd as scipy's svdvals calls it: same bits, NumericalError if it fails."""
+    flapack = lapack()
+    lwork = int(flapack.dgesdd_lwork(g.m, g.m, compute_uv=0, full_matrices=1)[0])
+    _, s, _, info = flapack.dgesdd(g.values / g.m, compute_uv=0, full_matrices=1, lwork=lwork)
+    if info != 0:
+        raise NumericalError(f"SVD of the Gram matrix failed (dgesdd info {info})")
+    return np.sort(s)[::-1]

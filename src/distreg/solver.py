@@ -18,7 +18,8 @@ the condition number is not squared). Only an asymmetric G makes the
 coefficient scheme reduce G^T G instead. Neither Q nor an inverse is
 formed. This linear algebra runs on one BLAS thread
 (`blas.serial_blas`), so its results do not depend on the BLAS thread count,
-and imports scipy.linalg at its first call (`blas.linalg`): predict never does.
+and calls scipy's LAPACK extension (`blas.lapack`, loaded at the first call;
+predict never loads it) as scipy.linalg's cho_factor and cho_solve do: same bits.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .blas import linalg, serial_blas
+from .blas import lapack, serial_blas
 from .embedding import Bag, EmbeddingKernelSpec
 from .errors import ConfigError, ContractError, InputError, NumericalError
 from .gram import GramMatrix, build_cross_gram, check_threads, mirror_upper
@@ -128,8 +129,9 @@ def _solve(scheme: str, g_values: np.ndarray, y, lam: float, train_bags: Sequenc
     """Assemble, factor and solve the scheme's normal equations A alpha = b.
 
     Checks lam, the scheme, y and, when given, that `train_bags` has one bag
-    per row of G, in that order. Returns alpha, the Cholesky factor of A,
-    ||A||_1, y as a float vector and b.
+    per row of G, in that order; a non-finite A or b (an overflow, or a
+    non-finite G) raises NumericalError. Returns alpha, the Cholesky factor of
+    A as cho_factor gives it, ||A||_1, y as a float vector and b.
     """
     if lam <= 0:
         raise ConfigError(f"lambda must be positive, got {lam}")
@@ -149,17 +151,25 @@ def _solve(scheme: str, g_values: np.ndarray, y, lam: float, train_bags: Sequenc
     system.flat[:: m + 1] += shift
     # ||system||_1 as np.linalg.norm(system, 1) sums it, down each column in row
     # order, but with no |system| copy; taken first, as the factor overwrites it.
-    norm1 = linalg().lapack.dlange("I", system.T)
+    # dlange propagates NaN and inf: a finite norm is a finite system.
+    norm1 = lapack().dlange("I", system.T)
+    if not (np.isfinite(norm1) and np.all(np.isfinite(rhs))):
+        raise NumericalError(f"{scheme} system is not finite at lambda {lam:g}")
     # Factors the F-ordered view system.T in place, whose upper triangle is the lower
     # one of `system`. G^T G is exactly symmetric; a ridge system, whose G may be
     # hand-made, first gets its own upper triangle mirrored there.
     if scheme == "krr":
         mirror_upper(system)
-    try:
-        factor = linalg().cho_factor(system.T, overwrite_a=True)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SPD factorization failed: {exc}") from exc
-    return linalg().cho_solve(factor, rhs), factor, norm1, y, rhs
+    c, info = lapack().dpotrf(system.T, clean=0, overwrite_a=1)
+    if info > 0:
+        minor = f"{info}-th leading minor of the array is not positive definite"
+        raise NumericalError(f"SPD factorization failed: {minor}")
+    return _cho_solve((c, False), rhs), (c, False), norm1, y, rhs
+
+
+def _cho_solve(factor: tuple[np.ndarray, bool], b: np.ndarray) -> np.ndarray:
+    """A^-1 b from the (c, lower) Cholesky factor of A, as scipy's cho_solve."""
+    return lapack().dpotrs(factor[0], b, lower=factor[1])[0]
 
 
 @serial_blas
@@ -172,7 +182,7 @@ def _apply_q(trans: str, q, c: np.ndarray) -> np.ndarray:
     """Q c (trans "N") or Q^T c (trans "T") in place on the (m, k) `c`, as LAPACK's
     dormtr for UPLO='L': H(1) ... H(m-1) act on rows 2..m, and row 1 is left as it is."""
     if len(c) > 1:
-        dormqr = linalg().lapack.dormqr
+        dormqr = lapack().dormqr
         lwork = int(dormqr("L", trans, *q, c[1:], -1)[1][0])
         c[1:] = dormqr("L", trans, *q, c[1:], lwork)[0]
     return c
@@ -184,9 +194,9 @@ def _reduce(sym: np.ndarray, rhs: np.ndarray):
     diagonal and subdiagonal, Q as its reflectors and tau, and Q^T rhs as a column.
     The reflectors go to dormqr as dormtr passes them, A(2, 1) with leading
     dimension m: a view one element into the reduced array, not a copy."""
-    lapack, m = linalg().lapack, len(sym)
-    lwork = int(lapack.dsytrd_lwork(m, lower=1)[0])
-    a, d, e, tau, _ = lapack.dsytrd(sym.T, lower=1, lwork=lwork, overwrite_a=1)
+    flapack, m = lapack(), len(sym)
+    lwork = int(flapack.dsytrd_lwork(m, lower=1)[0])
+    a, d, e, tau, _ = flapack.dsytrd(sym.T, lower=1, lwork=lwork, overwrite_a=1)
     q = a.reshape(-1, order="F")[1 : 1 + m * (m - 1)].reshape(m, m - 1, order="F"), tau
     e = e if m > 1 else np.zeros(1)  # dptsv's and zgtsv's wrappers take at least one
     return d, e, q, _apply_q("T", q, rhs[:, None].copy())
@@ -214,7 +224,7 @@ def alpha_paths(
     lams = np.asarray(lams, dtype=np.float64)
     if np.any(lams <= 0):
         raise ConfigError(f"lambda must be positive, got {lams.min()}")
-    lapack = linalg().lapack
+    flapack = lapack()
     y = np.asarray(y, dtype=np.float64)
     m = len(y)
     # What reads G intact comes first: G^T G, G^T y, then the upper triangle mirrored.
@@ -236,9 +246,9 @@ def alpha_paths(
         alphas = np.empty((m, len(lams)), order="F")
         for j, lam in enumerate(lams):
             if coefficient and symmetric:
-                x, info = lapack.zgtsv(e, d - 1j * (np.sqrt(lam) * m), e, w.astype(complex))[3:]
+                x, info = flapack.zgtsv(e, d - 1j * (np.sqrt(lam) * m), e, w.astype(complex))[3:]
             else:
-                x, info = lapack.dptsv(d + lam * (m * m if coefficient else m), e, w)[2:]
+                x, info = flapack.dptsv(d + lam * (m * m if coefficient else m), e, w)[2:]
             if info > 0:
                 raise NumericalError(f"{scheme} system is not positive definite at lambda {lam:g}")
             alphas[:, j] = x[:, 0].real
@@ -255,7 +265,7 @@ def _inverse_norm1(factor: tuple[np.ndarray, bool]) -> float:
     """
 
     def solve(x: np.ndarray) -> np.ndarray:
-        return linalg().cho_solve(factor, x, check_finite=False)
+        return _cho_solve(factor, x)
 
     def signs(x: np.ndarray) -> np.ndarray:
         return np.where(x >= 0, 1.0, -1.0)

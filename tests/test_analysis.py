@@ -20,6 +20,7 @@ from distreg import (
     SaturationConfig,
     ScheduleParams,
     SweepConfig,
+    blas,
     build_gram,
     effective_dimension,
     fit_decay_exponent,
@@ -333,13 +334,13 @@ class TestSelectLambda:
 def dsytrd_calls(monkeypatch):
     """Count tridiagonal reductions (LAPACK dsytrd calls); one list entry per call."""
     calls = []
-    original = scipy.linalg.lapack.dsytrd
+    original = blas.lapack().dsytrd
 
     def counted(*args, **kwargs):
         calls.append(args[0].shape)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dsytrd", counted)
+    monkeypatch.setattr(blas.lapack(), "dsytrd", counted)
     return calls
 
 

@@ -13,7 +13,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import distreg
 from distreg import (
@@ -72,13 +71,13 @@ def test_scope_runs_one_thread_and_restores_the_count(two_blas_threads):
 @needs_setter
 def test_fit_restores_the_callers_blas_thread_count(two_blas_threads, monkeypatch):
     inside = []
-    cho_solve = scipy.linalg.cho_solve
+    dpotrs = blas.lapack().dpotrs
 
     def spy(*args, **kwargs):
         inside.append(read_counts())
-        return cho_solve(*args, **kwargs)
+        return dpotrs(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "cho_solve", spy)
+    monkeypatch.setattr(blas.lapack(), "dpotrs", spy)
     espec = EmbeddingKernelSpec("gaussian", 1.0, 2)
     kspec = OuterKernelSpec.gaussian(1.0)
     bags = make_bags(5, 12, 6, 2)
@@ -125,7 +124,7 @@ def test_scopes_on_many_threads_restore_only_after_the_last_exit():
 
 
 def test_a_library_mapped_inside_a_scope_runs_one_thread_until_the_last_exit(monkeypatch):
-    # Fake libraries by name; importing scipy.linalg maps "scipy" inside a scope.
+    # Fake libraries by name; loading scipy's LAPACK maps "scipy" inside a scope.
     counts = {"numpy": 4, "scipy": 3}
     mapped = ["numpy"]
 
@@ -140,16 +139,68 @@ def test_a_library_mapped_inside_a_scope_runs_one_thread_until_the_last_exit(mon
     with scope:
         mapped.append("scipy")
         with scope:
-            assert scope.linalg() is scipy.linalg
+            assert scope.lapack() is blas.lapack()
             assert counts == {"numpy": 1, "scipy": 1}
         assert counts == {"numpy": 1, "scipy": 1}
     assert counts == {"numpy": 4, "scipy": 3}
     # The libraries were listed once more at the import, and are not again.
     mapped.append("later")
     with scope:
-        scope.linalg()
+        scope.lapack()
         assert counts == {"numpy": 1, "scipy": 1}
     assert counts == {"numpy": 4, "scipy": 3} and scope._depth == 0
+
+
+def test_a_missing_lapack_extension_names_its_path_and_scipys_version(monkeypatch):
+    import scipy
+
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    monkeypatch.setattr(blas, "EXTENSION_SUFFIXES", [".missing"])
+    with pytest.raises(ImportError, match=rf"^scipy {scipy.__version__} .* at .*_flapack\.missing$"):
+        blas._load_flapack()
+
+
+# A fit, with scipy.linalg imported before the first solve or after it: one
+# LAPACK module either way, the one scipy.linalg.lapack re-exports.
+IMPORT_ORDER = """
+import hashlib, sys
+import numpy as np
+from distreg import (EmbeddingKernelSpec, OuterKernelSpec, blas, build_gram,
+                     fit_coefficient, select_lambda_holdout)
+sys.path.insert(0, {tests!r})
+from conftest import make_bags
+
+def fit():
+    espec, kspec = EmbeddingKernelSpec("gaussian", 1.0, 2), OuterKernelSpec.gaussian(1.0)
+    bags = make_bags(5, 40, 6, 2)
+    g, y = build_gram(kspec, espec, bags), np.linspace(-1.0, 1.0, 40)
+    lam = select_lambda_holdout(g.values, y, [1e-4, 1e-2], ("coefficient_l2",), 0.3, 7)
+    model, _ = fit_coefficient(g, y, lam["coefficient_l2"][0], bags, kspec, espec)
+    return hashlib.sha256(model.alpha.tobytes()).hexdigest()
+
+if {first!r}:
+    import scipy.linalg
+alpha = fit()
+import scipy.linalg
+assert scipy.linalg.lapack.dpotrf is blas.lapack().dpotrf
+assert sys.modules["scipy.linalg._flapack"] is blas.lapack()
+assert fit() == alpha
+print(alpha)
+"""
+
+
+def test_scipy_linalg_imported_before_or_after_the_first_solve():
+    src = str(Path(distreg.__file__).resolve().parents[1])
+    alphas = set()
+    for first in (True, False):
+        code = IMPORT_ORDER.format(tests=str(Path(__file__).parent), first=first)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+            env={"PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        alphas.add(proc.stdout)
+    assert len(alphas) == 1
 
 
 # A tilted (asymmetric) d=2 problem: lambda selection reduces G^T G, and

@@ -526,6 +526,13 @@ class TestCmdFit:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: Gram matrix has non-finite entries")
 
+    def test_non_finite_system_exits_4(self, tmp_path, capsys):
+        # lam m^2 overflows to inf: the system is refused before it is factored.
+        cfg = write_config(tmp_path, **base_sections(**{"lambda": {"fixed": 1e308}}))
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "m.json")]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: coefficient_l2 system is not finite at lambda 1e+308"]
+
     def test_sigma_underflow_prints_one_stderr_line(self, tmp_path):
         # numpy warnings go straight to the process's stderr, so run a real process.
         sections = base_sections(outer_kernel={"family": "gaussian_on_embedding", "sigma": 1e-300})
@@ -1168,6 +1175,27 @@ class TestCmdSpectrum:
             one_error_line(capsys)
         assert not (tmp_path / "new").exists()
         assert (kept / "notes.txt").read_text() == "mine"
+
+
+@pytest.mark.parametrize("command", ["fit", "sweep", "spectrum"])
+def test_solving_commands_do_not_import_scipy_linalg(tmp_path, command):
+    # The package import would cost each command ~0.25 s and ~25 MB, numpy.testing
+    # and numpy.f2py among its modules; the LAPACK extension is loaded alone.
+    sections = {"fit": _grid_fit, "sweep": sweep_sections, "spectrum": base_sections}[command]()
+    cfg = write_config(tmp_path, **sections)
+    code = (
+        "import sys, distreg.cli as cli\n"
+        f"rc = cli.main([{command!r}, '--config', {cfg!r}, '--out', {str(tmp_path / 'out')!r}])\n"
+        "print(rc, 'scipy.linalg._flapack' in sys.modules,\n"
+        "      [m for m in ('scipy.linalg', 'numpy.testing', 'numpy.f2py') if m in sys.modules])\n"
+    )
+    src = str(Path(distreg.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env={"PYTHONPATH": src}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 True []"
 
 
 class TestCmdSchedule:

@@ -12,15 +12,18 @@ from distreg import (
     ContractError,
     EmbeddingKernelSpec,
     InputError,
+    NumericalError,
     OuterKernelSpec,
+    blas,
     build_gram,
     excess_error,
     fit_coefficient,
     fit_krr,
     predict,
+    spectrum,
 )
 from distreg.blas import serial_blas
-from distreg.solver import _inverse_norm1, alpha_paths, solve_alpha
+from distreg.solver import _cho_solve, _inverse_norm1, _solve, alpha_paths, solve_alpha
 
 from conftest import (
     assemble_system,
@@ -547,6 +550,91 @@ class TestInPlaceFitBits:
         assert scipy.linalg.lapack.dlange("I", a.T) == np.linalg.norm(a, 1)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize(
+    "scheme, values, lam",
+    [("krr", np.eye(3), 1e308), ("coefficient_l2", 1e200 * np.eye(3), 1.0)],
+    ids=["lambda_m_overflows", "gram_product_overflows"],
+)
+def test_a_non_finite_system_is_refused(scheme, values, lam):
+    # LAPACK's dpotrf alone would factor it and give alpha = 0.
+    with pytest.raises(NumericalError, match=f"^{scheme} system is not finite at lambda"):
+        solve_alpha(scheme, values, np.ones(3), lam)
+
+
+def test_a_system_that_is_not_positive_definite_keeps_its_message():
+    want = "SPD factorization failed: 2-th leading minor of the array is not positive definite"
+    with pytest.raises(NumericalError, match=f"^{want}$"):
+        solve_alpha("krr", np.diag([1.0, -1.0, 1.0]), np.ones(3), 1e-3)
+
+
+LAPACK_ROUTINES = (
+    "dpotrf", "dpotrs", "dlange", "dsytrd", "dsytrd_lwork", "dormqr", "dptsv", "zgtsv",
+    "dgesdd", "dgesdd_lwork",
+)
+
+
+class TestLapackRoutes:
+    """The solves, norms, reductions and singular values call scipy's LAPACK
+    extension directly, with the arguments that scipy.linalg's cho_factor,
+    cho_solve and svdvals pass: their bits, from 1 x 1 to past LAPACK's blocked
+    crossovers."""
+
+    def test_the_routines_are_the_ones_scipy_linalg_lapack_exports(self):
+        import scipy.linalg
+
+        for name in LAPACK_ROUTINES:
+            assert getattr(blas.lapack(), name) is getattr(scipy.linalg.lapack, name), name
+
+    @pytest.mark.parametrize("m", [1, 7, 300])
+    @pytest.mark.parametrize("scheme", ["coefficient_l2", "krr"])
+    def test_a_solve_equals_cho_factor_and_cho_solve(self, scheme, m):
+        import scipy.linalg
+
+        rng = np.random.default_rng(m)
+        a = rng.normal(size=(m, m))
+        values = a @ a.T / m + np.eye(m) + 1e-3 * rng.normal(size=(m, m))
+        y, x = rng.normal(size=m), rng.normal(size=m)
+        with serial_blas:
+            system, rhs = assemble_system(scheme, values, y, 1e-3)
+            want = scipy.linalg.cho_factor(system.copy())
+            alpha, factor, norm1, _, _ = _solve(scheme, values, y, 1e-3)
+            assert np.triu(factor[0]).tobytes() == np.triu(want[0]).tobytes()
+            assert factor[1] == want[1]
+            assert alpha.tobytes() == scipy.linalg.cho_solve(want, rhs).tobytes()
+            assert _cho_solve(factor, x).tobytes() == scipy.linalg.cho_solve(want, x).tobytes()
+            assert norm1 == scipy.linalg.lapack.dlange("I", system.T) == np.linalg.norm(system, 1)
+
+    @pytest.mark.parametrize("m", [1, 7, 300])
+    def test_the_spectrum_equals_svdvals(self, m):
+        import scipy.linalg
+
+        rng = np.random.default_rng(m)
+        values = rng.normal(size=(m, m))  # asymmetric past 1 x 1
+        with serial_blas:
+            want = np.sort(scipy.linalg.svdvals(values / m))[::-1]
+            assert spectrum(gram_from_matrix(values)).tobytes() == want.tobytes()
+
+    def test_an_svd_that_does_not_converge_is_a_numerical_error(self, monkeypatch):
+        dgesdd = blas.lapack().dgesdd
+        monkeypatch.setattr(blas.lapack(), "dgesdd", lambda *a, **k: (*dgesdd(*a, **k)[:3], 1))
+        with pytest.raises(NumericalError, match=r"dgesdd info 1\)$"):
+            spectrum(gram_from_matrix(np.eye(3)))
+
+    @pytest.mark.parametrize("m", [7, 300])  # 1 x 1: test_alpha_paths_of_the_smallest_blocks
+    @pytest.mark.parametrize("asymmetric", [False, True])
+    def test_a_lambda_path_equals_scipy_linalg_lapack(self, m, asymmetric):
+        rng = np.random.default_rng(m)
+        values = random_psd_matrix(m, m=m) + np.eye(m)
+        if asymmetric:
+            values += 1e-3 * rng.normal(size=(m, m))
+        y, lams, schemes = rng.normal(size=m), np.logspace(-8, 0, 5), ("coefficient_l2", "krr")
+        want = reduction_paths(schemes, values, y, lams)
+        got = alpha_paths(schemes, values.copy(), y, lams)
+        for scheme in schemes:
+            assert got[scheme].tobytes() == want[scheme].tobytes()
+
+
 def oracle_paths(schemes, values, y, lams):
     """alpha_paths by the eigen formula: eigh on copies of G (or of G^T G), read from
     the upper triangle."""
@@ -719,3 +807,21 @@ class TestDenseStagesMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 1.0 * 8 * self.M**2
+
+    def test_lambda_search_takes_the_held_out_rows_after_the_path(self, problem):
+        # The kept block (0.49 m^2) and the symmetry check's booleans (0.06 m^2);
+        # the hold-out rows (0.21 m^2) come once the path is solved and the block freed.
+        import tracemalloc
+
+        from distreg.analysis import select_lambda_holdout
+
+        _, _, _, g, y = problem
+        tracemalloc.start()
+        try:
+            select_lambda_holdout(
+                g.values, y, np.logspace(-8, 0, 5), ("coefficient_l2", "krr"), 0.3, 4
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.65 * 8 * self.M**2

@@ -13,6 +13,7 @@ cost of one inner product is O(N_a * N_b).
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -22,8 +23,9 @@ from .errors import ConfigError, InputError, config_float, config_int, config_ke
 
 # Kernel values in one tile of the double-sum reduction: 1 MiB of float64, so its
 # numpy passes stay in a core's L2 (2 MiB on the 2-core Xeon measured, where 2^16
-# ran ~20% slower on 200-bag Grams and 2^18 no faster). Tiles are views of a
-# per-thread buffer: a fresh 1 MiB array each would be mmapped and faulted in.
+# ran ~20% slower on 200-bag Grams and 2^18 no faster). Tiles are views of one
+# anonymous mapping per thread and call, so the OS gets it back on return: a freed
+# np.empty buffer raises glibc's mmap threshold, and later ones stay in the heap.
 # The dense m x m passes work in row chunks of as many values (`row_chunks`).
 _CHUNK_BUDGET = 1 << 17
 
@@ -257,8 +259,8 @@ def pair_sums(
     every pair; callers set it by Bag._order_key, so a pair's sum is fixed by
     its two bags, whatever the argument order, the rest of either run,
     chunking or threads. Kernel tiles, and at d >= 2 the coordinate
-    differences, are views of two buffers per thread, kept on the `scratch`
-    threading.local.
+    differences, are views of one anonymous mapping per thread, made at its
+    first tile, kept on the `scratch` threading.local and unmapped with it.
     """
     row_starts = row_bounds[:-1]
     out = np.empty((len(row_starts), len(bounds) - 1))
@@ -278,7 +280,9 @@ def pair_sums(
             size, tile = len(first[part]) * len(second), None
             if size <= _CHUNK_BUDGET:
                 if not hasattr(scratch, "tile"):
-                    scratch.tile = np.empty((min(spec.dim, 2), _CHUNK_BUDGET))
+                    rows = min(spec.dim, 2)
+                    mapping = mmap.mmap(-1, rows * _CHUNK_BUDGET * 8)
+                    scratch.tile = np.frombuffer(mapping, np.float64).reshape(rows, -1)
                 views = tuple(buf[:size].reshape(-1, len(second)) for buf in scratch.tile)
                 tile = views if spec.dim > 1 else views[0]
             kmat = kernel_matrix(spec, first[part], second, tile)

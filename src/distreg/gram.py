@@ -9,21 +9,28 @@ is first, and the value of a pair depends on its two bags alone. Cross
 inner products have one route, `_embedding_inners`: the Gram, the
 cross-Gram, the tilt against the reference bag and `embed_inner` (its 1 x 1
 block) all go through it, and a cross-Gram's self inner products through
-`_self_inners`. Row bags are reduced in blocks of consecutive bags in rank
-order, each block against a packed run of column bags in one call per
-direction, so a Gram of many small bags costs a few kernel blocks rather
-than one per row. All of these agree bit for bit on every pair, whatever
-the block, the thread count or the chunk budget. Dense storage only.
+`_self_inners`, small bags a run at a time. Row bags are reduced in blocks
+of consecutive bags in rank order, each block against a packed run of
+column bags in one call per direction, so a Gram of many small bags costs a
+few kernel blocks rather than one per row. All of these agree bit for bit
+on every pair, whatever the block, the thread count or the chunk budget.
+Dense storage only.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
+
+try:  # CPython's own SHA-256: hashlib would also map OpenSSL's libcrypto (~3.6 MB)
+    from _sha2 import sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 import numpy as np
 
@@ -45,6 +52,10 @@ from .outer import OuterKernelSpec, apply_outer
 # stay serial: pooling them measured no faster.
 _POOL_MIN_EVALS = 100_000
 
+# Points of consecutive bags whose self inner products are the diagonal of one
+# `pair_sums` call: 16 bags of 4 points cost one call and 4096 evaluations, not 16 and 256.
+_SELF_RUN_POINTS = 64
+
 
 def kernel_fingerprint(kspec: OuterKernelSpec, espec: EmbeddingKernelSpec) -> str:
     """Stable hash of the (outer, embedding) kernel pair, for provenance checks."""
@@ -53,7 +64,7 @@ def kernel_fingerprint(kspec: OuterKernelSpec, espec: EmbeddingKernelSpec) -> st
         sort_keys=True,
         separators=(",", ":"),
     )
-    return hashlib.sha256(doc.encode()).hexdigest()[:16]
+    return sha256(doc.encode()).hexdigest()[:16]
 
 
 def _check_finite(values: np.ndarray) -> None:
@@ -97,11 +108,31 @@ def _run_tasks(fill: Callable, tasks: Sequence, threads: int, evals: int, rows: 
     at least _POOL_MIN_EVALS evaluations; otherwise they run in a serial loop.
     """
     if threads > 1 and len(tasks) > 1 and evals >= _POOL_MIN_EVALS * rows:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, tasks))
+        _pool(fill, iter(tasks), min(threads, len(tasks)))
     else:
         for t in tasks:
             fill(t)
+
+
+def _pool(fill: Callable, tasks: Iterator, workers: int) -> None:
+    """Call fill(t) for every t of `tasks` on `workers` threads that share the
+    iterator; the first error met is raised once all have stopped."""
+    errors = []
+
+    def work() -> None:
+        try:
+            for t in tasks:
+                fill(t)
+        except BaseException as exc:  # re-raised in the caller
+            errors.append(exc)
+
+    pool = [threading.Thread(target=work) for _ in range(workers)]
+    for thread in pool:
+        thread.start()
+    for thread in pool:
+        thread.join()
+    if errors:
+        raise errors[0]
 
 
 def check_threads(threads: int) -> None:
@@ -163,7 +194,7 @@ def _embedding_inners(
     splits = np.searchsorted(col_rank[col_order], row_rank[row_order])
     row_sizes, col_sizes = np.diff(row_bounds), np.diff(bounds)
     inner = np.empty((len(row_sizes), len(col_sizes)))
-    scratch = threading.local()  # one kernel tile buffer per thread, freed on return
+    scratch = threading.local()  # one kernel tile mapping per thread, unmapped on return
 
     def fill(block: tuple[int, int]) -> None:
         a, b = block
@@ -210,17 +241,23 @@ def _reorder(a: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> None:
 
 
 def _self_inners(espec: EmbeddingKernelSpec, bags: Sequence[Bag], threads: int) -> np.ndarray:
+    """<mu_b, mu_b> per bag, runs of bags of at most _SELF_RUN_POINTS points in all
+    from the diagonal of one `pair_sums` call (a pair's sum is its two bags' alone)."""
     out = np.empty(len(bags))
-    scratch = threading.local()  # one kernel tile buffer per thread, freed on return
+    scratch = threading.local()  # one kernel tile mapping per thread, unmapped on return
+    sizes, runs, first = [b.size for b in bags], [], 0
+    for i in range(1, len(bags) + 1):
+        if i == len(bags) or sum(sizes[first : i + 1]) > _SELF_RUN_POINTS:
+            runs.append(slice(first, i))
+            first = i
 
-    def fill(i: int) -> None:
-        b = bags[i]
-        bounds = np.array([0, b.size])
-        total = pair_sums(espec, b.points, bounds, b.points, bounds, True, scratch)[0, 0]
-        out[i] = total / b.size**2
+    def fill(run: slice) -> None:
+        points, bounds = _pack(bags[run])
+        sums = pair_sums(espec, points, bounds, points, bounds, True, scratch)
+        out[run] = np.diagonal(sums) / np.diff(bounds) ** 2
 
-    evals = sum(b.size**2 for b in bags)
-    _run_tasks(fill, range(len(bags)), threads, evals, len(bags))
+    evals = sum(sum(sizes[run]) ** 2 for run in runs)
+    _run_tasks(fill, runs, threads, evals, len(bags))
     return out
 
 

@@ -132,15 +132,14 @@ def gaussian_embedding():
 
 @pytest.fixture
 def pool_starts(monkeypatch):
-    """Records max_workers of every thread pool that Gram assembly starts."""
+    """Records the worker count of every thread pool that Gram assembly starts."""
     from distreg import gram
 
-    started = []
+    started, pool = [], gram._pool
 
-    class CountingPool(gram.ThreadPoolExecutor):
-        def __init__(self, max_workers=None, **kwargs):
-            started.append(max_workers)
-            super().__init__(max_workers=max_workers, **kwargs)
+    def counting_pool(fill, tasks, workers):
+        started.append(workers)
+        pool(fill, tasks, workers)
 
-    monkeypatch.setattr(gram, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(gram, "_pool", counting_pool)
     return started

@@ -1187,7 +1187,8 @@ def test_solving_commands_do_not_import_scipy_linalg(tmp_path, command):
         "import sys, distreg.cli as cli\n"
         f"rc = cli.main([{command!r}, '--config', {cfg!r}, '--out', {str(tmp_path / 'out')!r}])\n"
         "print(rc, 'scipy.linalg._flapack' in sys.modules,\n"
-        "      [m for m in ('scipy.linalg', 'numpy.testing', 'numpy.f2py') if m in sys.modules])\n"
+        "      [m for m in ('scipy.linalg', 'numpy.testing', 'numpy.f2py', 'concurrent.futures',\n"
+        "                   'logging') if m in sys.modules])\n"
     )
     src = str(Path(distreg.__file__).resolve().parents[1])
     proc = subprocess.run(

@@ -164,7 +164,8 @@ class TestKernelMatrix:
 
     def test_predict_loads_no_scipy(self, tmp_path):
         # Prediction is a cross-Gram and a mat-vec: numpy alone. scipy.linalg
-        # would cost every `distreg predict` ~0.25 s and ~30 MB.
+        # would cost every `distreg predict` ~0.25 s and ~30 MB, and OpenSSL's
+        # _hashlib ~3.6 MB; concurrent.futures would bring logging with it.
         bags = tmp_path / "bags.ndjson"
         bags.write_text(
             '{"id": "t0", "y": null, "points": [[0.1, 0.2], [0.3, 0.4], [0.5, 0.1]]}\n'
@@ -174,7 +175,8 @@ class TestKernelMatrix:
         code = (
             "import sys, distreg.cli as cli\n"
             f"rc = cli.main(['predict', '--model', {str(model)!r}, '--bags', {str(bags)!r}])\n"
-            "print(rc, sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+            "absent = ('_hashlib', 'concurrent.futures', 'logging')\n"
+            "print(rc, sorted(m for m in sys.modules if m.startswith('scipy') or m in absent))\n"
         )
         src = str(Path(distreg.__file__).resolve().parents[1])
         proc = subprocess.run(

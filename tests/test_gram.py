@@ -4,8 +4,14 @@ The entrywise oracle below recomputes every outer kernel value from naive
 pure-Python double loops, independent of the chunked vectorized path.
 """
 
+import hashlib
+import json
 import math
+import mmap
+import sys
+import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -187,6 +193,111 @@ class TestPoolDispatch:
                 build_gram(kspec, espec, train, threads=threads)
             with pytest.raises(ConfigError, match="threads must be a positive integer"):
                 build_cross_gram(kspec, espec, test, train, threads=threads)
+
+
+def test_a_worker_error_reaches_the_caller_and_no_thread_is_left(monkeypatch, pool_starts):
+    espec, kspec = EmbeddingKernelSpec("gaussian", 0.25, 1), OuterKernelSpec.gaussian(1.0)
+    train = make_bags(32, 25, 100, 1)
+    calls = []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise RuntimeError("third row block")
+        return embedding.pair_sums(*args)
+
+    monkeypatch.setattr(gram, "pair_sums", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="third row block"):
+        build_gram(kspec, espec, train, threads=2)
+    assert pool_starts == [2]
+    assert threading.active_count() == before
+
+
+def test_pool_workers_take_every_task_once():
+    # More workers than cores, switching threads every microsecond: a task the
+    # shared iterator lost or gave out twice would show in the list.
+    done, interval = [], sys.getswitchinterval()
+    runner = threading.Thread(target=gram._pool, args=(done.append, iter(range(20_000)), 8))
+    sys.setswitchinterval(1e-6)
+    try:
+        runner.start()
+        runner.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert sorted(done) == list(range(20_000))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_kernel_tiles_are_unmapped_when_each_call_returns(threads, d, monkeypatch):
+    # Each thread maps one tile (at d >= 2 with its difference buffer) per
+    # inner-product call, at most, and the call unmaps it on return.
+    made, per_call = [], []
+
+    class RecordingMap(mmap.mmap):
+        def __new__(cls, *args, **kwargs):
+            tile = super().__new__(cls, *args, **kwargs)
+            made.append((weakref.ref(tile), len(tile)))
+            return tile
+
+    def counted(fn):
+        def call(*args):
+            first = len(made)
+            result = fn(*args)
+            per_call.append(made[first:])
+            return result
+
+        return call
+
+    monkeypatch.setattr(mmap, "mmap", RecordingMap)
+    for name in ("_embedding_inners", "_self_inners"):
+        monkeypatch.setattr(gram, name, counted(getattr(gram, name)))
+    espec, kspec = EmbeddingKernelSpec("gaussian", 0.5, d), OuterKernelSpec.gaussian(1.0)
+    train, test = make_bags(32, 25, 100, d), make_bags(33, 4, 100, d)
+    build_gram(kspec, espec, train, threads=threads)
+    build_cross_gram(kspec, espec, test, train, threads=threads)
+    assert len(per_call) == 4  # the Gram; the cross-Gram and both self inner products
+    assert all(1 <= len(maps) <= threads for maps in per_call)
+    assert all(ref() is None for ref, _ in made)
+    assert {size for _, size in made} == {min(d, 2) * embedding._CHUNK_BUDGET * 8}
+
+
+@pytest.mark.parametrize(
+    "sizes", [[4] * 64, [4] * 20 + [100, 3, 70, 1, 64, 2] + [5] * 9], ids=["4x64", "ragged"]
+)
+@pytest.mark.parametrize("threads", [1, 2])
+def test_small_bags_share_self_inner_product_calls(threads, sizes, monkeypatch):
+    # Runs of bags of at most 64 points in all take one pair_sums call and keep
+    # the bits of the Gram diagonal; a larger bag runs alone.
+    rng = np.random.default_rng(46)
+    bags = [Bag(f"b{i}", rng.normal(size=(n, 1))) for i, n in enumerate(sizes)]
+    espec = EmbeddingKernelSpec("gaussian", 0.25, 1)
+    diagonal = build_gram(OuterKernelSpec.linear(), espec, bags, threads=threads).self_inners
+    calls = []
+
+    def counting(*args):
+        calls.append(len(args[2]) - 1)  # row bags
+        return embedding.pair_sums(*args)
+
+    monkeypatch.setattr(gram, "pair_sums", counting)
+    assert np.array_equal(gram._self_inners(espec, bags, threads), diagonal)
+    assert calls == ([16] * 4 if sizes == [4] * 64 else [16, 4, 1, 1, 1, 1, 1, 10])
+
+
+@pytest.mark.parametrize("family", ["linear", "gaussian", "dog", "tanh", "tilted"])
+def test_kernel_fingerprint_is_the_sha256_of_the_kernel_pair(family, gaussian_embedding):
+    kspec = {
+        "linear": OuterKernelSpec.linear(),
+        "gaussian": OuterKernelSpec.gaussian(1.0),
+        "dog": OuterKernelSpec.dog(0.3, 1.1, 0.8),
+        "tanh": OuterKernelSpec.tanh(1.3, 0.2),
+        "tilted": OuterKernelSpec.tilted(0.9, 0.6, Bag("ref", [[0.1, 0.2], [0.3, 0.5]])),
+    }[family]
+    doc = {"outer": kspec.to_dict(), "embedding": gaussian_embedding.to_dict()}
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    assert kernel_fingerprint(kspec, gaussian_embedding) == hashlib.sha256(text).hexdigest()[:16]
 
 
 def test_tiny_bags_are_reduced_in_row_blocks(monkeypatch):

@@ -264,11 +264,13 @@ def _trial(config, m: int, n_points: int, rule: LambdaRule, schemes: Sequence[st
     test cross-Gram scores every fit. Returns one lambda and one error per scheme.
     """
     meta, kspec, espec = config.meta, config.outer_kernel, config.embedding_kernel
+    holdout_seed = _derived_seed(meta.seed, *key, 2)
+    rule.check(m, holdout_seed)
     train = generate(replace(meta, seed=_derived_seed(meta.seed, *key, 0)), m, n_points)
     test = generate(replace(meta, seed=_derived_seed(meta.seed, *key, 1)), config.n_test, n_points)
     g = build_gram(kspec, espec, train.bags, threads=config.threads)
     y = train.labels()
-    lams = rule.pick(g.values, y, schemes, _derived_seed(meta.seed, *key, 2))
+    lams = rule.pick(g.values, y, schemes, holdout_seed)
     fitters = [fit_coefficient if scheme == "coefficient_l2" else fit_krr for scheme in schemes]
     models = [fit(g, y, lam, train.bags, kspec, espec)[0] for fit, lam in zip(fitters, lams)]
     return lams, excess_error(models, test.with_targets(), threads=config.threads)

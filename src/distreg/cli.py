@@ -155,6 +155,7 @@ def cmd_fit(args) -> int:
     seed = None if cfg.get("seed") is None else config_int(cfg["seed"], "'seed'", 0)
     source = _data(cfg)
     rule.check(None, seed)
+    check_threads(args.threads)
     bags = _bags(source, require_labels=True)
     rule.check(len(bags), seed)
     y = np.array([b.label for b in bags], dtype=np.float64)
@@ -169,6 +170,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    check_threads(args.threads)
     model = io.load_model(args.model)
     if args.config:
         cfg = _load_config(args.config)
@@ -199,7 +201,9 @@ def cmd_generate(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _load_config(args.config, args.seed)
     kspec, espec = _kernels(cfg)
-    meta, _, _ = _data(cfg, synthetic_for="sweep")
+    meta, *sizes = _data(cfg, synthetic_for="sweep")
+    if sizes != [None, None]:
+        raise ConfigError("sweep takes no data.synth 'm' or 'N'; it sweeps the top-level 'm'")
     rule = _lambda_rule(cfg)
     sweep_cfg = analysis.SweepConfig(
         meta=meta,

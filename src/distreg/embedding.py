@@ -238,6 +238,16 @@ def segment_sums(x: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return np.add(v[..., 0], rest, out=rest)
 
 
+def bag_runs(bounds: np.ndarray, cap: int) -> Iterator[tuple[int, int]]:
+    """Runs [start, stop) of consecutive bags, bag c being bounds[c]:bounds[c + 1]:
+    as many whole bags as hold at most `cap` points in all, and at least one."""
+    start, end = 0, len(bounds) - 1
+    while start < end:
+        stop = max(start + 1, int(bounds.searchsorted(bounds[start] + cap, "right")) - 1)
+        yield start, stop
+        start = stop
+
+
 def pair_sums(
     spec: EmbeddingKernelSpec,
     row_points: np.ndarray,
@@ -264,13 +274,7 @@ def pair_sums(
     """
     row_starts = row_bounds[:-1]
     out = np.empty((len(row_starts), len(bounds) - 1))
-    cap = max(1, _CHUNK_BUDGET // len(row_points))
-    start, end = 0, out.shape[1]
-    while start < end:
-        # Whole bags only: as many as the budget holds, and at least one.
-        stop = end
-        if bounds[end] - bounds[start] > cap:
-            stop = max(start + 1, int(bounds.searchsorted(bounds[start] + cap, "right")) - 1)
+    for start, stop in bag_runs(bounds, max(1, _CHUNK_BUDGET // len(row_points))):
         lo, hi = bounds[start], bounds[stop]
         pair = [(row_points, row_starts), (points[lo:hi], bounds[start:stop] - lo)]
         (first, first_starts), (second, second_starts) = pair if row_first else pair[::-1]
@@ -290,6 +294,5 @@ def pair_sums(
             del kmat  # a fresh array (a column bag past the budget) is freed before the next one
         sums = segment_sums(per_point, first_starts)
         out[:, start:stop] = sums.T if row_first else sums
-        start = stop
     return out
 

@@ -35,7 +35,7 @@ except ImportError:
 import numpy as np
 
 from .blas import lapack, serial_blas
-from .embedding import Bag, EmbeddingKernelSpec, check_dims, pair_sums, row_chunks
+from .embedding import Bag, EmbeddingKernelSpec, bag_runs, check_dims, pair_sums, row_chunks
 from .embedding import kernel_matrix  # noqa: F401  (bench/spans.py wraps gram.kernel_matrix)
 from .errors import ConfigError, InputError, NumericalError
 from .outer import OuterKernelSpec, apply_outer
@@ -100,28 +100,17 @@ class GramMatrix:
         return self.values.shape[0]
 
 
-def _run_tasks(fill: Callable, tasks: Sequence, threads: int, evals: int, rows: int) -> None:
-    """Call fill(t) for every t of `tasks`, which share out `rows` row bags and
-    `evals` pointwise kernel evaluations; each call owns its rows' outputs.
-
-    The calls go to a pool of `threads` threads only when the row bags average
-    at least _POOL_MIN_EVALS evaluations; otherwise they run in a serial loop.
-    """
-    if threads > 1 and len(tasks) > 1 and evals >= _POOL_MIN_EVALS * rows:
-        _pool(fill, iter(tasks), min(threads, len(tasks)))
-    else:
-        for t in tasks:
-            fill(t)
-
-
 def _pool(fill: Callable, tasks: Iterator, workers: int) -> None:
     """Call fill(t) for every t of `tasks` on `workers` threads that share the
-    iterator; the first error met is raised once all have stopped."""
+    iterator. Once a call has failed no worker starts another, and the first
+    error is raised once all have stopped."""
     errors = []
 
     def work() -> None:
         try:
             for t in tasks:
+                if errors:
+                    return
                 fill(t)
         except BaseException as exc:  # re-raised in the caller
             errors.append(exc)
@@ -212,7 +201,13 @@ def _embedding_inners(
     # them unless symmetric).
     reach = bounds[-1] - (bounds[splits] if symmetric else 0)
     row_evals = row_sizes * reach
-    _run_tasks(fill, _row_blocks(row_evals), threads, int(row_evals.sum()), len(row_sizes))
+    blocks = _row_blocks(row_evals)
+    # A pool only when the row bags average at least _POOL_MIN_EVALS evaluations.
+    if threads > 1 and len(blocks) > 1 and row_evals.sum() >= _POOL_MIN_EVALS * len(row_sizes):
+        _pool(fill, iter(blocks), min(threads, len(blocks)))
+    else:
+        for block in blocks:
+            fill(block)
     if symmetric:
         mirror_upper(inner)
     # N_r * N_c is an exact integer, so a mirrored sum divides to the same bits.
@@ -240,24 +235,15 @@ def _reorder(a: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> None:
             i = src
 
 
-def _self_inners(espec: EmbeddingKernelSpec, bags: Sequence[Bag], threads: int) -> np.ndarray:
+def _self_inners(espec: EmbeddingKernelSpec, bags: Sequence[Bag]) -> np.ndarray:
     """<mu_b, mu_b> per bag, runs of bags of at most _SELF_RUN_POINTS points in all
     from the diagonal of one `pair_sums` call (a pair's sum is its two bags' alone)."""
     out = np.empty(len(bags))
-    scratch = threading.local()  # one kernel tile mapping per thread, unmapped on return
-    sizes, runs, first = [b.size for b in bags], [], 0
-    for i in range(1, len(bags) + 1):
-        if i == len(bags) or sum(sizes[first : i + 1]) > _SELF_RUN_POINTS:
-            runs.append(slice(first, i))
-            first = i
-
-    def fill(run: slice) -> None:
-        points, bounds = _pack(bags[run])
+    scratch = threading.local()  # one kernel tile mapping, unmapped on return
+    for a, b in bag_runs(np.cumsum([0] + [bag.size for bag in bags]), _SELF_RUN_POINTS):
+        points, bounds = _pack(bags[a:b])
         sums = pair_sums(espec, points, bounds, points, bounds, True, scratch)
-        out[run] = np.diagonal(sums) / np.diff(bounds) ** 2
-
-    evals = sum(sum(sizes[run]) ** 2 for run in runs)
-    _run_tasks(fill, runs, threads, evals, len(bags))
+        out[a:b] = np.diagonal(sums) / np.diff(bounds) ** 2
     return out
 
 
@@ -282,9 +268,9 @@ def _outer_block(
     if symmetric:
         row_self = col_self = np.diag(inner).copy()
     else:
-        row_self = _self_inners(espec, row_bags, threads)
+        row_self = _self_inners(espec, row_bags)
         if col_self is None:
-            col_self = _self_inners(espec, col_bags, threads)
+            col_self = _self_inners(espec, col_bags)
     row_ref = _embedding_inners(espec, row_bags, refs, threads, False)[:, 0] if refs else None
     return apply_outer(kspec, inner, row_self, col_self, row_ref), col_self
 

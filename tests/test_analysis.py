@@ -32,6 +32,7 @@ from distreg import (
     spectrum,
 )
 
+from distreg import analysis
 from distreg.solver import alpha_paths, solve_alpha
 
 from conftest import INDEFINITE_DOG, INDEFINITE_EMBEDDING, make_bags
@@ -455,6 +456,14 @@ class TestSaturationCompare:
     def test_indefinite_kernel_rejected(self):
         with pytest.raises(ContractError):
             saturation_compare(self._config(outer_kernel=OuterKernelSpec.dog(0.5, 1.5, 0.9)))
+
+    def test_two_bags_are_refused_before_any_draw(self, monkeypatch):
+        def not_reached(*args, **kwargs):
+            raise AssertionError("bags drawn before the lambda rule was checked")
+
+        monkeypatch.setattr(analysis, "generate", not_reached)
+        with pytest.raises(InputError, match="holdout selection needs at least 3 bags, got 2"):
+            saturation_compare(self._config(m=2))
 
     def test_wrong_target_rejected(self):
         cfg = self._config(

@@ -694,6 +694,16 @@ class TestCmdPredict:
         assert main(argv) == 3
         assert "threads must be a positive integer" in one_error_line(capsys)
 
+    def test_bad_threads_exit_3_before_the_model_is_read(self, tmp_path, capsys, monkeypatch):
+        def not_reached(*args, **kwargs):
+            raise AssertionError("model or bags read before --threads was checked")
+
+        for name in ("load_model", "read_bags"):
+            monkeypatch.setattr(io, name, not_reached)
+        argv = ["predict", "--model", str(tmp_path / "m.json"), "--bags", str(tmp_path / "b")]
+        assert main([*argv, "--threads", "0"]) == 3
+        assert "threads must be a positive integer" in one_error_line(capsys)
+
     @pytest.mark.parametrize("record", MALFORMED_RECORDS.values(), ids=list(MALFORMED_RECORDS))
     def test_malformed_bag_record_exits_2(self, tmp_path, capsys, record):
         model_path = self._fit(tmp_path)
@@ -879,6 +889,10 @@ def sweep_sections(**overrides):
     return sections
 
 
+def _sweep_synth() -> dict:
+    return sweep_sections()["data"]["synth"]
+
+
 def _grid_fit(**overrides):
     return base_sections(**{"lambda": {"grid": [1e-4, 1e-2, 1.0]}, **overrides})
 
@@ -916,6 +930,12 @@ MALFORMED_VALUES = {
     "huge-synth-dim": ("fit", base_sections(data=_synth_with(dim=10**400)), "'dim'"),
     "sweep-m-below-3": ("sweep", sweep_sections(m=[2, 8, 12]), "sweep 'm'"),
     "zero-n-test": ("sweep", sweep_sections(n_test=0), "'n_test'"),
+    "synth-m-in-sweep": (
+        "sweep", sweep_sections(data={"synth": {**_sweep_synth(), "m": 5}}), "data.synth 'm'"
+    ),
+    "synth-N-in-sweep": (
+        "sweep", sweep_sections(data={"synth": {**_sweep_synth(), "N": 7}}), "data.synth 'm' or 'N'"
+    ),
     "decay-head-below-3": ("spectrum", base_sections(decay_head=2), "'decay_head'"),
     "zero-threads": ("fit --threads 0", base_sections(), "threads"),
     "negative-threads": ("fit --threads -3", base_sections(), "threads"),
@@ -965,6 +985,31 @@ def test_malformed_config_value_exits_3(tmp_path, capsys, command, sections, sho
     assert main([*command.split(), "--config", cfg, "--out", str(out)]) == 3
     assert shown in one_error_line(capsys)
     assert not out.exists()
+
+
+CONFIG_ERRORS = {
+    **{name: ("fit", doc, shown) for name, (doc, shown) in MALFORMED_CONFIGS.items()},
+    **MALFORMED_VALUES,
+}
+
+
+@pytest.mark.parametrize("command, doc, shown", CONFIG_ERRORS.values(), ids=list(CONFIG_ERRORS))
+def test_config_errors_are_refused_before_any_work(
+    tmp_path, capsys, monkeypatch, command, doc, shown
+):
+    # No draw, Gram, spectrum or experiment starts before the config is checked.
+    def not_reached(*args, **kwargs):
+        raise AssertionError("work started before the config was checked")
+
+    for module, name in (
+        ("cli", "build_gram"), ("cli", "generate"), ("cli", "spectrum"),
+        ("analysis", "generate"), ("analysis", "run_rate_experiment"),
+    ):
+        monkeypatch.setattr(getattr(distreg, module), name, not_reached)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    assert main([*command.split(), "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert shown in one_error_line(capsys)
 
 
 @pytest.mark.parametrize(

@@ -111,17 +111,16 @@ def test_pooled_rows_give_the_serial_bits(case, monkeypatch, pool_starts):
         return (
             build_gram(kspec, espec, train, threads=threads).values,
             build_cross_gram(kspec, espec, test, train, threads=threads),
-            gram._self_inners(espec, test, threads),
+            gram._self_inners(espec, test),
         )
 
     serial = run(2)
     assert pool_starts == []
     monkeypatch.setattr(gram, "_POOL_MIN_EVALS", 0)
     pooled = run(2)
-    # Two pools for the Gram (inner products and the tilt), four for the
-    # cross-Gram (inner products, the self inner products of both bag lists and
-    # the tilt), one for the last call.
-    assert len(pool_starts) == 7
+    # Two pools for the Gram and two for the cross-Gram: inner products and
+    # the tilt. Self inner products run serially.
+    assert len(pool_starts) == 4
     for a, b in zip(serial, pooled):
         assert np.array_equal(a, b)
 
@@ -262,8 +261,8 @@ def test_self_inner_products_equal_gram_diagonal(case):
     espec, train, test = case
     diag = np.diag(build_gram(OuterKernelSpec.linear(), espec, train).values)
     assert np.array_equal(diag, [pair_inner(espec, b, b) for b in train])
-    assert np.array_equal(diag, gram._self_inners(espec, train, threads=2))
-    assert np.array_equal(gram._self_inners(espec, test, threads=1)[[0, 4]], diag[[3, 0]])
+    assert np.array_equal(diag, gram._self_inners(espec, train))
+    assert np.array_equal(gram._self_inners(espec, test)[[0, 4]], diag[[3, 0]])
 
 
 def test_embed_inner_and_outer_eval_equal_gram_entries(case):

@@ -21,7 +21,7 @@ import numpy as np
 from .blas import serial_blas
 from .embedding import EmbeddingKernelSpec
 from .errors import ConfigError, InputError, config_float, config_keys
-from .gram import build_gram, check_threads
+from .gram import build_gram, check_synthetic_dims, check_threads
 from .outer import OuterKernelSpec
 from .solver import alpha_paths, check_scheme, excess_error, fit_coefficient, fit_krr
 from .solver import solve_alpha  # noqa: F401  (bench/spans.py wraps analysis.solve_alpha)
@@ -147,6 +147,8 @@ class RateFit:
 
 
 def rate_fit(points: Sequence[tuple[float, float]]) -> RateFit:
+    """Least squares for z = log error against x = log m in closed form: slope =
+    sum(dx * dz) / sum(dx^2) over the centred values, intercept = mean(z) - slope * mean(x)."""
     if len(points) < 3:
         raise InputError(f"rate fit needs at least 3 points, got {len(points)}")
     ms = np.array([p[0] for p in points], dtype=np.float64)
@@ -154,14 +156,18 @@ def rate_fit(points: Sequence[tuple[float, float]]) -> RateFit:
     if np.any(errs <= 0):
         raise InputError("rate fit requires strictly positive errors")
     x, z = np.log(ms), np.log(errs)
-    slope, intercept = np.polyfit(x, z, deg=1)
+    dx, dz = x - np.mean(x), z - np.mean(z)
+    if not dx @ dx > 0:
+        raise InputError("rate fit needs at least 2 distinct m values")
+    slope = float(dx @ dz / (dx @ dx))
+    intercept = float(np.mean(z) - slope * np.mean(x))
     fitted = slope * x + intercept
     ss_res = float(np.sum((z - fitted) ** 2))
     ss_tot = float(np.sum((z - np.mean(z)) ** 2))
     r_squared = 1.0 if ss_tot == 0 else max(0.0, 1.0 - ss_res / ss_tot)
     return RateFit(
-        slope=float(slope),
-        intercept=float(intercept),
+        slope=slope,
+        intercept=intercept,
         r_squared=r_squared,
         points=tuple((float(m), float(e)) for m, e in points),
     )
@@ -266,6 +272,7 @@ def _trial(config, m: int, n_points: int, rule: LambdaRule, schemes: Sequence[st
     meta, kspec, espec = config.meta, config.outer_kernel, config.embedding_kernel
     holdout_seed = _derived_seed(meta.seed, *key, 2)
     rule.check(m, holdout_seed)
+    check_synthetic_dims(kspec, espec, meta.dim)
     train = generate(replace(meta, seed=_derived_seed(meta.seed, *key, 0)), m, n_points)
     test = generate(replace(meta, seed=_derived_seed(meta.seed, *key, 1)), config.n_test, n_points)
     g = build_gram(kspec, espec, train.bags, threads=config.threads)
@@ -303,8 +310,11 @@ class SweepConfig:
             raise ConfigError(f"replications must be >= 1, got {self.replications}")
         if len(self.m_values) < 1:
             raise ConfigError("m_values must be nonempty")
+        if len(set(self.m_values)) < len(self.m_values):
+            raise ConfigError(f"m_values must be distinct, got {self.m_values}")
         if self.n_max < 1:
             raise ConfigError(f"n_max must be >= 1, got {self.n_max}")
+        check_synthetic_dims(self.outer_kernel, self.embedding_kernel, self.meta.dim)
 
     @property
     def lambda_rule(self) -> LambdaRule:
@@ -355,7 +365,9 @@ def run_rate_experiment(config: SweepConfig) -> SweepResult:
             (lam,), (err,) = _trial(config, m, n_points, rule, (config.scheme,), m, rep)
             rows.append(SweepRow(m, n_points, lam, rep, config.scheme, err))
             errors.append(err)
-        medians[m] = float(np.median(errors))
+        errors.sort()  # np.median's bits, without the numpy.ma it imports
+        mid = len(errors) // 2
+        medians[m] = errors[mid] if len(errors) % 2 else (errors[mid - 1] + errors[mid]) / 2
     fit = None
     if len(config.m_values) >= 3 and all(e > 0 for e in medians.values()):
         fit = rate_fit([(m, medians[m]) for m in config.m_values])

@@ -15,7 +15,8 @@ entered sets one thread, the last one left restores the counts, and in
 between BLAS calls from other threads run on one thread too.
 
 LAPACK routines come from `lapack()`: scipy's extension scipy.linalg._flapack,
-loaded alone, without the few hundred modules of the scipy.linalg package.
+loaded alone from scipy's directory, without running the scipy package (except
+on Windows) or the few hundred modules of the scipy.linalg package.
 """
 
 from __future__ import annotations
@@ -50,10 +51,14 @@ def _load_flapack():
     """The module already imported, else loaded from its file under its own name."""
     name = "scipy.linalg._flapack"
     if name not in sys.modules:
-        import scipy  # on Windows wheels this registers the DLL directory of its OpenBLAS
+        if os.name == "nt":  # scipy's __init__ registers the DLL directory of its OpenBLAS
+            import scipy  # noqa: F401
+        spec = importlib.util.find_spec("scipy")
+        root = spec and spec.submodule_search_locations[0]
+        path = root and os.path.join(root, "linalg", "_flapack" + EXTENSION_SUFFIXES[0])
+        if not (path and os.path.isfile(path)):
+            import scipy  # raises when scipy is missing, else names its version below
 
-        path = os.path.join(scipy.__path__[0], "linalg", "_flapack" + EXTENSION_SUFFIXES[0])
-        if not os.path.isfile(path):
             raise ImportError(f"scipy {scipy.__version__} has no LAPACK extension at {path}")
         spec = importlib.util.spec_from_file_location(name, path)
         module = importlib.util.module_from_spec(spec)

@@ -23,7 +23,7 @@ from .embedding import EmbeddingKernelSpec
 from .errors import (
     ConfigError, ContractError, InputError, NumericalError, config_float, config_int, config_keys,
 )
-from .gram import build_gram, check_threads, kernel_fingerprint, spectrum
+from .gram import build_gram, check_synthetic_dims, check_threads, kernel_fingerprint, spectrum
 from .outer import OuterKernelSpec
 from .solver import check_scheme, fit_coefficient, fit_krr, predict
 from .synth import MetaDistributionSpec, generate
@@ -105,12 +105,15 @@ def _data(cfg: dict, synthetic_for: str | None = None):
     return MetaDistributionSpec.from_dict(spec), m, n_points
 
 
-def _bags(source, require_labels: bool) -> list:
+def _bags(source, require_labels: bool, kernels: tuple | None = None) -> list:
+    """Bags read from a path, or drawn once their dimension is known to fit `kernels`."""
     if isinstance(source, str):
         return io.read_bags(source, require_labels=require_labels)
     meta, m, n_points = source
     if m is None or n_points is None:
         raise ConfigError("synthetic data source needs 'm' and 'N'")
+    if kernels is not None:
+        check_synthetic_dims(*kernels, meta.dim)
     return list(generate(meta, m, n_points).bags)
 
 
@@ -156,7 +159,7 @@ def cmd_fit(args) -> int:
     source = _data(cfg)
     rule.check(None, seed)
     check_threads(args.threads)
-    bags = _bags(source, require_labels=True)
+    bags = _bags(source, require_labels=True, kernels=(kspec, espec))
     rule.check(len(bags), seed)
     y = np.array([b.label for b in bags], dtype=np.float64)
     g = build_gram(kspec, espec, bags, threads=args.threads)
@@ -259,7 +262,7 @@ def cmd_spectrum(args) -> int:
     check_threads(args.threads)
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
-    bags = _bags(source, require_labels=False)
+    bags = _bags(source, require_labels=False, kernels=(kspec, espec))
     if len(bags) < 3:
         raise ConfigError(f"spectrum needs at least 3 bags, got {len(bags)}")
     g = build_gram(kspec, espec, bags, threads=args.threads)

@@ -320,6 +320,15 @@ def build_cross_gram(
     return values
 
 
+def check_synthetic_dims(kspec: OuterKernelSpec, espec: EmbeddingKernelSpec, dim: int) -> None:
+    """Raise InputError, before any bag is drawn, if synthetic bags of `dim` coordinates
+    or the tilt's reference bag do not have the embedding kernel's dimension."""
+    if dim != espec.dim:
+        raise InputError(f"synthetic bags have dimension {dim}, kernel expects {espec.dim}")
+    if kspec.ref_bag is not None:
+        check_dims(espec, [kspec.ref_bag])
+
+
 def embed_inner(espec: EmbeddingKernelSpec, a: Bag, b: Bag) -> float:
     """Inner product <mu_a, mu_b> = (1/(N_a N_b)) sum_i sum_j k(a_i, b_j) of two bags'
     empirical mean embeddings, as the 1 x 1 block of `_embedding_inners`: it equals

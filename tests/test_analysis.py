@@ -233,6 +233,26 @@ class TestRateFit:
         assert fit.slope == pytest.approx(slope, abs=1e-8)
 
 
+@given(
+    points=st.lists(
+        st.tuples(st.integers(3, 10**5), st.floats(1e-6, 1e3)),
+        min_size=3, max_size=11, unique_by=lambda p: p[0],
+    )
+)
+def test_rate_fit_agrees_with_numpys_least_squares(points):
+    # np.polyfit, numpy's SVD least squares, is the oracle for the closed-form line.
+    fit = rate_fit(points)
+    x, z = np.log([p[0] for p in points]), np.log([p[1] for p in points])
+    slope, intercept = np.polyfit(x, z, deg=1)
+    assert fit.slope == pytest.approx(slope, rel=1e-10, abs=1e-12)
+    assert fit.intercept == pytest.approx(intercept, rel=1e-10, abs=1e-12)
+
+
+def test_rate_fit_needs_two_distinct_m_values():
+    with pytest.raises(InputError, match="at least 2 distinct m values"):
+        rate_fit([(10, 1.0), (10, 0.5), (10, 0.3)])
+
+
 class TestSelectLambda:
     def test_returns_grid_member_and_table(self):
         rng = np.random.default_rng(0)
@@ -431,6 +451,25 @@ class TestRateExperiment:
         with pytest.raises(ConfigError, match="n_max must be >= 1"):
             _sweep_config(n_max=0)
 
+    def test_repeated_m_values_refused(self):
+        with pytest.raises(ConfigError, match="m_values must be distinct"):
+            _sweep_config(m_values=(8, 12, 8))
+
+    def test_a_dimension_mismatch_is_refused_with_the_config(self):
+        meta = MetaDistributionSpec(
+            dim=2, scale=0.1, target="linear_mean", noise_sd=0.05, noise_bound=2.0, seed=11
+        )
+        with pytest.raises(InputError, match="synthetic bags have dimension 2, kernel expects 1"):
+            _sweep_config(meta=meta)
+
+    @pytest.mark.parametrize("replications", [1, 2, 3, 4])
+    def test_medians_are_numpys_bit_for_bit(self, replications):
+        result = run_rate_experiment(_sweep_config(m_values=(8, 12), replications=replications))
+        for m, median in result.medians.items():
+            errors = [row.error for row in result.rows if row.m == m]
+            assert len(errors) == replications
+            assert median.hex() == float(np.median(errors)).hex()
+
 
 class TestSaturationCompare:
     def _config(self, **overrides):
@@ -464,6 +503,15 @@ class TestSaturationCompare:
         monkeypatch.setattr(analysis, "generate", not_reached)
         with pytest.raises(InputError, match="holdout selection needs at least 3 bags, got 2"):
             saturation_compare(self._config(m=2))
+
+    def test_a_dimension_mismatch_is_refused_before_any_draw(self, monkeypatch):
+        def not_reached(*args, **kwargs):
+            raise AssertionError("bags drawn before their dimension was checked")
+
+        monkeypatch.setattr(analysis, "generate", not_reached)
+        espec = EmbeddingKernelSpec("gaussian", 0.25, 2)
+        with pytest.raises(InputError, match="synthetic bags have dimension 1, kernel expects 2"):
+            saturation_compare(self._config(embedding_kernel=espec))
 
     def test_wrong_target_rejected(self):
         cfg = self._config(

@@ -973,6 +973,7 @@ MALFORMED_VALUES = {
     ),
     "unused-outer-param": ("fit", base_sections(outer_kernel=UNUSED_C_KERNEL), "'c'"),
     "ref-bag-on-gaussian": ("fit", base_sections(outer_kernel=UNUSED_REF_KERNEL), "'ref_bag'"),
+    "repeated-sweep-m": ("sweep", sweep_sections(m=[8, 12, 8]), "m_values must be distinct"),
 }
 
 
@@ -987,17 +988,41 @@ def test_malformed_config_value_exits_3(tmp_path, capsys, command, sections, sho
     assert not out.exists()
 
 
+REF_2D_KERNEL = {
+    "family": "tilted_asymmetric", "sigma": 1.0, "c": 0.5,
+    "ref_bag": {"id": "ref", "points": [[0.1, 0.2]]},
+}
+SYNTH_2D = "synthetic bags have dimension 2, kernel expects 1"
+REF_2D = "bag 'ref' has dimension 2, kernel expects 1"
+
+# Synthetic bags, or the tilt's reference bag, of another dimension than the
+# embedding kernel's: exit code 2 and one `error:` line naming both dimensions.
+DIMENSION_MISMATCHES = {
+    "synth-dim-fit": ("fit", base_sections(data=_synth_with(dim=2)), SYNTH_2D),
+    "synth-dim-spectrum": ("spectrum", base_sections(data=_synth_with(dim=2)), SYNTH_2D),
+    "synth-dim-sweep": (
+        "sweep", sweep_sections(data={"synth": {**_sweep_synth(), "dim": 2}}), SYNTH_2D
+    ),
+    "ref-dim-fit": ("fit", base_sections(outer_kernel=REF_2D_KERNEL), REF_2D),
+    "ref-dim-spectrum": ("spectrum", base_sections(outer_kernel=REF_2D_KERNEL), REF_2D),
+    "ref-dim-sweep": ("sweep", sweep_sections(outer_kernel=REF_2D_KERNEL), REF_2D),
+}
+
 CONFIG_ERRORS = {
-    **{name: ("fit", doc, shown) for name, (doc, shown) in MALFORMED_CONFIGS.items()},
-    **MALFORMED_VALUES,
+    **{name: ("fit", doc, shown, 3) for name, (doc, shown) in MALFORMED_CONFIGS.items()},
+    **{name: (*case, 3) for name, case in MALFORMED_VALUES.items()},
+    **{name: (*case, 2) for name, case in DIMENSION_MISMATCHES.items()},
 }
 
 
-@pytest.mark.parametrize("command, doc, shown", CONFIG_ERRORS.values(), ids=list(CONFIG_ERRORS))
+@pytest.mark.parametrize(
+    "command, doc, shown, code", CONFIG_ERRORS.values(), ids=list(CONFIG_ERRORS)
+)
 def test_config_errors_are_refused_before_any_work(
-    tmp_path, capsys, monkeypatch, command, doc, shown
+    tmp_path, capsys, monkeypatch, command, doc, shown, code
 ):
-    # No draw, Gram, spectrum or experiment starts before the config is checked.
+    # No draw, Gram, spectrum or experiment starts before the config is checked,
+    # nor before the bags to be drawn are known to fit the kernels.
     def not_reached(*args, **kwargs):
         raise AssertionError("work started before the config was checked")
 
@@ -1008,7 +1033,7 @@ def test_config_errors_are_refused_before_any_work(
         monkeypatch.setattr(getattr(distreg, module), name, not_reached)
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(doc))
-    assert main([*command.split(), "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert main([*command.split(), "--config", str(cfg), "--out", str(tmp_path / "out")]) == code
     assert shown in one_error_line(capsys)
 
 
@@ -1225,15 +1250,16 @@ class TestCmdSpectrum:
 @pytest.mark.parametrize("command", ["fit", "sweep", "spectrum"])
 def test_solving_commands_do_not_import_scipy_linalg(tmp_path, command):
     # The package import would cost each command ~0.25 s and ~25 MB, numpy.testing
-    # and numpy.f2py among its modules; the LAPACK extension is loaded alone.
+    # and numpy.f2py among its modules; the LAPACK extension is loaded alone, found
+    # without running scipy's own __init__. Medians and the rate line need no numpy.ma.
     sections = {"fit": _grid_fit, "sweep": sweep_sections, "spectrum": base_sections}[command]()
     cfg = write_config(tmp_path, **sections)
     code = (
         "import sys, distreg.cli as cli\n"
         f"rc = cli.main([{command!r}, '--config', {cfg!r}, '--out', {str(tmp_path / 'out')!r}])\n"
         "print(rc, 'scipy.linalg._flapack' in sys.modules,\n"
-        "      [m for m in ('scipy.linalg', 'numpy.testing', 'numpy.f2py', 'concurrent.futures',\n"
-        "                   'logging') if m in sys.modules])\n"
+        "      [m for m in ('scipy', 'scipy._lib', 'scipy.linalg', 'numpy.ma', 'numpy.testing',\n"
+        "                   'numpy.f2py', 'concurrent.futures', 'logging') if m in sys.modules])\n"
     )
     src = str(Path(distreg.__file__).resolve().parents[1])
     proc = subprocess.run(

@@ -303,11 +303,12 @@ def test_predict_reusing_fit_self_inners_equals_recomputing(case, threads, tmp_p
 
 
 def test_cli_outputs_do_not_depend_on_threads_across_processes(tmp_path):
-    # generate, fit, predict and sweep as fresh processes, 4 times at --threads 1
-    # and 4 times at --threads 2. Bags of 100 points put the Gram rows and the
-    # cross-Gram rows of predict and of the sweep over the pool threshold, so
-    # 2 threads start a pool. Of the fit report (`fit --json`) every field is
-    # compared but the wall time, which varies by design.
+    # generate, fit, predict, sweep and spectrum as fresh processes, 4 times at
+    # --threads 1 and 4 times at --threads 2. Bags of 100 points put the Gram rows
+    # and the cross-Gram rows of predict and of the sweep over the pool threshold,
+    # so 2 threads start a pool. Of the fit report (`fit --json`) every field is
+    # compared but the wall time, which varies by design; spectrum's `--json` line
+    # (its fitted decay exponent among the fields) is compared whole.
     synth = {"scale": 0.1, "target": "linear_mean", "noise_sd": 0.05, "noise_bound": 2.0,
              "seed": 3}
     cfg, sweep_cfg = tmp_path / "config.json", tmp_path / "sweep.json"
@@ -329,7 +330,8 @@ def test_cli_outputs_do_not_depend_on_threads_across_processes(tmp_path):
         "seed": 7,
     }))
     src = str(Path(distreg.__file__).resolve().parents[1])
-    names = ("bags.ndjson", "model.json", "preds.csv", "sweep/rates.csv", "sweep/summary.json")
+    names = ("bags.ndjson", "model.json", "preds.csv", "sweep/rates.csv", "sweep/summary.json",
+             "spectrum/spectrum.csv", "spectrum/effective_dimension.csv")
 
     def run(index: int) -> list:
         threads, out = "12"[index // 4], tmp_path / f"run{index}"
@@ -340,6 +342,8 @@ def test_cli_outputs_do_not_depend_on_threads_across_processes(tmp_path):
             ["fit", "--config", cfg, "--out", model, "--threads", threads, "--json"],
             ["predict", "--model", model, "--bags", bags, "--out", preds, "--threads", threads],
             ["sweep", "--config", sweep_cfg, "--out", out / "sweep", "--threads", threads],
+            ["spectrum", "--config", cfg, "--out", out / "spectrum", "--threads", threads,
+             "--json"],
         ):
             proc = subprocess.run(
                 [sys.executable, "-m", "distreg", *map(str, argv)],
@@ -348,9 +352,12 @@ def test_cli_outputs_do_not_depend_on_threads_across_processes(tmp_path):
             assert proc.returncode == 0, proc.stderr
             if argv[0] == "fit":
                 report = json.loads(proc.stdout)
+            if argv[0] == "spectrum":
+                spectrum_line = proc.stdout
         assert set(report) == {"objective_value", "residual_norm", "condition_estimate", "wall_time"}
+        assert set(json.loads(spectrum_line)) == {"alpha_hat", "m", "top_singular_value"}
         del report["wall_time"]
-        return [(out / name).read_bytes() for name in names] + [report]
+        return [(out / name).read_bytes() for name in names] + [report, spectrum_line]
 
     with ThreadPoolExecutor(max_workers=4) as pool:
         outputs = list(pool.map(run, range(8)))

@@ -21,7 +21,7 @@ import numpy as np
 from .blas import serial_blas
 from .embedding import EmbeddingKernelSpec
 from .errors import ConfigError, InputError, config_float, config_keys
-from .gram import build_gram, check_synthetic_dims, check_threads
+from .gram import build_gram, check_dims_before_work, check_threads
 from .outer import OuterKernelSpec
 from .solver import alpha_paths, check_scheme, excess_error, fit_coefficient, fit_krr
 from .solver import solve_alpha  # noqa: F401  (bench/spans.py wraps analysis.solve_alpha)
@@ -272,7 +272,7 @@ def _trial(config, m: int, n_points: int, rule: LambdaRule, schemes: Sequence[st
     meta, kspec, espec = config.meta, config.outer_kernel, config.embedding_kernel
     holdout_seed = _derived_seed(meta.seed, *key, 2)
     rule.check(m, holdout_seed)
-    check_synthetic_dims(kspec, espec, meta.dim)
+    check_dims_before_work(kspec, espec, meta.dim)
     train = generate(replace(meta, seed=_derived_seed(meta.seed, *key, 0)), m, n_points)
     test = generate(replace(meta, seed=_derived_seed(meta.seed, *key, 1)), config.n_test, n_points)
     g = build_gram(kspec, espec, train.bags, threads=config.threads)
@@ -314,7 +314,7 @@ class SweepConfig:
             raise ConfigError(f"m_values must be distinct, got {self.m_values}")
         if self.n_max < 1:
             raise ConfigError(f"n_max must be >= 1, got {self.n_max}")
-        check_synthetic_dims(self.outer_kernel, self.embedding_kernel, self.meta.dim)
+        check_dims_before_work(self.outer_kernel, self.embedding_kernel, self.meta.dim)
 
     @property
     def lambda_rule(self) -> LambdaRule:

@@ -23,7 +23,7 @@ from .embedding import EmbeddingKernelSpec
 from .errors import (
     ConfigError, ContractError, InputError, NumericalError, config_float, config_int, config_keys,
 )
-from .gram import build_gram, check_synthetic_dims, check_threads, kernel_fingerprint, spectrum
+from .gram import build_gram, check_dims_before_work, check_threads, kernel_fingerprint, spectrum
 from .outer import OuterKernelSpec
 from .solver import check_scheme, fit_coefficient, fit_krr, predict
 from .synth import MetaDistributionSpec, generate
@@ -106,15 +106,15 @@ def _data(cfg: dict, synthetic_for: str | None = None):
 
 
 def _bags(source, require_labels: bool, kernels: tuple | None = None) -> list:
-    """Bags read from a path, or drawn once their dimension is known to fit `kernels`."""
-    if isinstance(source, str):
-        return io.read_bags(source, require_labels=require_labels)
-    meta, m, n_points = source
-    if m is None or n_points is None:
+    """Bags read from a path or drawn, once the reference bag and drawn bags fit `kernels`."""
+    synthetic = not isinstance(source, str)
+    if synthetic and None in source[1:]:
         raise ConfigError("synthetic data source needs 'm' and 'N'")
     if kernels is not None:
-        check_synthetic_dims(*kernels, meta.dim)
-    return list(generate(meta, m, n_points).bags)
+        check_dims_before_work(*kernels, source[0].dim if synthetic else None)
+    if not synthetic:
+        return io.read_bags(source, require_labels=require_labels)
+    return list(generate(*source).bags)
 
 
 def _lambda_rule(cfg: dict) -> analysis.LambdaRule:

@@ -34,7 +34,7 @@ except ImportError:
 
 import numpy as np
 
-from .blas import lapack, serial_blas
+from .blas import serial_blas
 from .embedding import Bag, EmbeddingKernelSpec, bag_runs, check_dims, pair_sums, row_chunks
 from .embedding import kernel_matrix  # noqa: F401  (bench/spans.py wraps gram.kernel_matrix)
 from .errors import ConfigError, InputError, NumericalError
@@ -320,10 +320,10 @@ def build_cross_gram(
     return values
 
 
-def check_synthetic_dims(kspec: OuterKernelSpec, espec: EmbeddingKernelSpec, dim: int) -> None:
-    """Raise InputError, before any bag is drawn, if synthetic bags of `dim` coordinates
-    or the tilt's reference bag do not have the embedding kernel's dimension."""
-    if dim != espec.dim:
+def check_dims_before_work(kspec: OuterKernelSpec, espec: EmbeddingKernelSpec, dim) -> None:
+    """Raise InputError, before any bag is read or drawn, if synthetic bags of `dim` (None
+    for a file) or the tilt's reference bag do not have the embedding kernel's dimension."""
+    if dim is not None and dim != espec.dim:
         raise InputError(f"synthetic bags have dimension {dim}, kernel expects {espec.dim}")
     if kspec.ref_bag is not None:
         check_dims(espec, [kspec.ref_bag])
@@ -341,10 +341,9 @@ def embed_inner(espec: EmbeddingKernelSpec, a: Bag, b: Bag) -> float:
 def spectrum(g: GramMatrix) -> np.ndarray:
     """Descending singular values of (1/m) * gram: empirical proxies for the
     spectrum of the integral operator, which may be indefinite or asymmetric.
-    LAPACK's dgesdd as scipy's svdvals calls it: same bits, NumericalError if it fails."""
-    flapack = lapack()
-    lwork = int(flapack.dgesdd_lwork(g.m, g.m, compute_uv=0, full_matrices=1)[0])
-    _, s, _, info = flapack.dgesdd(g.values / g.m, compute_uv=0, full_matrices=1, lwork=lwork)
-    if info != 0:
-        raise NumericalError(f"SVD of the Gram matrix failed (dgesdd info {info})")
-    return np.sort(s)[::-1]
+    numpy's svd calls LAPACK's dgesdd in numpy's own library with the arguments
+    scipy's svdvals passes: same bits. NumericalError if it does not converge."""
+    try:
+        return np.linalg.svd(g.values / g.m, compute_uv=False)
+    except np.linalg.LinAlgError as err:
+        raise NumericalError(f"SVD of the Gram matrix failed: {err}") from None

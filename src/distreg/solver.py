@@ -18,8 +18,9 @@ the condition number is not squared). Only an asymmetric G makes the
 coefficient scheme reduce G^T G instead. Neither Q nor an inverse is
 formed. This linear algebra runs on one BLAS thread
 (`blas.serial_blas`), so its results do not depend on the BLAS thread count,
-and calls scipy's LAPACK extension (`blas.lapack`, loaded at the first call;
-predict never loads it) as scipy.linalg's cho_factor and cho_solve do: same bits.
+and calls LAPACK (`blas.lapack`: numpy's own OpenBLAS where numpy bundles it,
+else scipy's extension; bound at the first call, which predict never makes) as
+scipy.linalg's cho_factor and cho_solve do: same bits.
 """
 
 from __future__ import annotations

@@ -1,6 +1,8 @@
 """The package imports only what it uses, the scripts use only what exists, the
 README names every option, and embedding inner products have one route.
 
+No module of `src/distreg` imports scipy, at module level or in a function,
+but `blas._load_flapack`, the LAPACK used where numpy bundles no OpenBLAS.
 Every name a module of `src/distreg` imports must be read in that module, or
 be a shim that `bench/spans.py` wraps by (module, attribute) in its
 `WRAP_TABLE`. Every `distreg` name that `scripts/*.py` import or reach by
@@ -37,6 +39,25 @@ def _imported_names(tree: ast.Module) -> set[str]:
         elif isinstance(node, ast.Import):
             names.update(a.asname or a.name.split(".")[0] for a in node.names)
     return names
+
+
+def _scipy_imports(node: ast.AST, function: str | None = None) -> list[tuple[str | None, str]]:
+    """(enclosing function or None, module) for each import of scipy under `node`."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        names = [a.name for a in child.names] if isinstance(child, ast.Import) else []
+        names += [child.module or ""] if isinstance(child, ast.ImportFrom) else []
+        found += [(function, name) for name in names if name.partition(".")[0] == "scipy"]
+        found += _scipy_imports(child, getattr(child, "name", function))
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_scipy_but_the_lapack_fallback(path):
+    # LAPACK is bound in numpy's own OpenBLAS; only where numpy bundles none does
+    # blas._load_flapack load scipy's extension. Elsewhere scipy is a test oracle.
+    allowed = {("_load_flapack", "scipy")} if path.name == "blas.py" else set()
+    assert set(_scipy_imports(ast.parse(path.read_text()))) <= allowed
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -1,10 +1,11 @@
-"""One BLAS thread inside distreg's linear algebra, and results that do not
-depend on the BLAS thread count.
+"""One BLAS thread inside distreg's linear algebra, LAPACK bound in one
+library, and results that do not depend on the BLAS thread count.
 
 Counts are read through the library's own setter, which returns the count it
 replaces: setting that count back leaves the library as it was.
 """
 
+import glob
 import subprocess
 import sys
 import threading
@@ -124,7 +125,8 @@ def test_scopes_on_many_threads_restore_only_after_the_last_exit():
 
 
 def test_a_library_mapped_inside_a_scope_runs_one_thread_until_the_last_exit(monkeypatch):
-    # Fake libraries by name; loading scipy's LAPACK maps "scipy" inside a scope.
+    # Fake libraries by name; binding LAPACK (scipy's extension, on the fallback)
+    # maps "scipy" inside a scope.
     counts = {"numpy": 4, "scipy": 3}
     mapped = ["numpy"]
 
@@ -135,6 +137,7 @@ def test_a_library_mapped_inside_a_scope_runs_one_thread_until_the_last_exit(mon
         return set_threads
 
     monkeypatch.setattr(blas, "_find_setters", lambda: [setter(name) for name in mapped])
+    monkeypatch.setattr(blas, "_bind", blas.lapack)
     scope = blas._SerialBlas()
     with scope:
         mapped.append("scipy")
@@ -143,7 +146,7 @@ def test_a_library_mapped_inside_a_scope_runs_one_thread_until_the_last_exit(mon
             assert counts == {"numpy": 1, "scipy": 1}
         assert counts == {"numpy": 1, "scipy": 1}
     assert counts == {"numpy": 4, "scipy": 3}
-    # The libraries were listed once more at the import, and are not again.
+    # The libraries were listed once more at the binding, and are not again.
     mapped.append("later")
     with scope:
         scope.lapack()
@@ -154,21 +157,33 @@ def test_a_library_mapped_inside_a_scope_runs_one_thread_until_the_last_exit(mon
 def test_a_missing_lapack_extension_names_its_path_and_scipys_version(monkeypatch):
     import scipy
 
-    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
     monkeypatch.setattr(blas, "EXTENSION_SUFFIXES", [".missing"])
     with pytest.raises(ImportError, match=rf"^scipy {scipy.__version__} .* at .*_flapack\.missing$"):
         blas._load_flapack()
 
 
-# A fit, with scipy.linalg imported before the first solve or after it: one
-# LAPACK module either way, the one scipy.linalg.lapack re-exports.
+def test_no_lapack_found_is_an_import_error_naming_both_paths_searched(monkeypatch):
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+    monkeypatch.setattr(blas, "_LIBRARY", "libnothing-*.so")
+    monkeypatch.setattr(blas, "EXTENSION_SUFFIXES", [".missing"])
+    with pytest.raises(ImportError) as err:
+        blas._bind()
+    numpy_libs = f"{Path(np.__file__).parent}.libs/libnothing-*.so"
+    assert str(err.value).startswith(f"no LAPACK: nothing at {numpy_libs}, and scipy ")
+    assert str(err.value).endswith("_flapack.missing")
+
+
+# A fit, with scipy.linalg imported before the first solve or after it: the
+# same alpha either way.
 IMPORT_ORDER = """
 import hashlib, sys
 import numpy as np
-from distreg import (EmbeddingKernelSpec, OuterKernelSpec, blas, build_gram,
-                     fit_coefficient, select_lambda_holdout)
+from distreg import (EmbeddingKernelSpec, OuterKernelSpec, build_gram, fit_coefficient,
+                     select_lambda_holdout)
 sys.path.insert(0, {tests!r})
 from conftest import make_bags
+
 
 def fit():
     espec, kspec = EmbeddingKernelSpec("gaussian", 1.0, 2), OuterKernelSpec.gaussian(1.0)
@@ -182,25 +197,101 @@ if {first!r}:
     import scipy.linalg
 alpha = fit()
 import scipy.linalg
-assert scipy.linalg.lapack.dpotrf is blas.lapack().dpotrf
-assert sys.modules["scipy.linalg._flapack"] is blas.lapack()
 assert fit() == alpha
 print(alpha)
 """
 
 
-def test_scipy_linalg_imported_before_or_after_the_first_solve():
+def run_fresh(code: str, **env) -> str:
+    """The stdout of `code` run in a fresh process, which must exit 0."""
     src = str(Path(distreg.__file__).resolve().parents[1])
-    alphas = set()
-    for first in (True, False):
-        code = IMPORT_ORDER.format(tests=str(Path(__file__).parent), first=first)
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
-            env={"PYTHONPATH": src},
-        )
-        assert proc.returncode == 0, proc.stderr
-        alphas.add(proc.stdout)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env={"PYTHONPATH": src, **env},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_scipy_linalg_imported_before_or_after_the_first_solve():
+    tests = str(Path(__file__).parent)
+    alphas = {run_fresh(IMPORT_ORDER.format(tests=tests, first=first)) for first in (True, False)}
     assert len(alphas) == 1
+
+
+# A grid fit through the CLI, then scipy.linalg: its LAPACK extension is an
+# attribute of the package, as when distreg has not run.
+LATE_SCIPY = """
+import json
+import numpy as np
+from distreg import cli
+cfg = {{"data": {{"synth": {{"dim": 1, "scale": 0.1, "target": "linear_mean", "noise_sd": 0.05,
+                          "noise_bound": 2.0, "seed": 3, "m": 20, "N": 10}}}},
+       "embedding_kernel": {{"family": "gaussian", "bandwidth": 0.25, "dim": 1}},
+       "outer_kernel": {{"family": "gaussian_on_embedding", "sigma": 1.0}},
+       "lambda": {{"grid": [1e-4, 1e-2, 1.0]}}, "seed": 7}}
+with open({cfg!r}, "w") as fh:
+    json.dump(cfg, fh)
+assert cli.main(["fit", "--config", {cfg!r}, "--out", {model!r}]) == 0
+import scipy.linalg
+assert hasattr(scipy.linalg, "_flapack")
+c, lower = scipy.linalg.cho_factor(np.array([[4.0, 2.0], [2.0, 3.0]]))
+assert np.allclose(np.triu(c), [[2.0, 1.0], [0.0, np.sqrt(2.0)]])
+"""
+
+
+def numpy_bundles_openblas() -> bool:
+    return bool(glob.glob(f"{Path(np.__file__).parent}.libs/{blas._LIBRARY}"))
+
+
+needs_numpys_openblas = pytest.mark.skipif(
+    not numpy_bundles_openblas(), reason="numpy bundles no OpenBLAS here"
+)
+
+
+@needs_numpys_openblas
+def test_scipy_linalg_imported_after_a_grid_fit_has_its_lapack_extension(tmp_path):
+    run_fresh(LATE_SCIPY.format(cfg=str(tmp_path / "config.json"), model=str(tmp_path / "m.json")))
+
+
+# A coefficient solve, the lambda paths of an asymmetric and of a symmetric Gram
+# (dptsv and zgtsv) and a spectrum, printed by hash, with LAPACK bound in
+# `library` (scipy's extension when numpy's is not found), and the OpenBLAS
+# libraries mapped. Inside the scope every library runs one thread, and after
+# it the count it had.
+BINDINGS = """
+import hashlib, os
+import numpy as np
+from distreg import blas, solver
+from distreg.gram import GramMatrix, spectrum
+blas._LIBRARY = {library!r}
+with blas.serial_blas:
+    print(getattr(blas.lapack(), "__name__", "ctypes"))
+    assert [set_threads(1) for set_threads in blas._find_setters()] == [1] * {mapped}
+assert [set_threads(2) for set_threads in blas._find_setters()] == [2] * {mapped}
+rng = np.random.default_rng(5)
+a = rng.normal(size=(120, 120))
+sym = a @ a.T / 120 + np.eye(120)
+values = sym + 1e-3 * rng.normal(size=(120, 120))
+y, lams, schemes = rng.normal(size=120), np.logspace(-8, 0, 5), ("coefficient_l2", "krr")
+g = GramMatrix(values=values, ids=tuple(map(str, range(120))))
+outs = [solver.solve_alpha("coefficient_l2", values, y, 1e-3), spectrum(g),
+        *solver.alpha_paths(schemes, values.copy(), y, lams).values(),
+        *solver.alpha_paths(schemes, sym.copy(), y, lams).values()]
+print([hashlib.sha256(x.tobytes()).hexdigest() for x in outs])
+"""
+
+
+@needs_setter
+@needs_numpys_openblas
+def test_the_fallback_to_scipys_lapack_extension_gives_the_same_bits():
+    main, fallback = (
+        run_fresh(BINDINGS.format(library=library, mapped=mapped), OPENBLAS_NUM_THREADS="2")
+        for library, mapped in ((blas._LIBRARY, 1), ("libnothing-*.so", 2))
+    )
+    main, fallback = main.splitlines(), fallback.splitlines()
+    assert (main[0], fallback[0]) == ("ctypes", "scipy.linalg._flapack")
+    assert main[1] == fallback[1]
 
 
 # A tilted (asymmetric) d=2 problem: lambda selection reduces G^T G, and
@@ -237,8 +328,8 @@ print(select_lambda_holdout(g.values, y, grid, ("coefficient_l2", "krr"), 0.3, 7
 """
 
 
-# A prediction first: it opens and closes a serial_blas scope before scipy is
-# loaded, so scipy's OpenBLAS is mapped only later, inside the lambda search.
+# A prediction first: it opens and closes a serial_blas scope before LAPACK is
+# bound, so the binding comes later, inside the lambda search.
 PREDICT_FIRST = """
 import sys
 from pathlib import Path

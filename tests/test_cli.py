@@ -44,6 +44,7 @@ from distreg import io
 from distreg.cli import main
 
 from conftest import make_bags
+from test_blas import numpy_bundles_openblas
 
 
 # ---------------------------------------------------------------- io formats
@@ -995,8 +996,9 @@ REF_2D_KERNEL = {
 SYNTH_2D = "synthetic bags have dimension 2, kernel expects 1"
 REF_2D = "bag 'ref' has dimension 2, kernel expects 1"
 
-# Synthetic bags, or the tilt's reference bag, of another dimension than the
-# embedding kernel's: exit code 2 and one `error:` line naming both dimensions.
+# Synthetic bags, or the tilt's reference bag (with bags drawn or read from a
+# file), of another dimension than the embedding kernel's: exit code 2 and one
+# `error:` line naming both dimensions.
 DIMENSION_MISMATCHES = {
     "synth-dim-fit": ("fit", base_sections(data=_synth_with(dim=2)), SYNTH_2D),
     "synth-dim-spectrum": ("spectrum", base_sections(data=_synth_with(dim=2)), SYNTH_2D),
@@ -1006,6 +1008,14 @@ DIMENSION_MISMATCHES = {
     "ref-dim-fit": ("fit", base_sections(outer_kernel=REF_2D_KERNEL), REF_2D),
     "ref-dim-spectrum": ("spectrum", base_sections(outer_kernel=REF_2D_KERNEL), REF_2D),
     "ref-dim-sweep": ("sweep", sweep_sections(outer_kernel=REF_2D_KERNEL), REF_2D),
+    "ref-dim-fit-file": (
+        "fit", base_sections(data={"path": "bags.ndjson"}, outer_kernel=REF_2D_KERNEL), REF_2D
+    ),
+    "ref-dim-spectrum-file": (
+        "spectrum",
+        base_sections(data={"path": "bags.ndjson"}, outer_kernel=REF_2D_KERNEL),
+        REF_2D,
+    ),
 }
 
 CONFIG_ERRORS = {
@@ -1021,13 +1031,13 @@ CONFIG_ERRORS = {
 def test_config_errors_are_refused_before_any_work(
     tmp_path, capsys, monkeypatch, command, doc, shown, code
 ):
-    # No draw, Gram, spectrum or experiment starts before the config is checked,
-    # nor before the bags to be drawn are known to fit the kernels.
+    # No read, draw, Gram, spectrum or experiment starts before the config is checked,
+    # nor before the bags to be drawn and the reference bag are known to fit the kernels.
     def not_reached(*args, **kwargs):
         raise AssertionError("work started before the config was checked")
 
     for module, name in (
-        ("cli", "build_gram"), ("cli", "generate"), ("cli", "spectrum"),
+        ("io", "read_bags"), ("cli", "build_gram"), ("cli", "generate"), ("cli", "spectrum"),
         ("analysis", "generate"), ("analysis", "run_rate_experiment"),
     ):
         monkeypatch.setattr(getattr(distreg, module), name, not_reached)
@@ -1247,19 +1257,20 @@ class TestCmdSpectrum:
         assert (kept / "notes.txt").read_text() == "mine"
 
 
-@pytest.mark.parametrize("command", ["fit", "sweep", "spectrum"])
-def test_solving_commands_do_not_import_scipy_linalg(tmp_path, command):
-    # The package import would cost each command ~0.25 s and ~25 MB, numpy.testing
-    # and numpy.f2py among its modules; the LAPACK extension is loaded alone, found
-    # without running scipy's own __init__. Medians and the rate line need no numpy.ma.
+def run_solving_command(tmp_path, command: str, prelude: str = "") -> list:
+    """rc, the OpenBLAS libraries mapped (on Linux), the scipy modules loaded and
+    the numpy and stdlib modules a solving command should not load, from a fresh
+    process that runs `prelude` and then `command`."""
     sections = {"fit": _grid_fit, "sweep": sweep_sections, "spectrum": base_sections}[command]()
     cfg = write_config(tmp_path, **sections)
     code = (
-        "import sys, distreg.cli as cli\n"
+        "import json, os, sys, distreg.cli as cli\n" + prelude +
         f"rc = cli.main([{command!r}, '--config', {cfg!r}, '--out', {str(tmp_path / 'out')!r}])\n"
-        "print(rc, 'scipy.linalg._flapack' in sys.modules,\n"
-        "      [m for m in ('scipy', 'scipy._lib', 'scipy.linalg', 'numpy.ma', 'numpy.testing',\n"
-        "                   'numpy.f2py', 'concurrent.futures', 'logging') if m in sys.modules])\n"
+        "maps = open('/proc/self/maps').read().split() if sys.platform == 'linux' else []\n"
+        "print(json.dumps([rc, sorted({os.path.basename(p) for p in maps if 'openblas' in p}),\n"
+        "      [m for m in sys.modules if m.partition('.')[0] == 'scipy'],\n"
+        "      [m for m in ('numpy.ma', 'numpy.testing', 'numpy.f2py', 'concurrent.futures',\n"
+        "                   'logging') if m in sys.modules]]))\n"
     )
     src = str(Path(distreg.__file__).resolve().parents[1])
     proc = subprocess.run(
@@ -1267,7 +1278,35 @@ def test_solving_commands_do_not_import_scipy_linalg(tmp_path, command):
         capture_output=True, text=True, env={"PYTHONPATH": src}, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 True []"
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("command", ["fit", "sweep", "spectrum"])
+def test_solving_commands_do_not_import_scipy_linalg(tmp_path, command):
+    # The package import would cost each command ~0.25 s and ~25 MB, numpy.testing
+    # and numpy.f2py among its modules. LAPACK is bound in numpy's own OpenBLAS, so no
+    # scipy module loads, and on Linux one OpenBLAS is mapped; where numpy bundles
+    # none, scipy's LAPACK extension is loaded alone. Medians and the rate line need
+    # no numpy.ma.
+    rc, openblas, scipy_modules, others = run_solving_command(tmp_path, command)
+    bundled = numpy_bundles_openblas()
+    assert (rc, others) == (0, [])
+    assert set(scipy_modules) <= (set() if bundled else {"scipy.linalg._flapack"})
+    if sys.platform == "linux" and bundled:
+        assert len(openblas) == 1, openblas
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="scipy's __init__ runs first there")
+@pytest.mark.parametrize("command", ["fit", "sweep", "spectrum"])
+def test_solving_commands_without_numpys_openblas_load_scipys_lapack_extension_alone(
+    tmp_path, command
+):
+    # As where numpy bundles no OpenBLAS: scipy's LAPACK extension, not the
+    # scipy.linalg package, and for spectrum, whose SVD is numpy's, no scipy at all.
+    prelude = "import distreg.blas\ndistreg.blas._LIBRARY = 'libnothing-*.so'\n"
+    rc, _, scipy_modules, others = run_solving_command(tmp_path, command, prelude)
+    want = [] if command == "spectrum" else ["scipy.linalg._flapack"]
+    assert (rc, scipy_modules, others) == (0, want, [])
 
 
 class TestCmdSchedule:

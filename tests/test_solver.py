@@ -2,6 +2,8 @@
 between the two schemes on indefinite kernels.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,7 @@ from conftest import (
     make_bags,
     make_indefinite_fixture,
 )
+from test_blas import needs_numpys_openblas
 from test_gram import naive_outer
 
 ESPEC = EmbeddingKernelSpec("gaussian", 1.0, 2)
@@ -568,23 +571,20 @@ def test_a_system_that_is_not_positive_definite_keeps_its_message():
         solve_alpha("krr", np.diag([1.0, -1.0, 1.0]), np.ones(3), 1e-3)
 
 
-LAPACK_ROUTINES = (
-    "dpotrf", "dpotrs", "dlange", "dsytrd", "dsytrd_lwork", "dormqr", "dptsv", "zgtsv",
-    "dgesdd", "dgesdd_lwork",
-)
-
-
 class TestLapackRoutes:
-    """The solves, norms, reductions and singular values call scipy's LAPACK
-    extension directly, with the arguments that scipy.linalg's cho_factor,
-    cho_solve and svdvals pass: their bits, from 1 x 1 to past LAPACK's blocked
-    crossovers."""
+    """The solves, norms, reductions and singular values call LAPACK directly,
+    with the arguments that scipy.linalg's cho_factor, cho_solve and svdvals
+    pass: their bits, from 1 x 1 to past LAPACK's blocked crossovers."""
 
-    def test_the_routines_are_the_ones_scipy_linalg_lapack_exports(self):
-        import scipy.linalg
-
-        for name in LAPACK_ROUTINES:
-            assert getattr(blas.lapack(), name) is getattr(scipy.linalg.lapack, name), name
+    @needs_numpys_openblas
+    def test_the_routines_are_bound_in_numpys_own_openblas(self):
+        lib = blas.lapack()
+        path = Path(lib.path)
+        assert path.parent == Path(f"{Path(np.__file__).parent}.libs") and path.match(blas._LIBRARY)
+        assert sorted(fn.__name__ for fn in lib._fn.values()) == [
+            f"scipy_{name}_64_"
+            for name in ("dlange", "dormqr", "dpotrf", "dpotrs", "dptsv", "dsytrd", "zgtsv")
+        ]
 
     @pytest.mark.parametrize("m", [1, 7, 300])
     @pytest.mark.parametrize("scheme", ["coefficient_l2", "krr"])
@@ -616,10 +616,29 @@ class TestLapackRoutes:
             assert spectrum(gram_from_matrix(values)).tobytes() == want.tobytes()
 
     def test_an_svd_that_does_not_converge_is_a_numerical_error(self, monkeypatch):
-        dgesdd = blas.lapack().dgesdd
-        monkeypatch.setattr(blas.lapack(), "dgesdd", lambda *a, **k: (*dgesdd(*a, **k)[:3], 1))
-        with pytest.raises(NumericalError, match=r"dgesdd info 1\)$"):
+        def not_converged(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", not_converged)
+        with pytest.raises(NumericalError, match=r"failed: SVD did not converge$"):
             spectrum(gram_from_matrix(np.eye(3)))
+
+    @pytest.mark.parametrize("layout", ["fortran", "strided"])
+    def test_a_gram_in_another_layout_gives_the_bits_of_a_c_ordered_one(self, layout):
+        # LAPACK works in place only on Fortran-ordered arrays; others are copied first.
+        # (The coefficient scheme's G^T G is a BLAS product, whose sums follow the layout.)
+        rng = np.random.default_rng(3)
+        values = random_psd_matrix(40, m=40) + np.eye(40) + 1e-3 * rng.normal(size=(40, 40))
+        if layout == "fortran":
+            odd = np.asfortranarray(values)
+        else:
+            odd = np.zeros((40, 80))[:, ::2]
+            odd[...] = values
+        y, lams = rng.normal(size=40), np.logspace(-8, 0, 5)
+        want = solve_alpha("krr", values, y, 1e-3)
+        assert solve_alpha("krr", odd, y, 1e-3).tobytes() == want.tobytes()
+        want = alpha_paths(["krr"], values.copy(), y, lams)["krr"]
+        assert alpha_paths(["krr"], odd, y, lams)["krr"].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("m", [7, 300])  # 1 x 1: test_alpha_paths_of_the_smallest_blocks
     @pytest.mark.parametrize("asymmetric", [False, True])

@@ -262,59 +262,72 @@ class LambdaRule:
         return tuple(picks[scheme][0] for scheme in schemes)
 
 
-def _trial(config, m: int, n_points: int, rule: LambdaRule, schemes: Sequence[str], *key: int):
+def _trial(config, m: int, n_points: int, schemes: Sequence[str], *key: int):
     """Draw m train and n_test test bags, set lambda, fit and score each scheme.
 
-    `config` is a SweepConfig or SaturationConfig. Train set, test set and
-    holdout split are seeded from the master seed, `key` and 0, 1, 2. One
-    test cross-Gram scores every fit. Returns one lambda and one error per scheme.
+    `config`, a SweepConfig or SaturationConfig, was checked when it was built.
+    Train set, test set and holdout split are seeded from the master seed, `key`
+    and 0, 1, 2. One test cross-Gram scores every fit. Returns one lambda and
+    one error per scheme.
     """
     meta, kspec, espec = config.meta, config.outer_kernel, config.embedding_kernel
-    holdout_seed = _derived_seed(meta.seed, *key, 2)
-    rule.check(m, holdout_seed)
-    check_dims_before_work(kspec, espec, meta.dim)
     train = generate(replace(meta, seed=_derived_seed(meta.seed, *key, 0)), m, n_points)
     test = generate(replace(meta, seed=_derived_seed(meta.seed, *key, 1)), config.n_test, n_points)
     g = build_gram(kspec, espec, train.bags, threads=config.threads)
     y = train.labels()
-    lams = rule.pick(g.values, y, schemes, holdout_seed)
+    lams = config.lambda_rule.pick(g.values, y, schemes, _derived_seed(meta.seed, *key, 2))
     fitters = [fit_coefficient if scheme == "coefficient_l2" else fit_krr for scheme in schemes]
     models = [fit(g, y, lam, train.bags, kspec, espec)[0] for fit, lam in zip(fitters, lams)]
     return lams, excess_error(models, test.with_targets(), threads=config.threads)
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """One rate experiment: error versus first-stage sample size."""
+@dataclass(frozen=True, kw_only=True)
+class _TrialConfig:
+    """What every experiment's trials share: the synthetic problem, both kernels,
+    the test set size, the lambda grid and holdout share, and the Gram threads."""
 
     meta: MetaDistributionSpec
     embedding_kernel: EmbeddingKernelSpec
     outer_kernel: OuterKernelSpec
+    n_test: int = 64
+    lambda_grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID
+    holdout_frac: float = DEFAULT_HOLDOUT_FRAC
+    threads: int = 1
+
+    def _check_trials(self, m: int, n_points: int, what: str) -> None:
+        """Raise, before any draw, what a trial on m (the fewest) bags of
+        `n_points` (the field `what`) would."""
+        check_threads(self.threads)
+        self.lambda_rule.check(m, self.meta.seed)  # a trial derives its holdout seed
+        for name, value in ((what, n_points), ("n_test", self.n_test)):
+            if value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
+        check_dims_before_work(self.outer_kernel, self.embedding_kernel, self.meta.dim)
+
+
+@dataclass(frozen=True, kw_only=True)
+class SweepConfig(_TrialConfig):
+    """One rate experiment: error versus first-stage sample size."""
+
     scheme: str
     m_values: tuple[int, ...]
     replications: int
     schedule_params: ScheduleParams
     lambda_mode: str = "grid"  # grid | schedule | fixed
-    lambda_grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID
     lambda_fixed: float | None = None
     n_max: int = 2000
-    n_test: int = 64
-    holdout_frac: float = DEFAULT_HOLDOUT_FRAC
-    threads: int = 1
 
     def __post_init__(self):
         check_scheme(self.scheme, self.outer_kernel)
-        check_threads(self.threads)
-        self.lambda_rule  # validates the lambda fields
         if self.replications < 1:
             raise ConfigError(f"replications must be >= 1, got {self.replications}")
         if len(self.m_values) < 1:
             raise ConfigError("m_values must be nonempty")
         if len(set(self.m_values)) < len(self.m_values):
             raise ConfigError(f"m_values must be distinct, got {self.m_values}")
-        if self.n_max < 1:
-            raise ConfigError(f"n_max must be >= 1, got {self.n_max}")
-        check_dims_before_work(self.outer_kernel, self.embedding_kernel, self.meta.dim)
+        for m in self.m_values:
+            schedule(self.schedule_params, m)  # every N comes from it; m < 3 raises
+        self._check_trials(min(self.m_values), self.n_max, "n_max")
 
     @property
     def lambda_rule(self) -> LambdaRule:
@@ -353,7 +366,6 @@ def run_rate_experiment(config: SweepConfig) -> SweepResult:
     medians: dict[int, float] = {}
     n_by_m: dict[int, int] = {}
     capped: list[int] = []
-    rule = config.lambda_rule
     for m in config.m_values:
         sched = schedule(config.schedule_params, m)
         n_points = min(config.n_max, sched.n_points)
@@ -362,7 +374,7 @@ def run_rate_experiment(config: SweepConfig) -> SweepResult:
             capped.append(m)
         errors = []
         for rep in range(config.replications):
-            (lam,), (err,) = _trial(config, m, n_points, rule, (config.scheme,), m, rep)
+            (lam,), (err,) = _trial(config, m, n_points, (config.scheme,), m, rep)
             rows.append(SweepRow(m, n_points, lam, rep, config.scheme, err))
             errors.append(err)
         errors.sort()  # np.median's bits, without the numpy.ma it imports
@@ -374,19 +386,26 @@ def run_rate_experiment(config: SweepConfig) -> SweepResult:
     return SweepResult(tuple(rows), fit, medians, n_by_m, tuple(capped))
 
 
-@dataclass(frozen=True)
-class SaturationConfig:
-    """Coefficient-vs-ridge comparison on one smooth synthetic problem."""
+@dataclass(frozen=True, kw_only=True)
+class SaturationConfig(_TrialConfig):
+    """Coefficient-vs-ridge comparison on one smooth synthetic problem: needs a PSD outer
+    kernel (the ridge baseline is undefined otherwise) and the smooth_composite target."""
 
-    meta: MetaDistributionSpec
-    embedding_kernel: EmbeddingKernelSpec
-    outer_kernel: OuterKernelSpec
     m: int
     n_points: int
-    n_test: int = 64
-    lambda_grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID
-    holdout_frac: float = DEFAULT_HOLDOUT_FRAC
-    threads: int = 1
+
+    def __post_init__(self):
+        check_scheme("krr", self.outer_kernel)
+        if self.meta.target != "smooth_composite":
+            raise ConfigError(
+                f"saturation comparison expects the smooth_composite target, "
+                f"got {self.meta.target!r}"
+            )
+        self._check_trials(self.m, self.n_points, "n_points")
+
+    @property
+    def lambda_rule(self) -> LambdaRule:
+        return LambdaRule("grid", grid=self.lambda_grid, holdout_frac=self.holdout_frac)
 
 
 @dataclass(frozen=True)
@@ -406,18 +425,10 @@ def saturation_compare(config: SaturationConfig) -> SaturationReport:
     Both schemes see the same data, the same holdout split, and the same
     grid; one lambda selection serves both, each scheme picks its own lambda
     and is refit on the full training set, and one test cross-Gram scores
-    both fits. Requires a PSD outer kernel (the ridge baseline is undefined
-    otherwise) and the smooth target family this comparison is about.
+    both fits.
     """
-    check_scheme("krr", config.outer_kernel)
-    if config.meta.target != "smooth_composite":
-        raise ConfigError(
-            f"saturation comparison expects the smooth_composite target, "
-            f"got {config.meta.target!r}"
-        )
-    rule = LambdaRule("grid", grid=config.lambda_grid, holdout_frac=config.holdout_frac)
     (lam_coef, lam_krr), (err_coef, err_krr) = _trial(
-        config, config.m, config.n_points, rule, ("coefficient_l2", "krr")
+        config, config.m, config.n_points, ("coefficient_l2", "krr")
     )
     return SaturationReport(
         err_coefficient=err_coef,

@@ -41,10 +41,10 @@ from .errors import ConfigError, InputError, NumericalError
 from .outer import OuterKernelSpec, apply_outer
 
 # Pointwise kernel evaluations that make a row block, and the mean per row bag
-# from which a thread pool gains. A block of consecutive row bags is closed
-# once it holds this many, so a row bag that reaches it alone is its own block,
-# and bags of a few points share one kernel block and one reduction. The pool
-# rule is per row bag, as measured on 2 cores, symmetric d=1 Gaussian Grams,
+# from which a thread pool gains. A block of consecutive row bags holds at most
+# this many, or one row bag that passes it alone (a run of `bag_runs`), so bags
+# of a few points share one kernel block and one reduction. The pool rule is
+# per row bag, as measured on 2 cores, symmetric d=1 Gaussian Grams,
 # 2 threads against one, with one row bag per task: tasks of 8e3-6.4e4
 # evaluations (1000 bags of 4 or 8 points, 500-800 of 12 or 16) ran 7-65%
 # slower; break-even lay between 8e4 and 1.3e5, depending on the bag size; 25
@@ -129,20 +129,6 @@ def check_threads(threads: int) -> None:
         raise ConfigError(f"threads must be a positive integer, got {threads}")
 
 
-def _row_blocks(row_evals: np.ndarray) -> list[tuple[int, int]]:
-    """Runs [a, b) of consecutive rows, each closed once it holds at least
-    _POOL_MIN_EVALS evaluations, so a row that reaches that alone is a run."""
-    blocks, first, held = [], 0, 0
-    for i, evals in enumerate(row_evals.tolist()):
-        held += evals
-        if held >= _POOL_MIN_EVALS:
-            blocks.append((first, i + 1))
-            first, held = i + 1, 0
-    if first < len(row_evals):
-        blocks.append((first, len(row_evals)))
-    return blocks
-
-
 def _pack(bags: Sequence[Bag]) -> tuple[np.ndarray, np.ndarray]:
     """The bags' points, concatenated, and the bounds of each bag in them."""
     return np.concatenate([b.points for b in bags]), np.cumsum([0] + [b.size for b in bags])
@@ -162,13 +148,13 @@ def _embedding_inners(
     callers' order at the end, unless it already is. Each row bag splits the
     column run into the bags ranked below it (column bag first in the pair)
     and the rest (row bag first). Equal keys mean equal points, so ties may
-    break either way. Rows are reduced in blocks of consecutive row bags
-    (`_row_blocks`), each block against the column bags in one `pair_sums`
-    call per direction: a cross block from its first row's split on with rows
-    first, and up to its last row's split with columns first, each entry taken
-    from the direction its pair prescribes. With `symmetric` (one list) a
-    block reduces only from its first rank on, and once every block is done
-    the strict lower triangle is mirrored from the upper one. Blocks only
+    break either way. Rows are reduced in blocks of consecutive row bags (runs
+    of `bag_runs` over their evaluations), each against the column bags in one
+    `pair_sums` call per direction: a cross block from its first row's split on
+    with rows first, and up to its last row's split with columns first, each
+    entry taken from the direction its pair prescribes. With `symmetric` (one
+    list) a block reduces only from its first rank on, and once every block is
+    done the strict lower triangle is mirrored from the upper one. Blocks only
     reduce; the sums are divided by the bag sizes once at the end. All of it
     works in place: the result is the one array of its shape this makes.
     """
@@ -201,7 +187,7 @@ def _embedding_inners(
     # them unless symmetric).
     reach = bounds[-1] - (bounds[splits] if symmetric else 0)
     row_evals = row_sizes * reach
-    blocks = _row_blocks(row_evals)
+    blocks = list(bag_runs(np.concatenate(([0], np.cumsum(row_evals))), _POOL_MIN_EVALS))
     # A pool only when the row bags average at least _POOL_MIN_EVALS evaluations.
     if threads > 1 and len(blocks) > 1 and row_evals.sum() >= _POOL_MIN_EVALS * len(row_sizes):
         _pool(fill, iter(blocks), min(threads, len(blocks)))
@@ -321,12 +307,13 @@ def build_cross_gram(
 
 
 def check_dims_before_work(kspec: OuterKernelSpec, espec: EmbeddingKernelSpec, dim) -> None:
-    """Raise InputError, before any bag is read or drawn, if synthetic bags of `dim` (None
-    for a file) or the tilt's reference bag do not have the embedding kernel's dimension."""
+    """Raise ConfigError, before any bag is read or drawn, if synthetic bags of `dim` (None
+    for a file) or the tilt's reference bag, both config values, differ from the kernel's."""
     if dim is not None and dim != espec.dim:
-        raise InputError(f"synthetic bags have dimension {dim}, kernel expects {espec.dim}")
-    if kspec.ref_bag is not None:
-        check_dims(espec, [kspec.ref_bag])
+        raise ConfigError(f"synthetic bags have dimension {dim}, kernel expects {espec.dim}")
+    ref = kspec.ref_bag
+    if ref is not None and ref.dim != espec.dim:
+        raise ConfigError(f"bag {ref.id!r} has dimension {ref.dim}, kernel expects {espec.dim}")
 
 
 def embed_inner(espec: EmbeddingKernelSpec, a: Bag, b: Bag) -> float:

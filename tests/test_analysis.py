@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distreg import (
+    Bag,
     ConfigError,
     ContractError,
     EmbeddingKernelSpec,
@@ -459,7 +460,7 @@ class TestRateExperiment:
         meta = MetaDistributionSpec(
             dim=2, scale=0.1, target="linear_mean", noise_sd=0.05, noise_bound=2.0, seed=11
         )
-        with pytest.raises(InputError, match="synthetic bags have dimension 2, kernel expects 1"):
+        with pytest.raises(ConfigError, match="synthetic bags have dimension 2, kernel expects 1"):
             _sweep_config(meta=meta)
 
     @pytest.mark.parametrize("replications", [1, 2, 3, 4])
@@ -471,30 +472,26 @@ class TestRateExperiment:
             assert median.hex() == float(np.median(errors)).hex()
 
 
-class TestSaturationCompare:
-    def _config(self, **overrides):
-        base = dict(
-            meta=MetaDistributionSpec(
-                dim=1,
-                scale=0.1,
-                target="smooth_composite",
-                noise_sd=0.05,
-                noise_bound=2.0,
-                seed=21,
-            ),
-            embedding_kernel=EmbeddingKernelSpec("gaussian", 0.25, 1),
-            outer_kernel=OuterKernelSpec.gaussian(1.0),
-            m=24,
-            n_points=20,
-            n_test=16,
-            lambda_grid=tuple(np.logspace(-8, 0, 6)),
-        )
-        base.update(overrides)
-        return SaturationConfig(**base)
+def _saturation_config(**overrides):
+    base = dict(
+        meta=MetaDistributionSpec(
+            dim=1, scale=0.1, target="smooth_composite", noise_sd=0.05, noise_bound=2.0, seed=21
+        ),
+        embedding_kernel=EmbeddingKernelSpec("gaussian", 0.25, 1),
+        outer_kernel=OuterKernelSpec.gaussian(1.0),
+        m=24,
+        n_points=20,
+        n_test=16,
+        lambda_grid=tuple(np.logspace(-8, 0, 6)),
+    )
+    base.update(overrides)
+    return SaturationConfig(**base)
 
+
+class TestSaturationCompare:
     def test_indefinite_kernel_rejected(self):
         with pytest.raises(ContractError):
-            saturation_compare(self._config(outer_kernel=OuterKernelSpec.dog(0.5, 1.5, 0.9)))
+            saturation_compare(_saturation_config(outer_kernel=OuterKernelSpec.dog(0.5, 1.5, 0.9)))
 
     def test_two_bags_are_refused_before_any_draw(self, monkeypatch):
         def not_reached(*args, **kwargs):
@@ -502,7 +499,7 @@ class TestSaturationCompare:
 
         monkeypatch.setattr(analysis, "generate", not_reached)
         with pytest.raises(InputError, match="holdout selection needs at least 3 bags, got 2"):
-            saturation_compare(self._config(m=2))
+            saturation_compare(_saturation_config(m=2))
 
     def test_a_dimension_mismatch_is_refused_before_any_draw(self, monkeypatch):
         def not_reached(*args, **kwargs):
@@ -510,20 +507,18 @@ class TestSaturationCompare:
 
         monkeypatch.setattr(analysis, "generate", not_reached)
         espec = EmbeddingKernelSpec("gaussian", 0.25, 2)
-        with pytest.raises(InputError, match="synthetic bags have dimension 1, kernel expects 2"):
-            saturation_compare(self._config(embedding_kernel=espec))
+        with pytest.raises(ConfigError, match="synthetic bags have dimension 1, kernel expects 2"):
+            saturation_compare(_saturation_config(embedding_kernel=espec))
 
     def test_wrong_target_rejected(self):
-        cfg = self._config(
-            meta=MetaDistributionSpec(
-                dim=1, scale=0.1, target="linear_mean", noise_sd=0.05, noise_bound=2.0, seed=21
-            )
+        meta = MetaDistributionSpec(
+            dim=1, scale=0.1, target="linear_mean", noise_sd=0.05, noise_bound=2.0, seed=21
         )
         with pytest.raises(ConfigError):
-            saturation_compare(cfg)
+            saturation_compare(_saturation_config(meta=meta))
 
     def test_report_complete(self):
-        report = saturation_compare(self._config())
+        report = saturation_compare(_saturation_config())
         assert report.err_coefficient > 0 and math.isfinite(report.err_coefficient)
         assert report.err_krr > 0 and math.isfinite(report.err_krr)
         assert report.ratio == pytest.approx(report.err_coefficient / report.err_krr)
@@ -532,7 +527,7 @@ class TestSaturationCompare:
         assert report.lambda_krr in report.lambda_grid
 
     def test_one_eigendecomposition_selects_both_lambdas(self, dsytrd_calls):
-        saturation_compare(self._config())
+        saturation_compare(_saturation_config())
         assert len(dsytrd_calls) == 1
 
     def test_one_cross_gram_scores_both_schemes(self, monkeypatch):
@@ -545,7 +540,7 @@ class TestSaturationCompare:
         monkeypatch.setattr(
             solver, "build_cross_gram", lambda *a, **k: builds.append(1) or real(*a, **k)
         )
-        cfg = self._config()
+        cfg = _saturation_config()
         report = saturation_compare(cfg)
         assert len(builds) == 1
 
@@ -569,14 +564,14 @@ class TestSaturationCompare:
         assert report.ratio == alone[0] / alone[1]
 
     def test_deterministic(self):
-        a = saturation_compare(self._config())
-        b = saturation_compare(self._config())
+        a = saturation_compare(_saturation_config())
+        b = saturation_compare(_saturation_config())
         assert a == b
 
     def test_interpolating_problem_gives_ratio_near_one(self):
         # Noiseless smooth problem with a grid reaching interpolation: both
         # schemes hit the same embedding-sampling floor, so the ratio ~ 1.
-        cfg = self._config(
+        cfg = _saturation_config(
             meta=MetaDistributionSpec(
                 dim=1, scale=0.1, target="smooth_composite", noise_sd=0.0,
                 noise_bound=2.0, seed=70707,
@@ -589,6 +584,83 @@ class TestSaturationCompare:
         report = saturation_compare(cfg)
         assert report.err_coefficient < 0.1 and report.err_krr < 0.1
         assert report.ratio == pytest.approx(1.0, abs=0.1)
+
+
+def _meta(target: str, dim: int) -> MetaDistributionSpec:
+    return MetaDistributionSpec(
+        dim=dim, scale=0.1, target=target, noise_sd=0.05, noise_bound=2.0, seed=11
+    )
+
+
+_DOG = OuterKernelSpec.dog(0.5, 1.5, 0.9)
+_TILTED_2D = OuterKernelSpec.tilted(1.0, 0.5, Bag("ref", [[0.1, 0.2]]))
+_SYNTH_2D = "synthetic bags have dimension 2, kernel expects 1"
+_NOT_PSD = "KRR requires positive semi-definite K"
+
+# (config builder, one bad field, error, message): every field a trial needs,
+# for both experiments.
+CONFIG_FAULTS = {
+    "sweep-threads": (_sweep_config, {"threads": 0}, ConfigError, "threads must be a positive"),
+    "sweep-n-test": (_sweep_config, {"n_test": 0}, ConfigError, "n_test must be >= 1, got 0"),
+    "sweep-n-max": (_sweep_config, {"n_max": 0}, ConfigError, "n_max must be >= 1, got 0"),
+    "sweep-reps": (_sweep_config, {"replications": 0}, ConfigError, "replications must be >= 1"),
+    "sweep-no-m": (_sweep_config, {"m_values": ()}, ConfigError, "m_values must be nonempty"),
+    "sweep-same-m": (_sweep_config, {"m_values": (8, 8)}, ConfigError, "must be distinct"),
+    "sweep-two-bags": (
+        _sweep_config, {"m_values": (8, 2)}, InputError, "schedule requires 3 <= m"
+    ),
+    "sweep-scheme": (_sweep_config, {"scheme": "ridge"}, ConfigError, "unknown scheme 'ridge'"),
+    "sweep-krr-dog": (
+        _sweep_config, {"scheme": "krr", "outer_kernel": _DOG}, ContractError, _NOT_PSD
+    ),
+    "sweep-mode": (_sweep_config, {"lambda_mode": "auto"}, ConfigError, "unknown lambda mode"),
+    "sweep-fixed": (_sweep_config, {"lambda_mode": "fixed"}, ConfigError, "fixed lambda must"),
+    "sweep-grid": (_sweep_config, {"lambda_grid": ()}, ConfigError, "lambda grid must be"),
+    "sweep-holdout": (_sweep_config, {"holdout_frac": 1.0}, ConfigError, "holdout_frac must"),
+    "sweep-dim": (_sweep_config, {"meta": _meta("linear_mean", 2)}, ConfigError, _SYNTH_2D),
+    "sweep-ref-dim": (
+        _sweep_config, {"outer_kernel": _TILTED_2D}, ConfigError, "bag 'ref' has dimension 2"
+    ),
+    "saturation-threads": (
+        _saturation_config, {"threads": 0}, ConfigError, "threads must be a positive"
+    ),
+    "saturation-n-test": (
+        _saturation_config, {"n_test": 0}, ConfigError, "n_test must be >= 1, got 0"
+    ),
+    "saturation-n-points": (
+        _saturation_config, {"n_points": 0}, ConfigError, "n_points must be >= 1, got 0"
+    ),
+    "saturation-two-bags": (
+        _saturation_config, {"m": 2}, InputError, "needs at least 3 bags, got 2"
+    ),
+    "saturation-dog": (_saturation_config, {"outer_kernel": _DOG}, ContractError, _NOT_PSD),
+    "saturation-target": (
+        _saturation_config, {"meta": _meta("linear_mean", 1)}, ConfigError, "smooth_composite"
+    ),
+    "saturation-grid": (_saturation_config, {"lambda_grid": ()}, ConfigError, "lambda grid"),
+    "saturation-holdout": (
+        _saturation_config, {"holdout_frac": 0.0}, ConfigError, "holdout_frac must"
+    ),
+    "saturation-dim": (
+        _saturation_config, {"meta": _meta("smooth_composite", 2)}, ConfigError, _SYNTH_2D
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "build, fault, error, shown", CONFIG_FAULTS.values(), ids=list(CONFIG_FAULTS)
+)
+def test_config_faults_are_refused_when_the_config_is_built(
+    monkeypatch, build, fault, error, shown
+):
+    # Building the config refuses the fault: no bag is drawn and no Gram built first.
+    def not_reached(*args, **kwargs):
+        raise AssertionError("work started before the config was checked")
+
+    monkeypatch.setattr(analysis, "generate", not_reached)
+    monkeypatch.setattr(analysis, "build_gram", not_reached)
+    with pytest.raises(error, match=re.escape(shown)):
+        build(**fault)
 
 
 def test_krr_beats_noise_floor_on_easy_fixture():

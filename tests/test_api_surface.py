@@ -9,8 +9,9 @@ be a shim that `bench/spans.py` wraps by (module, attribute) in its
 attribute (`dr.SweepConfig`, `OuterKernelSpec.gaussian`), and every `--flag`
 they pass to the CLI's `main`, must exist, since no test runs the scripts.
 README.md must name every CLI option and head a config-table row with every
-top-level config key. And the one reduction, `embedding.pair_sums`, is called
-only by the Gram's block path, always with a tile scratch. The checks read the
+top-level config key. The one reduction, `embedding.pair_sums`, is called
+only by the Gram's block path, always with a tile scratch. And an experiment's
+trial checks are called only by its config classes. The checks read the
 source with `ast`.
 """
 
@@ -165,3 +166,25 @@ def test_embedding_inner_products_have_one_route():
         ]
     assert sorted(set(callers)) == ["gram._embedding_inners", "gram._self_inners"]
     assert defines == ["gram"]
+
+
+def test_trial_checks_live_in_the_configs():
+    # A trial's checks run once, when its config is built: in `analysis` only the
+    # config classes call them, and `LambdaRule.pick`, which serves callers with
+    # no config. `_trial` and `saturation_compare` only draw, fit and score.
+    checks = {"check_threads", "check_dims_before_work", "check_scheme", "check"}
+    tree = ast.parse((ROOT / "src" / "distreg" / "analysis.py").read_text())
+    callers = set()
+    for top in tree.body:
+        scopes = [(f"{top.name}.", f) for f in top.body] if isinstance(top, ast.ClassDef) else []
+        for prefix, scope in scopes or [("", top)]:
+            for node in ast.walk(scope):
+                func = getattr(node, "func", None)
+                if {getattr(func, "id", None), getattr(func, "attr", None)} & checks:
+                    callers.add(prefix + getattr(scope, "name", ""))
+    assert callers == {
+        "_TrialConfig._check_trials",
+        "SweepConfig.__post_init__",
+        "SaturationConfig.__post_init__",
+        "LambdaRule.pick",
+    }

@@ -570,14 +570,14 @@ class TestCmdFit:
         assert not (tmp_path / "m.json").exists()
 
     @pytest.mark.parametrize("ref_dim,dim", [(3, 2), (2, 1)])
-    def test_reference_bag_dimension_mismatch_exits_2(self, tmp_path, capsys, ref_dim, dim):
+    def test_reference_bag_dimension_mismatch_exits_3(self, tmp_path, capsys, ref_dim, dim):
         sections = base_sections(
             data=_synth_with(dim=dim),
             embedding_kernel={"family": "gaussian", "bandwidth": 0.25, "dim": dim},
             outer_kernel={**BAD_REF_KERNEL, "ref_bag": {"id": "ref", "points": [[0.1] * ref_dim]}},
         )
         cfg = write_config(tmp_path, **sections)
-        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "m.json")]) == 2
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "m.json")]) == 3
         want = f"error: bag 'ref' has dimension {ref_dim}, kernel expects {dim}"
         assert one_error_line(capsys) == want
 
@@ -997,8 +997,8 @@ SYNTH_2D = "synthetic bags have dimension 2, kernel expects 1"
 REF_2D = "bag 'ref' has dimension 2, kernel expects 1"
 
 # Synthetic bags, or the tilt's reference bag (with bags drawn or read from a
-# file), of another dimension than the embedding kernel's: exit code 2 and one
-# `error:` line naming both dimensions.
+# file), of another dimension than the embedding kernel's: config values, so exit
+# code 3 and one `error:` line naming both dimensions.
 DIMENSION_MISMATCHES = {
     "synth-dim-fit": ("fit", base_sections(data=_synth_with(dim=2)), SYNTH_2D),
     "synth-dim-spectrum": ("spectrum", base_sections(data=_synth_with(dim=2)), SYNTH_2D),
@@ -1019,17 +1019,15 @@ DIMENSION_MISMATCHES = {
 }
 
 CONFIG_ERRORS = {
-    **{name: ("fit", doc, shown, 3) for name, (doc, shown) in MALFORMED_CONFIGS.items()},
-    **{name: (*case, 3) for name, case in MALFORMED_VALUES.items()},
-    **{name: (*case, 2) for name, case in DIMENSION_MISMATCHES.items()},
+    **{name: ("fit", doc, shown) for name, (doc, shown) in MALFORMED_CONFIGS.items()},
+    **MALFORMED_VALUES,
+    **DIMENSION_MISMATCHES,
 }
 
 
-@pytest.mark.parametrize(
-    "command, doc, shown, code", CONFIG_ERRORS.values(), ids=list(CONFIG_ERRORS)
-)
+@pytest.mark.parametrize("command, doc, shown", CONFIG_ERRORS.values(), ids=list(CONFIG_ERRORS))
 def test_config_errors_are_refused_before_any_work(
-    tmp_path, capsys, monkeypatch, command, doc, shown, code
+    tmp_path, capsys, monkeypatch, command, doc, shown
 ):
     # No read, draw, Gram, spectrum or experiment starts before the config is checked,
     # nor before the bags to be drawn and the reference bag are known to fit the kernels.
@@ -1043,7 +1041,7 @@ def test_config_errors_are_refused_before_any_work(
         monkeypatch.setattr(getattr(distreg, module), name, not_reached)
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(doc))
-    assert main([*command.split(), "--config", str(cfg), "--out", str(tmp_path / "out")]) == code
+    assert main([*command.split(), "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
     assert shown in one_error_line(capsys)
 
 

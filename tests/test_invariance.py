@@ -214,7 +214,7 @@ def test_tiny_bag_blocks_straddle_the_diagonal_and_the_band(tiny_case, monkeypat
         return embedding.pair_sums(spec, row_points, row_bounds, points, bounds, row_first, scratch)
 
     monkeypatch.setattr(gram, "pair_sums", spy)
-    monkeypatch.setattr(gram, "_POOL_MIN_EVALS", 2000)
+    monkeypatch.setattr(gram, "_POOL_MIN_EVALS", 4000)
     build_gram(OuterKernelSpec.linear(), espec, train)
     # A block of several rows holds the diagonal entries of all of them.
     assert sum(rows > 1 for rows, _, _ in calls) > 5

@@ -1,14 +1,16 @@
 """One BLAS thread inside distreg's dense linear algebra, and the LAPACK routines
 it calls, bound at their first use.
 
-`lapack()` gives the calls distreg makes to scipy.linalg._flapack, with its
-arguments and results. Where numpy's wheel bundles its OpenBLAS (numpy.libs/
-libscipy_openblas64_-*.so, as on Linux), they run on that library's LAPACK through
-ctypes (ILP64, `scipy_<routine>_64_`): no second BLAS is mapped, no scipy module
-imported. Elsewhere (the macOS and Windows wheels, conda-forge, Linux distributions)
-they run on the extension, loaded alone from scipy's directory without running
-the scipy package (except on Windows) or scipy.linalg; a later `import scipy.linalg`
-then finds it in sys.modules, not as an attribute.
+`lapack()` gives one callable, `lapack()(name, *args)`, that calls a routine's
+Fortran entry point through ctypes with LAPACK's own arguments. Where numpy's
+wheel bundles its OpenBLAS (numpy.libs/libscipy_openblas64_-*.so, as on Linux),
+the entry points are that library's `scipy_<routine>_64_` (ILP64): no second
+BLAS is mapped, no scipy module imported. Elsewhere (the macOS and Windows
+wheels, conda-forge, Linux distributions) they are the addresses that scipy's
+extension scipy.linalg._flapack exports for its routines (LP64); the extension
+is loaded alone from scipy's directory without running the scipy package
+(except on Windows) or scipy.linalg, and a later `import scipy.linalg` then
+finds it in sys.modules, not as an attribute. Both routes run the same calls.
 
 OpenBLAS worker threads compete with the Gram thread pool and can make a solve
 sum in another order, so alpha and predictions would depend on the core count.
@@ -61,68 +63,29 @@ def _find_setters() -> list:
     return setters
 
 
-def _array(a, copy: bool = False, dtype=np.float64) -> np.ndarray:
-    """`a` as f2py passes it: a Fortran-ordered array of `dtype`, copied if `copy` or if
-    `a` is not one."""
-    return np.array(a, dtype=dtype, order="F", copy=copy or None)
-
-
 class _Lapack:
-    """The calls distreg makes to scipy.linalg._flapack, with its arguments and results,
-    on the routines of numpy's OpenBLAS at `path`. dpotrf takes UPLO "U" and clean=0."""
+    """The LAPACK routines of _ROUTINES in the library at `path`, called at their Fortran
+    entry points `addresses` (ints: CFUNCTYPE would take a ctypes function for a Python
+    callback) with INTEGER arguments of type `integer`."""
 
-    def __init__(self, path: str):
-        self.path, lib, self._fn = path, ctypes.CDLL(path), {}
+    def __init__(self, path: str, addresses: dict, integer: type):
+        self.path, self.integer, self._fn = path, integer, {}
         for name, (pointers, chars) in _ROUTINES.items():
-            fn = self._fn[name] = getattr(lib, f"scipy_{name}_64_")
-            fn.argtypes = [ctypes.c_void_p] * pointers + [ctypes.c_size_t] * chars
-            fn.restype = ctypes.c_double if name == "dlange" else None
+            restype = ctypes.c_double if name == "dlange" else None
+            args = [ctypes.c_void_p] * pointers + [ctypes.c_size_t] * chars
+            self._fn[name] = ctypes.CFUNCTYPE(restype, *args)(addresses[name])
 
-    def _call(self, name: str, *args):
+    def __call__(self, name: str, *args):
         """INFO of `name` on `args`, or dlange's norm: a str is a character, an int goes
-        by reference, an array by its address."""
-        info, chars = ctypes.c_int64(), [1] * _ROUTINES[name][1]
-        args = [a.encode() if type(a) is str else ctypes.byref(ctypes.c_int64(a))
-                if type(a) is int else a.ctypes.data for a in args]
+        by reference, an array by its address (the caller makes it Fortran-ordered)."""
+        info, chars = self.integer(), [1] * _ROUTINES[name][1]
+        # `args` holds the arrays, temporaries too, until the call returns.
+        c_args = [a.encode() if type(a) is str else ctypes.byref(self.integer(a))
+                  if type(a) is int else a.ctypes.data for a in args]
         if name == "dlange":
-            return self._fn[name](*args, *chars)
-        self._fn[name](*args, ctypes.byref(info), *chars)
+            return self._fn[name](*c_args, *chars)
+        self._fn[name](*c_args, ctypes.byref(info), *chars)
         return info.value
-
-    def dlange(self, norm, a):
-        a = _array(a)
-        return self._call("dlange", norm, *a.shape, a, max(1, len(a)), np.empty(len(a)))
-
-    def dpotrf(self, a, clean, overwrite_a):
-        c = _array(a, not overwrite_a)
-        return c, self._call("dpotrf", "U", len(c), c, max(1, len(c)))
-
-    def dpotrs(self, c, b, lower=False):
-        c, x, n = _array(c), _array(b, True), len(c)
-        return x, self._call("dpotrs", "UL"[lower], n, x.size // n, c, n, x, n)
-
-    def dsytrd_lwork(self, n, lower):
-        work = np.zeros(1)
-        info = self._call("dsytrd", "UL"[lower], n, work, max(1, n), *[work] * 4, -1)
-        return work[0], info
-
-    def dsytrd(self, a, lower, lwork, overwrite_a):
-        a, n = _array(a, not overwrite_a), len(a)
-        d, e, tau, work = np.empty(n), np.empty(n - 1), np.empty(n - 1), np.empty(lwork)
-        return a, d, e, tau, self._call("dsytrd", "UL"[lower], n, a, n, d, e, tau, work, lwork)
-
-    def dormqr(self, side, trans, a, tau, c, lwork):
-        a, tau, c, work = _array(a), _array(tau), _array(c, True), np.zeros(max(1, lwork))
-        args = *c.shape, len(tau), a, len(a), tau, c, max(1, len(c)), work, lwork
-        return c, work, self._call("dormqr", side, trans, *args)
-
-    def dptsv(self, d, e, b):
-        d, e, x = (_array(v, True) for v in (d, e, b))
-        return d, e, x, self._call("dptsv", len(d), x.size // len(d), d, e, x, len(d))
-
-    def zgtsv(self, dl, d, du, b):
-        dl, d, du, x = (_array(v, True, np.complex128) for v in (dl, d, du, b))
-        return dl, d, du, x, self._call("zgtsv", len(d), x.size // len(d), dl, d, du, x, len(d))
 
 
 def _load_flapack():
@@ -145,16 +108,24 @@ def _load_flapack():
     return sys.modules[name]
 
 
-def _bind():
-    """numpy's bundled OpenBLAS bound, else scipy's LAPACK extension."""
+def _bind() -> _Lapack:
+    """The routines in numpy's bundled OpenBLAS (ILP64), else in scipy's LAPACK
+    extension, whose f2py wrappers give each entry point as `_cpointer` (LP64)."""
     pattern = os.path.join(os.path.dirname(np.__file__) + ".libs", _LIBRARY)
     found = sorted(glob.glob(pattern))
     if found:
-        return _Lapack(found[0])
+        lib = ctypes.CDLL(found[0])
+        addresses = {name: ctypes.cast(getattr(lib, f"scipy_{name}_64_"), ctypes.c_void_p).value
+                     for name in _ROUTINES}
+        return _Lapack(found[0], addresses, ctypes.c_int64)
     try:
-        return _load_flapack()
+        flapack = _load_flapack()
     except ImportError as err:
         raise ImportError(f"no LAPACK: nothing at {pattern}, and {err}") from err
+    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    addresses = {name: pointer(getattr(flapack, name)._cpointer, None) for name in _ROUTINES}
+    return _Lapack(flapack.__file__, addresses, ctypes.c_int32)
 
 
 class _SerialBlas(contextlib.ContextDecorator):

@@ -18,9 +18,9 @@ the condition number is not squared). Only an asymmetric G makes the
 coefficient scheme reduce G^T G instead. Neither Q nor an inverse is
 formed. This linear algebra runs on one BLAS thread
 (`blas.serial_blas`), so its results do not depend on the BLAS thread count,
-and calls LAPACK (`blas.lapack`: numpy's own OpenBLAS where numpy bundles it,
-else scipy's extension; bound at the first call, which predict never makes) as
-scipy.linalg's cho_factor and cho_solve do: same bits.
+and calls LAPACK's routines by name (`blas.lapack`, bound at the first call,
+which predict never makes) on Fortran-ordered arrays of its own, with the
+arguments scipy.linalg's cho_factor and cho_solve pass: same bits.
 """
 
 from __future__ import annotations
@@ -148,12 +148,12 @@ def _solve(scheme: str, g_values: np.ndarray, y, lam: float, train_bags: Sequenc
     if scheme == "coefficient_l2":
         system, rhs, shift = g_values.T @ g_values, g_values.T @ y, lam * m * m
     else:
-        system, rhs, shift = np.array(g_values, dtype=np.float64), y, lam * m
+        system, rhs, shift = np.array(g_values, dtype=np.float64, order="C"), y, lam * m
     system.flat[:: m + 1] += shift
     # ||system||_1 as np.linalg.norm(system, 1) sums it, down each column in row
-    # order, but with no |system| copy; taken first, as the factor overwrites it.
-    # dlange propagates NaN and inf: a finite norm is a finite system.
-    norm1 = lapack().dlange("I", system.T)
+    # order, but with no |system| copy (dlange of system.T, whose rows they are);
+    # taken first, as the factor overwrites it. A finite norm is a finite system.
+    norm1 = lapack()("dlange", "I", m, m, system, max(1, m), np.empty(m))
     if not (np.isfinite(norm1) and np.all(np.isfinite(rhs))):
         raise NumericalError(f"{scheme} system is not finite at lambda {lam:g}")
     # Factors the F-ordered view system.T in place, whose upper triangle is the lower
@@ -161,16 +161,19 @@ def _solve(scheme: str, g_values: np.ndarray, y, lam: float, train_bags: Sequenc
     # hand-made, first gets its own upper triangle mirrored there.
     if scheme == "krr":
         mirror_upper(system)
-    c, info = lapack().dpotrf(system.T, clean=0, overwrite_a=1)
+    info = lapack()("dpotrf", "U", m, system, max(1, m))
     if info > 0:
         minor = f"{info}-th leading minor of the array is not positive definite"
         raise NumericalError(f"SPD factorization failed: {minor}")
-    return _cho_solve((c, False), rhs), (c, False), norm1, y, rhs
+    return _cho_solve((system.T, False), rhs), (system.T, False), norm1, y, rhs
 
 
 def _cho_solve(factor: tuple[np.ndarray, bool], b: np.ndarray) -> np.ndarray:
-    """A^-1 b from the (c, lower) Cholesky factor of A, as scipy's cho_solve."""
-    return lapack().dpotrs(factor[0], b, lower=factor[1])[0]
+    """A^-1 b from the (c, lower) Cholesky factor of A, as scipy's cho_solve; b is
+    a vector or a matrix of columns."""
+    c, x = np.asfortranarray(factor[0]), np.array(b, dtype=np.float64, order="F")
+    lapack()("dpotrs", "UL"[factor[1]], len(c), x.size // len(c), c, len(c), x, len(c))
+    return x
 
 
 @serial_blas
@@ -180,27 +183,30 @@ def solve_alpha(scheme: str, g_values: np.ndarray, y: np.ndarray, lam: float) ->
 
 
 def _apply_q(trans: str, q, c: np.ndarray) -> np.ndarray:
-    """Q c (trans "N") or Q^T c (trans "T") in place on the (m, k) `c`, as LAPACK's
-    dormtr for UPLO='L': H(1) ... H(m-1) act on rows 2..m, and row 1 is left as it is."""
-    if len(c) > 1:
-        dormqr = lapack().dormqr
-        lwork = int(dormqr("L", trans, *q, c[1:], -1)[1][0])
-        c[1:] = dormqr("L", trans, *q, c[1:], lwork)[0]
+    """Q c (trans "N") or Q^T c (trans "T") in place on the F-ordered (m, k) `c`, as LAPACK's
+    dormtr for UPLO='L' with `q` (reflectors, tau): H(1) ... H(m-1) act on rows 2..m."""
+    (m, k), (reflectors, tau) = c.shape, q
+    if m > 1:
+        call, work = lapack(), np.empty(1)
+        args = "L", trans, m - 1, k, m - 1, reflectors, m, tau, c[1:], m
+        call("dormqr", *args, work, -1)  # the workspace query
+        work = np.empty(int(work[0]))
+        call("dormqr", *args, work, len(work))
     return c
 
 
 def _reduce(sym: np.ndarray, rhs: np.ndarray):
-    """sym = Q T Q^T by LAPACK's blocked dsytrd, in place on the F-ordered view of the
-    exactly symmetric `sym` (UPLO='L': the upper triangle of `sym`). Returns T's
-    diagonal and subdiagonal, Q as its reflectors and tau, and Q^T rhs as a column.
-    The reflectors go to dormqr as dormtr passes them, A(2, 1) with leading
-    dimension m: a view one element into the reduced array, not a copy."""
-    flapack, m = lapack(), len(sym)
-    lwork = int(flapack.dsytrd_lwork(m, lower=1)[0])
-    a, d, e, tau, _ = flapack.dsytrd(sym.T, lower=1, lwork=lwork, overwrite_a=1)
-    q = a.reshape(-1, order="F")[1 : 1 + m * (m - 1)].reshape(m, m - 1, order="F"), tau
-    e = e if m > 1 else np.zeros(1)  # dptsv's and zgtsv's wrappers take at least one
-    return d, e, q, _apply_q("T", q, rhs[:, None].copy())
+    """sym = Q T Q^T by LAPACK's blocked dsytrd on sym.T, in place when that is
+    F-ordered, else on a copy (UPLO='L': the upper triangle of the exactly symmetric
+    `sym`). Returns T's diagonal and subdiagonal, Q as its reflectors and tau, and
+    Q^T rhs as a column. The reflectors go to dormqr as dormtr passes them, A(2, 1)
+    with leading dimension m: rows 2..m of the reduced array, not a copy."""
+    call, a, m = lapack(), np.asfortranarray(sym.T), len(sym)
+    d, e, tau, work = np.empty(m), np.empty(m - 1), np.empty(m - 1), np.empty(1)
+    call("dsytrd", "L", m, a, m, d, e, tau, work, -1)  # the workspace query
+    work = np.empty(int(work[0]))
+    call("dsytrd", "L", m, a, m, d, e, tau, work, len(work))
+    return d, e, (a[1:], tau), _apply_q("T", (a[1:], tau), rhs[:, None].copy())
 
 
 @serial_blas
@@ -225,7 +231,7 @@ def alpha_paths(
     lams = np.asarray(lams, dtype=np.float64)
     if np.any(lams <= 0):
         raise ConfigError(f"lambda must be positive, got {lams.min()}")
-    flapack = lapack()
+    call = lapack()
     y = np.asarray(y, dtype=np.float64)
     m = len(y)
     # What reads G intact comes first: G^T G, G^T y, then the upper triangle mirrored.
@@ -246,10 +252,13 @@ def alpha_paths(
             d, e, q, w = reduced_g
         alphas = np.empty((m, len(lams)), order="F")
         for j, lam in enumerate(lams):
+            # Each solve overwrites its tridiagonal and right-hand side: fresh copies.
             if coefficient and symmetric:
-                x, info = flapack.zgtsv(e, d - 1j * (np.sqrt(lam) * m), e, w.astype(complex))[3:]
+                x, diagonal = w.astype(complex), d - 1j * (np.sqrt(lam) * m)
+                info = call("zgtsv", m, 1, e.astype(complex), diagonal, e.astype(complex), x, m)
             else:
-                x, info = flapack.dptsv(d + lam * (m * m if coefficient else m), e, w)[2:]
+                x, diagonal = w.copy(), d + lam * (m * m if coefficient else m)
+                info = call("dptsv", m, 1, diagonal, e.copy(), x, m)
             if info > 0:
                 raise NumericalError(f"{scheme} system is not positive definite at lambda {lam:g}")
             alphas[:, j] = x[:, 0].real
@@ -260,9 +269,9 @@ def alpha_paths(
 def _inverse_norm1(factor: tuple[np.ndarray, bool]) -> float:
     """Hager-Higham estimate of ||A^-1||_1 for the SPD A factored by `factor`: the
     algorithm of LAPACK's dlacn2, on solves with that factor (A^-1 is symmetric,
-    so one solve also serves A^-T). At most 11 solves; a lower bound on the norm.
-    Every step is a cho_solve or a numpy pass, so the bits do not depend on where
-    work arrays land in memory, as LAPACK's dpocon's do.
+    so one solve also serves A^-T). At most 10 solves, the first of two columns; a
+    lower bound on the norm. Every step is a cho_solve or a numpy pass, so the bits
+    do not depend on where work arrays land in memory, as LAPACK's dpocon's do.
     """
 
     def solve(x: np.ndarray) -> np.ndarray:
@@ -272,9 +281,11 @@ def _inverse_norm1(factor: tuple[np.ndarray, bool]) -> float:
         return np.where(x >= 0, 1.0, -1.0)
 
     n = len(factor[0])
-    x = solve(np.full(n, 1.0 / n))
     if n == 1:
-        return float(abs(x[0]))
+        return float(abs(solve(np.ones(1))[0]))
+    # dlacn2's first and last test vectors, 1/n each and 1, -(1 + 1/(n-1)), ..., +-2.
+    alt = (1.0 + np.arange(n) / (n - 1)) * np.where(np.arange(n) % 2, -1.0, 1.0)
+    x, alt = solve(np.stack([np.full(n, 1.0 / n), alt], axis=1)).T
     est, sign = float(np.abs(x).sum()), signs(x)
     j = int(np.argmax(np.abs(solve(sign))))
     for _ in range(4):  # dlacn2's iterations 2 to ITMAX = 5
@@ -287,9 +298,7 @@ def _inverse_norm1(factor: tuple[np.ndarray, bool]) -> float:
         last, j = j, int(np.argmax(np.abs(z)))
         if z[last] == abs(z[j]):
             break
-    # dlacn2's last test vector, signs alternating: 1, -(1 + 1/(n-1)), ..., +-2.
-    alt = (1.0 + np.arange(n) / (n - 1)) * np.where(np.arange(n) % 2, -1.0, 1.0)
-    return max(est, 2.0 * (float(np.abs(solve(alt)).sum()) / (3 * n)))
+    return max(est, 2.0 * (float(np.abs(alt).sum()) / (3 * n)))
 
 
 @serial_blas

@@ -255,6 +255,27 @@ def test_rate_fit_needs_two_distinct_m_values():
 
 
 class TestSelectLambda:
+    def test_ties_go_to_the_smaller_lambda(self):
+        # A zero y makes every alpha zero, and every grid value ties at MSE 0.
+        values, _ = _selection_gram("random_spd")
+        schemes = ("coefficient_l2", "krr")
+        picks = select_lambda_holdout(values, np.zeros(30), [1e-2, 1e-6, 1.0], schemes, 0.3, 13)
+        for lam, table in picks.values():
+            assert lam == 1e-6 and [mse for _, mse in table] == [0.0] * 3
+
+    def test_the_fit_keeps_at_least_two_bags(self, monkeypatch):
+        # 4 bags at holdout_frac 0.9 would all be held out; 2 are kept for the fit.
+        blocks, real = [], analysis.alpha_paths
+
+        def spy(schemes, g_values, y, lams):
+            blocks.append(g_values.shape)
+            return real(schemes, g_values, y, lams)
+
+        monkeypatch.setattr(analysis, "alpha_paths", spy)
+        values, y = _selection_gram("random_spd")
+        select_lambda_holdout(values[:4, :4], y[:4], [1e-4, 1e-2], ("krr",), 0.9, seed=13)
+        assert blocks == [(2, 2)]
+
     def test_returns_grid_member_and_table(self):
         rng = np.random.default_rng(0)
         a = rng.normal(size=(20, 20))
@@ -354,15 +375,17 @@ class TestSelectLambda:
 
 @pytest.fixture
 def dsytrd_calls(monkeypatch):
-    """Count tridiagonal reductions (LAPACK dsytrd calls); one list entry per call."""
+    """Count tridiagonal reductions (LAPACK dsytrd calls, not workspace queries); one
+    list entry per call, its order."""
     calls = []
-    original = blas.lapack().dsytrd
+    original = blas._Lapack.__call__
 
-    def counted(*args, **kwargs):
-        calls.append(args[0].shape)
-        return original(*args, **kwargs)
+    def counted(self, name, *args):
+        if name == "dsytrd" and args[-1] != -1:
+            calls.append(args[1])
+        return original(self, name, *args)
 
-    monkeypatch.setattr(blas.lapack(), "dsytrd", counted)
+    monkeypatch.setattr(blas._Lapack, "__call__", counted)
     return calls
 
 

@@ -10,9 +10,10 @@ attribute (`dr.SweepConfig`, `OuterKernelSpec.gaussian`), and every `--flag`
 they pass to the CLI's `main`, must exist, since no test runs the scripts.
 README.md must name every CLI option and head a config-table row with every
 top-level config key. The one reduction, `embedding.pair_sums`, is called
-only by the Gram's block path, always with a tile scratch. And an experiment's
-trial checks are called only by its config classes. The checks read the
-source with `ast`.
+only by the Gram's block path, always with a tile scratch. An experiment's
+trial checks are called only by its config classes. And LAPACK is bound in
+`blas` alone and called one way, by routine name. The checks read the source
+with `ast`.
 """
 
 import argparse
@@ -23,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from distreg import cli
+from distreg import blas, cli
 from test_bench_spans import _wrap_table
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -188,3 +189,20 @@ def test_trial_checks_live_in_the_configs():
         "SaturationConfig.__post_init__",
         "LambdaRule.pick",
     }
+
+
+def test_lapack_is_bound_in_blas_and_called_by_name():
+    # Only `blas` touches ctypes or scipy's extension. Elsewhere a routine is called
+    # as lapack()("dpotrs", ...), never as an attribute (`.dpotrs(`, `.dsytrd_lwork(`).
+    offenders = []
+    for path in MODULES:
+        tree, own = ast.parse(path.read_text()), path.name == "blas.py"
+        if "ctypes" in _imported_names(tree) and not own:
+            offenders.append(f"{path.name} imports ctypes")
+        if "_flapack" in path.read_text() and not own:
+            offenders.append(f"{path.name} names _flapack")
+        for node in ast.walk(tree):
+            attr = getattr(getattr(node, "func", None), "attr", "")
+            if attr in blas._ROUTINES or attr.endswith("_lwork"):
+                offenders.append(f"{path.name} calls .{attr}(")
+    assert offenders == []

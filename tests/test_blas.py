@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
 import numpy as np
@@ -72,13 +73,14 @@ def test_scope_runs_one_thread_and_restores_the_count(two_blas_threads):
 @needs_setter
 def test_fit_restores_the_callers_blas_thread_count(two_blas_threads, monkeypatch):
     inside = []
-    dpotrs = blas.lapack().dpotrs
+    call = blas._Lapack.__call__
 
-    def spy(*args, **kwargs):
-        inside.append(read_counts())
-        return dpotrs(*args, **kwargs)
+    def spy(self, name, *args):
+        if name == "dpotrs":
+            inside.append(read_counts())
+        return call(self, name, *args)
 
-    monkeypatch.setattr(blas.lapack(), "dpotrs", spy)
+    monkeypatch.setattr(blas._Lapack, "__call__", spy)
     espec = EmbeddingKernelSpec("gaussian", 1.0, 2)
     kspec = OuterKernelSpec.gaussian(1.0)
     bags = make_bags(5, 12, 6, 2)
@@ -254,19 +256,21 @@ def test_scipy_linalg_imported_after_a_grid_fit_has_its_lapack_extension(tmp_pat
     run_fresh(LATE_SCIPY.format(cfg=str(tmp_path / "config.json"), model=str(tmp_path / "m.json")))
 
 
-# A coefficient solve, the lambda paths of an asymmetric and of a symmetric Gram
-# (dptsv and zgtsv) and a spectrum, printed by hash, with LAPACK bound in
-# `library` (scipy's extension when numpy's is not found), and the OpenBLAS
-# libraries mapped. Inside the scope every library runs one thread, and after
-# it the count it had.
+# A coefficient fit's alpha and condition estimate, a solve, the lambda paths of an
+# asymmetric and of a symmetric Gram (dptsv and zgtsv) and a spectrum, printed by
+# hash, with LAPACK bound in `library` (scipy's extension when numpy's is not
+# found), and the OpenBLAS libraries mapped. Inside the scope every library runs
+# one thread, and after it the count it had. Then, for a C-ordered, an F-ordered, a
+# transposed and a strided copy of the Grams, what LAPACK computes from them: one
+# line each, all equal, as each call site copies what LAPACK cannot read in place.
 BINDINGS = """
-import hashlib, os
+import ctypes, hashlib
 import numpy as np
-from distreg import blas, solver
+from distreg import Bag, EmbeddingKernelSpec, OuterKernelSpec, blas, solver
 from distreg.gram import GramMatrix, spectrum
 blas._LIBRARY = {library!r}
 with blas.serial_blas:
-    print(getattr(blas.lapack(), "__name__", "ctypes"))
+    print(blas.lapack().path, ctypes.sizeof(blas.lapack().integer))
     assert [set_threads(1) for set_threads in blas._find_setters()] == [1] * {mapped}
 assert [set_threads(2) for set_threads in blas._find_setters()] == [2] * {mapped}
 rng = np.random.default_rng(5)
@@ -274,11 +278,35 @@ a = rng.normal(size=(120, 120))
 sym = a @ a.T / 120 + np.eye(120)
 values = sym + 1e-3 * rng.normal(size=(120, 120))
 y, lams, schemes = rng.normal(size=120), np.logspace(-8, 0, 5), ("coefficient_l2", "krr")
-g = GramMatrix(values=values, ids=tuple(map(str, range(120))))
-outs = [solver.solve_alpha("coefficient_l2", values, y, 1e-3), spectrum(g),
-        *solver.alpha_paths(schemes, values.copy(), y, lams).values(),
-        *solver.alpha_paths(schemes, sym.copy(), y, lams).values()]
-print([hashlib.sha256(x.tobytes()).hexdigest() for x in outs])
+ids = tuple(map(str, range(120)))
+bags = [Bag(i, np.zeros((1, 2))) for i in ids]
+kspec, espec = OuterKernelSpec.gaussian(1.0), EmbeddingKernelSpec("gaussian", 1.0, 2)
+
+
+def hashes(*outs):
+    print([hashlib.sha256(np.asarray(x).tobytes()).hexdigest() for x in outs])
+
+
+def fit(fitter, values):
+    model, report = fitter(GramMatrix(values=values, ids=ids), y, 1e-3, bags, kspec, espec)
+    return model.alpha, report.condition_estimate
+
+
+def strided(v):
+    s = np.zeros((120, 240))[:, ::2]
+    s[...] = v
+    return s
+
+
+g = GramMatrix(values=values, ids=ids)
+hashes(*fit(solver.fit_coefficient, values), solver.solve_alpha("coefficient_l2", values, y, 1e-3),
+       spectrum(g), *solver.alpha_paths(schemes, values.copy(), y, lams).values(),
+       *solver.alpha_paths(schemes, sym.copy(), y, lams).values())
+for copy in (np.copy, np.asfortranarray, lambda v: np.ascontiguousarray(v.T).T, strided):
+    hashes(solver.solve_alpha("krr", copy(values), y, 1e-3), *fit(solver.fit_krr, copy(values)),
+           fit(solver.fit_coefficient, copy(values))[1],
+           *solver.alpha_paths(("krr",), copy(values), y, lams).values(),
+           *solver.alpha_paths(schemes, copy(sym), y, lams).values())
 """
 
 
@@ -290,8 +318,11 @@ def test_the_fallback_to_scipys_lapack_extension_gives_the_same_bits():
         for library, mapped in ((blas._LIBRARY, 1), ("libnothing-*.so", 2))
     )
     main, fallback = main.splitlines(), fallback.splitlines()
-    assert (main[0], fallback[0]) == ("ctypes", "scipy.linalg._flapack")
-    assert main[1] == fallback[1]
+    (numpys, ilp64), (scipys, lp64) = main[0].split(), fallback[0].split()
+    assert Path(numpys).match(blas._LIBRARY) and ilp64 == "8"
+    assert Path(scipys).match(f"linalg/_flapack{EXTENSION_SUFFIXES[0]}") and lp64 == "4"
+    assert main[1:] == fallback[1:] and len(main) == 6
+    assert len(set(main[2:])) == 1  # every layout gives the C-ordered bits
 
 
 # A tilted (asymmetric) d=2 problem: lambda selection reduces G^T G, and

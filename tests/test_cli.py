@@ -1233,6 +1233,20 @@ class TestCmdSpectrum:
         values = [float(r.split(",")[1]) for r in rows]
         assert all(a > b for a, b in zip(values, values[1:]))
 
+    def test_effective_dimension_grid_of_a_small_top_singular_value(self, tmp_path, capsys):
+        # tanh(scale E + offset) with a tiny scale and offset: every Gram entry is
+        # about 1e-6, so sigma_1 < 1e-3, and the grid still runs from 1e-6 sigma_1.
+        kernel = {"family": "tanh_indefinite", "scale": 1e-6, "offset": 1e-6}
+        cfg = write_config(tmp_path, **base_sections(outer_kernel=kernel))
+        out = tmp_path / "spec"
+        assert main(["spectrum", "--config", cfg, "--out", str(out), "--json"]) == 0
+        top = json.loads(capsys.readouterr().out)["top_singular_value"]
+        rows = (out / "effective_dimension.csv").read_text().splitlines()[1:]
+        lams = [float(r.split(",")[0]) for r in rows]
+        assert 0 < top < 1e-3
+        assert lams[0] == pytest.approx(1e-6 * top, rel=1e-12)
+        assert lams[-1] == pytest.approx(top, rel=1e-12)
+
     def test_single_bag_exits_3(self, tmp_path):
         bag_path = tmp_path / "one.ndjson"
         io.write_bags([Bag("only", [[0.0]])], bag_path)

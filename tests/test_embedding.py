@@ -200,11 +200,13 @@ class TestSegmentSums:
     @pytest.mark.parametrize("size", range(1, 13))
     def test_equal_segments(self, size):
         rng = np.random.default_rng(size)
-        for shape in [(37 * size,), (5, 11 * size), (3, 2, 7 * size)]:
+        shapes = [(37 * size,), (5, 11 * size), (3, 2, 7 * size), (1, 9 * size), (1000, 9 * size)]
+        for shape in shapes:
             x = spread_values(rng, shape)
             starts = np.arange(0, shape[-1], size)
-            want = np.add.reduceat(x, starts, axis=-1)
-            assert embedding.segment_sums(x, starts).tobytes() == want.tobytes()
+            for view in (x, np.asfortranarray(x), np.asfortranarray(x)[::-1]):
+                want = np.add.reduceat(view, starts, axis=-1)
+                assert embedding.segment_sums(view, starts).tobytes() == want.tobytes()
 
     def test_transposed_input(self):
         x = spread_values(np.random.default_rng(5), (40, 6)).T

@@ -2,6 +2,7 @@
 between the two schemes on indefinite kernels.
 """
 
+import ctypes
 from pathlib import Path
 
 import numpy as np
@@ -436,6 +437,28 @@ def test_condition_warning_on_near_singular():
         )
 
 
+def test_condition_warning_fires_between_1e12_and_1e13():
+    # The ridge system diag(1, 2e-13): its estimate is exact, 5e12, past the 1e12
+    # threshold and below ten times it.
+    from distreg.solver import IllConditionedWarning
+
+    g = gram_from_matrix(np.diag([1.0, 2e-13]))
+    with pytest.warns(IllConditionedWarning):
+        _, report = fit_krr(g, np.ones(2), 1e-30, _dummy_bags(2), PSD_KSPEC, ESPEC)
+    assert 1e12 < report.condition_estimate < 1e13
+
+
+@pytest.mark.parametrize("scheme", ["coefficient_l2", "krr"])
+def test_residual_norm_does_not_move_when_y_is_scaled(scheme):
+    # y times 2^10 (about 1e3) scales alpha, A alpha - b and b exactly, so the
+    # relative residual keeps its bits.
+    g = gram_from_matrix(random_psd_matrix(4, m=30) + np.eye(30))
+    y = np.random.default_rng(4).normal(size=30)
+    fit = fit_coefficient if scheme == "coefficient_l2" else fit_krr
+    small, large = (fit(g, s * y, 1e-6, _dummy_bags(30), PSD_KSPEC, ESPEC)[1] for s in (1, 1024))
+    assert small.residual_norm > 0 and large.residual_norm == small.residual_norm
+
+
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("scheme", ["coefficient_l2", "krr"])
 def test_condition_estimate_brackets_two_norm_condition(scheme, seed):
@@ -498,6 +521,21 @@ def test_inverse_norm_estimate_follows_lapack_dlacn2(n):
             estimate = _inverse_norm1(factor)
         assert norm1 * estimate == pytest.approx(1.0 / rcond, rel=1e-12)
         assert estimate <= np.linalg.norm(np.linalg.inv(system), 1) * (1 + 1e-9)
+
+
+def test_the_alternating_sign_step_can_raise_the_estimate():
+    # On this 3 x 3 system dlacn2's iteration stops near half of what its final
+    # test vector (1, -1.5, 2) gives; the estimate is that vector's, as dpocon's.
+    import scipy.linalg
+
+    system = np.array([[12.0, 7.0, 7.0], [7.0, 14.0, 11.0], [7.0, 11.0, 12.0]])
+    with serial_blas:
+        factor = scipy.linalg.cho_factor(system.copy())
+        last = np.abs(scipy.linalg.cho_solve(factor, np.array([1.0, -1.5, 2.0]))).sum()
+        rcond, _ = scipy.linalg.lapack.dpocon(factor[0], np.linalg.norm(system, 1), uplo="U")
+        estimate = _inverse_norm1(factor)
+    assert estimate == pytest.approx(2.0 * last / 9, rel=1e-14)
+    assert np.linalg.norm(system, 1) * estimate == pytest.approx(1.0 / rcond, rel=1e-12)
 
 
 def hand_made_asymmetric(seed, m=50):
@@ -581,10 +619,13 @@ class TestLapackRoutes:
         lib = blas.lapack()
         path = Path(lib.path)
         assert path.parent == Path(f"{Path(np.__file__).parent}.libs") and path.match(blas._LIBRARY)
-        assert sorted(fn.__name__ for fn in lib._fn.values()) == [
-            f"scipy_{name}_64_"
-            for name in ("dlange", "dormqr", "dpotrf", "dpotrs", "dptsv", "dsytrd", "zgtsv")
-        ]
+        assert lib.integer is ctypes.c_int64  # ILP64
+        names = ("dlange", "dormqr", "dpotrf", "dpotrs", "dptsv", "dsytrd", "zgtsv")
+        assert sorted(lib._fn) == list(names)
+        numpys = ctypes.CDLL(lib.path)
+        for name in names:
+            entry = ctypes.cast(getattr(numpys, f"scipy_{name}_64_"), ctypes.c_void_p).value
+            assert ctypes.cast(lib._fn[name], ctypes.c_void_p).value == entry
 
     @pytest.mark.parametrize("m", [1, 7, 300])
     @pytest.mark.parametrize("scheme", ["coefficient_l2", "krr"])

@@ -77,8 +77,17 @@ class _Lapack:
 
     def __call__(self, name: str, *args):
         """INFO of `name` on `args`, or dlange's norm: a str is a character, an int goes
-        by reference, an array by its address (the caller makes it Fortran-ordered)."""
+        by reference, an array by its address. So an array must be a Fortran one of the
+        routine's type (z: complex128, else float64), columns of unit stride at least
+        their length apart, or TypeError: LAPACK would read another past its end."""
         info, chars = self.integer(), [1] * _ROUTINES[name][1]
+        dtype = np.dtype(np.complex128 if name[0] == "z" else np.float64)
+        for a in args:
+            if isinstance(a, np.ndarray) and not (a.dtype == dtype and (a.flags.f_contiguous or (
+                    a.ndim == 2 and a.strides[0] == a.itemsize
+                    and a.strides[1] >= a.shape[0] * a.itemsize))):
+                raise TypeError(f"{name} takes Fortran {dtype} arrays, not {a.dtype} "
+                                f"of shape {a.shape} and strides {a.strides}")
         # `args` holds the arrays, temporaries too, until the call returns.
         c_args = [a.encode() if type(a) is str else ctypes.byref(self.integer(a))
                   if type(a) is int else a.ctypes.data for a in args]

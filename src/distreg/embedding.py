@@ -232,8 +232,8 @@ def segment_sums(x: np.ndarray, starts: np.ndarray) -> np.ndarray:
     v = x.reshape(*x.shape[:-1], count, size)
     if size == 1:
         return v[..., 0].copy()
-    rest = v[..., 1].copy() if size == 2 else np.add(v[..., 1], v[..., 2])
-    for k in range(3, size):
+    rest = v[..., 1].copy()
+    for k in range(2, size):
         rest += v[..., k]
     return np.add(v[..., 0], rest, out=rest)
 

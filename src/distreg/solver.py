@@ -19,8 +19,9 @@ coefficient scheme reduce G^T G instead. Neither Q nor an inverse is
 formed. This linear algebra runs on one BLAS thread
 (`blas.serial_blas`), so its results do not depend on the BLAS thread count,
 and calls LAPACK's routines by name (`blas.lapack`, bound at the first call,
-which predict never makes) on Fortran-ordered arrays of its own, with the
-arguments scipy.linalg's cho_factor and cho_solve pass: same bits.
+which predict never makes) on float64 Fortran arrays of its own (a Gram of
+another dtype is converted first), with the arguments scipy.linalg's
+cho_factor and cho_solve pass: same bits.
 """
 
 from __future__ import annotations
@@ -138,7 +139,7 @@ def _solve(scheme: str, g_values: np.ndarray, y, lam: float, train_bags: Sequenc
         raise ConfigError(f"lambda must be positive, got {lam}")
     check_scheme(scheme)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
-    m = len(g_values)
+    g_values, m = np.asarray(g_values, dtype=np.float64), len(g_values)
     if y.shape[0] != m:
         raise InputError(f"y has length {y.shape[0]}, Gram matrix is {m} x {m}")
     if not np.all(np.isfinite(y)):
@@ -148,12 +149,12 @@ def _solve(scheme: str, g_values: np.ndarray, y, lam: float, train_bags: Sequenc
     if scheme == "coefficient_l2":
         system, rhs, shift = g_values.T @ g_values, g_values.T @ y, lam * m * m
     else:
-        system, rhs, shift = np.array(g_values, dtype=np.float64, order="C"), y, lam * m
+        system, rhs, shift = np.array(g_values, order="C"), y, lam * m
     system.flat[:: m + 1] += shift
     # ||system||_1 as np.linalg.norm(system, 1) sums it, down each column in row
     # order, but with no |system| copy (dlange of system.T, whose rows they are);
     # taken first, as the factor overwrites it. A finite norm is a finite system.
-    norm1 = lapack()("dlange", "I", m, m, system, max(1, m), np.empty(m))
+    norm1 = lapack()("dlange", "I", m, m, system.T, max(1, m), np.empty(m))
     if not (np.isfinite(norm1) and np.all(np.isfinite(rhs))):
         raise NumericalError(f"{scheme} system is not finite at lambda {lam:g}")
     # Factors the F-ordered view system.T in place, whose upper triangle is the lower
@@ -161,7 +162,7 @@ def _solve(scheme: str, g_values: np.ndarray, y, lam: float, train_bags: Sequenc
     # hand-made, first gets its own upper triangle mirrored there.
     if scheme == "krr":
         mirror_upper(system)
-    info = lapack()("dpotrf", "U", m, system, max(1, m))
+    info = lapack()("dpotrf", "U", m, system.T, max(1, m))
     if info > 0:
         minor = f"{info}-th leading minor of the array is not positive definite"
         raise NumericalError(f"SPD factorization failed: {minor}")
@@ -171,7 +172,7 @@ def _solve(scheme: str, g_values: np.ndarray, y, lam: float, train_bags: Sequenc
 def _cho_solve(factor: tuple[np.ndarray, bool], b: np.ndarray) -> np.ndarray:
     """A^-1 b from the (c, lower) Cholesky factor of A, as scipy's cho_solve; b is
     a vector or a matrix of columns."""
-    c, x = np.asfortranarray(factor[0]), np.array(b, dtype=np.float64, order="F")
+    c, x = np.asfortranarray(factor[0], dtype=np.float64), np.array(b, dtype=np.float64, order="F")
     lapack()("dpotrs", "UL"[factor[1]], len(c), x.size // len(c), c, len(c), x, len(c))
     return x
 
@@ -201,7 +202,7 @@ def _reduce(sym: np.ndarray, rhs: np.ndarray):
     `sym`). Returns T's diagonal and subdiagonal, Q as its reflectors and tau, and
     Q^T rhs as a column. The reflectors go to dormqr as dormtr passes them, A(2, 1)
     with leading dimension m: rows 2..m of the reduced array, not a copy."""
-    call, a, m = lapack(), np.asfortranarray(sym.T), len(sym)
+    call, a, m = lapack(), np.asfortranarray(sym.T, dtype=np.float64), len(sym)
     d, e, tau, work = np.empty(m), np.empty(m - 1), np.empty(m - 1), np.empty(1)
     call("dsytrd", "L", m, a, m, d, e, tau, work, -1)  # the workspace query
     work = np.empty(int(work[0]))
@@ -231,9 +232,8 @@ def alpha_paths(
     lams = np.asarray(lams, dtype=np.float64)
     if np.any(lams <= 0):
         raise ConfigError(f"lambda must be positive, got {lams.min()}")
-    call = lapack()
-    y = np.asarray(y, dtype=np.float64)
-    m = len(y)
+    call, m = lapack(), len(y)
+    g_values, y = np.asarray(g_values, dtype=np.float64), np.asarray(y, dtype=np.float64)
     # What reads G intact comes first: G^T G, G^T y, then the upper triangle mirrored.
     symmetric = np.array_equal(g_values, g_values.T)
     if not symmetric:
@@ -274,27 +274,24 @@ def _inverse_norm1(factor: tuple[np.ndarray, bool]) -> float:
     do not depend on where work arrays land in memory, as LAPACK's dpocon's do.
     """
 
-    def solve(x: np.ndarray) -> np.ndarray:
-        return _cho_solve(factor, x)
-
     def signs(x: np.ndarray) -> np.ndarray:
         return np.where(x >= 0, 1.0, -1.0)
 
     n = len(factor[0])
     if n == 1:
-        return float(abs(solve(np.ones(1))[0]))
+        return float(abs(_cho_solve(factor, np.ones(1))[0]))
     # dlacn2's first and last test vectors, 1/n each and 1, -(1 + 1/(n-1)), ..., +-2.
     alt = (1.0 + np.arange(n) / (n - 1)) * np.where(np.arange(n) % 2, -1.0, 1.0)
-    x, alt = solve(np.stack([np.full(n, 1.0 / n), alt], axis=1)).T
+    x, alt = _cho_solve(factor, np.stack([np.full(n, 1.0 / n), alt], axis=1)).T
     est, sign = float(np.abs(x).sum()), signs(x)
-    j = int(np.argmax(np.abs(solve(sign))))
+    j = int(np.argmax(np.abs(_cho_solve(factor, sign))))
     for _ in range(4):  # dlacn2's iterations 2 to ITMAX = 5
-        x = solve(np.eye(1, n, j)[0])
+        x = _cho_solve(factor, np.eye(1, n, j)[0])
         old, est = est, float(np.abs(x).sum())
         if np.array_equal(signs(x), sign) or est <= old:  # converged, or cycling
             break
         sign = signs(x)
-        z = solve(sign)
+        z = _cho_solve(factor, sign)
         last, j = j, int(np.argmax(np.abs(z)))
         if z[last] == abs(z[j]):
             break
@@ -312,8 +309,8 @@ def _fit(
     embedding_kernel: EmbeddingKernelSpec,
 ) -> tuple[CoefficientModel, FitReport]:
     check_scheme(scheme, outer_kernel)
-    t0 = time.perf_counter()
-    alpha, factor, norm1, y, rhs = _solve(scheme, g.values, y, lam, train_bags)
+    t0, values = time.perf_counter(), np.asarray(g.values, dtype=np.float64)
+    alpha, factor, norm1, y, rhs = _solve(scheme, values, y, lam, train_bags)
     model = CoefficientModel(
         alpha=alpha,
         lam=lam,
@@ -324,9 +321,9 @@ def _fit(
         train_self_inners=g.self_inners,
     )
     # The system is the factor by now, so the report is evaluated from G alpha.
-    m, g_alpha = len(y), g.values @ alpha
+    m, g_alpha = len(y), values @ alpha
     if scheme == "coefficient_l2":
-        applied, penalty = g.values.T @ g_alpha + lam * m * m * alpha, lam * m * (alpha @ alpha)
+        applied, penalty = values.T @ g_alpha + lam * m * m * alpha, lam * m * (alpha @ alpha)
     else:
         applied, penalty = g_alpha + lam * m * alpha, lam * (alpha @ g_alpha)
     misfit = g_alpha - y

@@ -14,6 +14,7 @@ from distreg import (
     ConfigError,
     ContractError,
     EmbeddingKernelSpec,
+    GramMatrix,
     InputError,
     NumericalError,
     OuterKernelSpec,
@@ -23,6 +24,7 @@ from distreg import (
     fit_coefficient,
     fit_krr,
     predict,
+    select_lambda_holdout,
     spectrum,
 )
 from distreg.blas import serial_blas
@@ -680,6 +682,61 @@ class TestLapackRoutes:
         assert solve_alpha("krr", odd, y, 1e-3).tobytes() == want.tobytes()
         want = alpha_paths(["krr"], values.copy(), y, lams)["krr"]
         assert alpha_paths(["krr"], odd, y, lams)["krr"].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64])
+    def test_a_gram_of_another_dtype_gives_the_bits_of_its_float64_copy(self, dtype):
+        # LAPACK takes only float64 arrays: a Gram of any other dtype is converted where
+        # it enters, before G^T G, so every public route gives the float64 Gram's bits.
+        rng = np.random.default_rng(6)
+        if dtype is np.int64:  # symmetric and diagonally dominant: SPD
+            a = rng.integers(-3, 4, size=(30, 30))
+            values = a + a.T + 200 * np.eye(30, dtype=np.int64)
+        else:
+            values = (random_psd_matrix(6, m=30) + np.eye(30)).astype(dtype)
+        exact, y = values.astype(np.float64), rng.normal(size=30)
+        schemes, lams, bags = ("coefficient_l2", "krr"), np.logspace(-6, 0, 4), _dummy_bags(30)
+        for scheme in schemes:
+            want = solve_alpha(scheme, exact, y, 1e-3)
+            assert solve_alpha(scheme, values, y, 1e-3).tobytes() == want.tobytes()
+        want = alpha_paths(schemes, exact.copy(), y, lams)
+        got = alpha_paths(schemes, values.copy(), y, lams)
+        assert all(got[s].tobytes() == want[s].tobytes() for s in schemes)
+        assert select_lambda_holdout(values, y, lams, schemes, 0.25, 7) == select_lambda_holdout(
+            exact, y, lams, schemes, 0.25, 7
+        )
+        ids = tuple(f"b{i}" for i in range(30))
+        for fit in (fit_coefficient, fit_krr):
+            (model, report), (want_model, want_report) = (
+                fit(GramMatrix(v, ids), y, 1e-3, bags, PSD_KSPEC, ESPEC) for v in (values, exact)
+            )
+            assert model.alpha.tobytes() == want_model.alpha.tobytes()
+            assert report.objective_value == want_report.objective_value
+            assert report.residual_norm == want_report.residual_norm
+            assert report.condition_estimate == want_report.condition_estimate
+
+    @pytest.mark.parametrize(
+        "bad",
+        [np.ones((3, 3), dtype=np.float32), np.ones((3, 3)), np.ones((3, 6))[:, ::2].T,
+         np.asfortranarray(np.ones((3, 3)))[:, ::-1], np.ones((3, 3), dtype=complex).T],
+        ids=["float32", "c_ordered", "strided_rows", "reversed_columns", "complex"],
+    )
+    def test_lapack_refuses_an_array_it_would_misread(self, bad):
+        with pytest.raises(TypeError, match="dpotrf takes Fortran float64 arrays"):
+            blas.lapack()("dpotrf", "U", 3, bad, 3)
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 64, 300, 1000])
+    def test_a_two_column_solve_gives_the_bits_of_two_one_column_solves(self, m):
+        # The condition estimate solves dlacn2's first and last test vectors together;
+        # its bits are those of two solves only where the LAPACK in use makes them so.
+        rng = np.random.default_rng(m)
+        a = rng.normal(size=(m, m))
+        system = a @ a.T / m + np.eye(m)
+        with serial_blas:
+            factor = _solve("krr", system, rng.normal(size=m), 1e-3)[1]
+            b = rng.normal(size=(m, 2))
+            both = _cho_solve(factor, b)
+            for k in range(2):
+                assert both[:, k].tobytes() == _cho_solve(factor, b[:, k]).tobytes()
 
     @pytest.mark.parametrize("m", [7, 300])  # 1 x 1: test_alpha_paths_of_the_smallest_blocks
     @pytest.mark.parametrize("asymmetric", [False, True])

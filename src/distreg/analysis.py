@@ -23,7 +23,7 @@ from .embedding import EmbeddingKernelSpec
 from .errors import ConfigError, InputError, config_float, config_keys
 from .gram import build_gram, check_dims_before_work, check_threads
 from .outer import OuterKernelSpec
-from .solver import alpha_paths, check_scheme, excess_error, fit_coefficient, fit_krr
+from .solver import _operands, alpha_paths, check_scheme, excess_error, fit_coefficient, fit_krr
 from .solver import solve_alpha  # noqa: F401  (bench/spans.py wraps analysis.solve_alpha)
 from .synth import MetaDistributionSpec, generate
 
@@ -194,8 +194,7 @@ def select_lambda_holdout(
     agree with per-lambda solves to rounding, not bit for bit. `g_values`
     must be finite, as a GramMatrix's values are.
     """
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    m = y.shape[0]
+    g_values, y, m = _operands(g_values, y)
     grid = sorted(float(g) for g in grid)
     if len(grid) == 0:
         raise ConfigError("lambda grid is empty")

@@ -76,10 +76,10 @@ class _Lapack:
             self._fn[name] = ctypes.CFUNCTYPE(restype, *args)(addresses[name])
 
     def __call__(self, name: str, *args):
-        """INFO of `name` on `args`, or dlange's norm: a str is a character, an int goes
-        by reference, an array by its address. So an array must be a Fortran one of the
-        routine's type (z: complex128, else float64), columns of unit stride at least
-        their length apart, or TypeError: LAPACK would read another past its end."""
+        """INFO of `name` on `args`, or dlange's norm: a str is a character, an int goes by
+        reference, an array by its address. TypeError unless each array has the routine's type
+        (z: complex128, else float64) and columns of unit stride at least their length apart.
+        Sizes are not checked against the dimensions passed: `solver._operands` checks G's."""
         info, chars = self.integer(), [1] * _ROUTINES[name][1]
         dtype = np.dtype(np.complex128 if name[0] == "z" else np.float64)
         for a in args:

@@ -20,8 +20,8 @@ formed. This linear algebra runs on one BLAS thread
 (`blas.serial_blas`), so its results do not depend on the BLAS thread count,
 and calls LAPACK's routines by name (`blas.lapack`, bound at the first call,
 which predict never makes) on float64 Fortran arrays of its own (a Gram of
-another dtype is converted first), with the arguments scipy.linalg's
-cho_factor and cho_solve pass: same bits.
+any layout or dtype is first copied C-ordered float64), with the arguments
+scipy.linalg's cho_factor and cho_solve pass: same bits.
 """
 
 from __future__ import annotations
@@ -127,34 +127,43 @@ class CoefficientModel:
             )
 
 
-def _solve(scheme: str, g_values: np.ndarray, y, lam: float, train_bags: Sequence | None = None):
-    """Assemble, factor and solve the scheme's normal equations A alpha = b.
-
-    Checks lam, the scheme, y and, when given, that `train_bags` has one bag
-    per row of G, in that order; a non-finite A or b (an overflow, or a
-    non-finite G) raises NumericalError. Returns alpha, the Cholesky factor of
-    A as cho_factor gives it, ||A||_1, y as a float vector and b.
-    """
-    if lam <= 0:
-        raise ConfigError(f"lambda must be positive, got {lam}")
-    check_scheme(scheme)
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    g_values, m = np.asarray(g_values, dtype=np.float64), len(g_values)
+def _operands(g_values, y) -> tuple[np.ndarray, np.ndarray, int]:
+    """G as a C-ordered float64 array, y as a float64 vector and G's order m: one form for
+    every solve. InputError unless G is nonempty and square and y holds m finite values."""
+    g_values = np.ascontiguousarray(g_values, dtype=np.float64)
+    y, m = np.asarray(y, dtype=np.float64).reshape(-1), len(g_values)
+    if not (g_values.ndim == 2 and 0 < m == g_values.shape[1]):
+        raise InputError(f"Gram matrix must be nonempty and square, got shape {g_values.shape}")
     if y.shape[0] != m:
         raise InputError(f"y has length {y.shape[0]}, Gram matrix is {m} x {m}")
     if not np.all(np.isfinite(y)):
         raise InputError("y contains non-finite values")
+    return g_values, y, m
+
+
+def _solve(scheme: str, g_values: np.ndarray, y, lam: float, train_bags: Sequence | None = None):
+    """Assemble, factor and solve the scheme's normal equations A alpha = b.
+
+    Checks lam, the scheme, G and y (`_operands`) and, when given, that `train_bags`
+    has one bag per row of G, in that order; a non-finite A or b (an overflow, or a
+    non-finite G) raises NumericalError. Returns alpha, the Cholesky factor of A as
+    cho_factor gives it, ||A||_1, G and y as `_operands` gives them, and b.
+    """
+    if lam <= 0:
+        raise ConfigError(f"lambda must be positive, got {lam}")
+    check_scheme(scheme)
+    g_values, y, m = _operands(g_values, y)
     if train_bags is not None and len(train_bags) != m:
         raise InputError("train_bags must match the Gram matrix dimension")
     if scheme == "coefficient_l2":
         system, rhs, shift = g_values.T @ g_values, g_values.T @ y, lam * m * m
     else:
-        system, rhs, shift = np.array(g_values, order="C"), y, lam * m
+        system, rhs, shift = g_values.copy(), y, lam * m
     system.flat[:: m + 1] += shift
     # ||system||_1 as np.linalg.norm(system, 1) sums it, down each column in row
     # order, but with no |system| copy (dlange of system.T, whose rows they are);
     # taken first, as the factor overwrites it. A finite norm is a finite system.
-    norm1 = lapack()("dlange", "I", m, m, system.T, max(1, m), np.empty(m))
+    norm1 = lapack()("dlange", "I", m, m, system.T, m, np.empty(m))
     if not (np.isfinite(norm1) and np.all(np.isfinite(rhs))):
         raise NumericalError(f"{scheme} system is not finite at lambda {lam:g}")
     # Factors the F-ordered view system.T in place, whose upper triangle is the lower
@@ -162,17 +171,17 @@ def _solve(scheme: str, g_values: np.ndarray, y, lam: float, train_bags: Sequenc
     # hand-made, first gets its own upper triangle mirrored there.
     if scheme == "krr":
         mirror_upper(system)
-    info = lapack()("dpotrf", "U", m, system.T, max(1, m))
+    info = lapack()("dpotrf", "U", m, system.T, m)
     if info > 0:
         minor = f"{info}-th leading minor of the array is not positive definite"
         raise NumericalError(f"SPD factorization failed: {minor}")
-    return _cho_solve((system.T, False), rhs), (system.T, False), norm1, y, rhs
+    return _cho_solve((system.T, False), rhs), (system.T, False), norm1, g_values, y, rhs
 
 
 def _cho_solve(factor: tuple[np.ndarray, bool], b: np.ndarray) -> np.ndarray:
     """A^-1 b from the (c, lower) Cholesky factor of A, as scipy's cho_solve; b is
     a vector or a matrix of columns."""
-    c, x = np.asfortranarray(factor[0], dtype=np.float64), np.array(b, dtype=np.float64, order="F")
+    c, x = factor[0], np.array(b, order="F")
     lapack()("dpotrs", "UL"[factor[1]], len(c), x.size // len(c), c, len(c), x, len(c))
     return x
 
@@ -197,12 +206,12 @@ def _apply_q(trans: str, q, c: np.ndarray) -> np.ndarray:
 
 
 def _reduce(sym: np.ndarray, rhs: np.ndarray):
-    """sym = Q T Q^T by LAPACK's blocked dsytrd on sym.T, in place when that is
-    F-ordered, else on a copy (UPLO='L': the upper triangle of the exactly symmetric
-    `sym`). Returns T's diagonal and subdiagonal, Q as its reflectors and tau, and
-    Q^T rhs as a column. The reflectors go to dormqr as dormtr passes them, A(2, 1)
-    with leading dimension m: rows 2..m of the reduced array, not a copy."""
-    call, a, m = lapack(), np.asfortranarray(sym.T, dtype=np.float64), len(sym)
+    """sym = Q T Q^T by LAPACK's blocked dsytrd in place on sym.T, the F-ordered view of a
+    C-ordered float64 `sym` (UPLO='L': its upper triangle, as `sym` is exactly symmetric).
+    Returns T's diagonal and subdiagonal, Q as its reflectors and tau, and Q^T rhs as a
+    column. The reflectors go to dormqr as dormtr passes them, A(2, 1) with leading
+    dimension m: rows 2..m of the reduced array, not a copy."""
+    call, a, m = lapack(), sym.T, len(sym)
     d, e, tau, work = np.empty(m), np.empty(m - 1), np.empty(m - 1), np.empty(1)
     call("dsytrd", "L", m, a, m, d, e, tau, work, -1)  # the workspace query
     work = np.empty(int(work[0]))
@@ -232,8 +241,8 @@ def alpha_paths(
     lams = np.asarray(lams, dtype=np.float64)
     if np.any(lams <= 0):
         raise ConfigError(f"lambda must be positive, got {lams.min()}")
-    call, m = lapack(), len(y)
-    g_values, y = np.asarray(g_values, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    g_values, y, m = _operands(g_values, y)
+    call = lapack()
     # What reads G intact comes first: G^T G, G^T y, then the upper triangle mirrored.
     symmetric = np.array_equal(g_values, g_values.T)
     if not symmetric:
@@ -309,8 +318,8 @@ def _fit(
     embedding_kernel: EmbeddingKernelSpec,
 ) -> tuple[CoefficientModel, FitReport]:
     check_scheme(scheme, outer_kernel)
-    t0, values = time.perf_counter(), np.asarray(g.values, dtype=np.float64)
-    alpha, factor, norm1, y, rhs = _solve(scheme, values, y, lam, train_bags)
+    t0 = time.perf_counter()
+    alpha, factor, norm1, values, y, rhs = _solve(scheme, g.values, y, lam, train_bags)
     model = CoefficientModel(
         alpha=alpha,
         lam=lam,

@@ -11,9 +11,9 @@ they pass to the CLI's `main`, must exist, since no test runs the scripts.
 README.md must name every CLI option and head a config-table row with every
 top-level config key. The one reduction, `embedding.pair_sums`, is called
 only by the Gram's block path, always with a tile scratch. An experiment's
-trial checks are called only by its config classes. And LAPACK is bound in
-`blas` alone and called one way, by routine name. The checks read the source
-with `ast`.
+trial checks are called only by its config classes. LAPACK is bound in `blas`
+alone and called one way, by routine name, and a raw Gram is converted for it
+in `solver._operands` alone. The checks read the source with `ast`.
 """
 
 import argparse
@@ -206,3 +206,26 @@ def test_lapack_is_bound_in_blas_and_called_by_name():
             if attr in blas._ROUTINES or attr.endswith("_lwork"):
                 offenders.append(f"{path.name} calls .{attr}(")
     assert offenders == []
+
+
+def test_a_gram_is_converted_in_one_place():
+    # `_operands` gives G the one form LAPACK is passed. The routes that take a raw Gram
+    # call it, and `_fit`, `_reduce` and `_cho_solve`, which take what it gave, call no
+    # numpy conversion, so none can drift back.
+    converters = {"asarray", "ascontiguousarray", "asfortranarray"}
+    functions = {
+        node.name: node
+        for name in ("solver.py", "analysis.py")
+        for node in ast.walk(ast.parse((ROOT / "src" / "distreg" / name).read_text()))
+        if isinstance(node, ast.FunctionDef)
+    }
+
+    def called(name: str) -> set[str]:
+        funcs = [getattr(n, "func", None) for n in ast.walk(functions[name])]
+        return {getattr(f, "id", None) or getattr(f, "attr", None) for f in funcs} - {None}
+
+    assert [n for n in ("_solve", "alpha_paths", "select_lambda_holdout")
+            if "_operands" not in called(n)] == []
+    assert {n: called(n) & converters for n in ("_fit", "_reduce", "_cho_solve")} == {
+        "_fit": set(), "_reduce": set(), "_cho_solve": set()
+    }

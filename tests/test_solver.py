@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distreg import (
     Bag,
@@ -38,7 +40,7 @@ from conftest import (
     make_bags,
     make_indefinite_fixture,
 )
-from test_blas import needs_numpys_openblas
+from test_blas import needs_numpys_openblas, run_fresh
 from test_gram import naive_outer
 
 ESPEC = EmbeddingKernelSpec("gaussian", 1.0, 2)
@@ -611,6 +613,20 @@ def test_a_system_that_is_not_positive_definite_keeps_its_message():
         solve_alpha("krr", np.diag([1.0, -1.0, 1.0]), np.ones(3), 1e-3)
 
 
+def in_layout(values: np.ndarray, layout: str, dtype=np.float64) -> np.ndarray:
+    """A copy of `values` as `dtype` in memory laid out as `layout`."""
+    values = np.asarray(values).astype(dtype)
+    if layout == "c":
+        return values.copy()
+    if layout == "fortran":
+        return np.asfortranarray(values)
+    if layout == "transposed_copy":
+        return values.T.copy().T
+    strided = np.zeros((values.shape[0], 2 * values.shape[1]), dtype=dtype)[:, ::2]
+    strided[...] = values
+    return strided
+
+
 class TestLapackRoutes:
     """The solves, norms, reductions and singular values call LAPACK directly,
     with the arguments that scipy.linalg's cho_factor, cho_solve and svdvals
@@ -641,7 +657,7 @@ class TestLapackRoutes:
         with serial_blas:
             system, rhs = assemble_system(scheme, values, y, 1e-3)
             want = scipy.linalg.cho_factor(system.copy())
-            alpha, factor, norm1, _, _ = _solve(scheme, values, y, 1e-3)
+            alpha, factor, norm1 = _solve(scheme, values, y, 1e-3)[:3]
             assert np.triu(factor[0]).tobytes() == np.triu(want[0]).tobytes()
             assert factor[1] == want[1]
             assert alpha.tobytes() == scipy.linalg.cho_solve(want, rhs).tobytes()
@@ -666,22 +682,32 @@ class TestLapackRoutes:
         with pytest.raises(NumericalError, match=r"failed: SVD did not converge$"):
             spectrum(gram_from_matrix(np.eye(3)))
 
-    @pytest.mark.parametrize("layout", ["fortran", "strided"])
+    @pytest.mark.parametrize("layout", ["fortran", "transposed_copy", "strided"])
     def test_a_gram_in_another_layout_gives_the_bits_of_a_c_ordered_one(self, layout):
-        # LAPACK works in place only on Fortran-ordered arrays; others are copied first.
-        # (The coefficient scheme's G^T G is a BLAS product, whose sums follow the layout.)
+        # Every solve takes G C-ordered, so G^T G and G alpha, BLAS products whose sums
+        # follow the layout, and LAPACK's in-place work give the C-ordered Gram's bits.
         rng = np.random.default_rng(3)
-        values = random_psd_matrix(40, m=40) + np.eye(40) + 1e-3 * rng.normal(size=(40, 40))
-        if layout == "fortran":
-            odd = np.asfortranarray(values)
-        else:
-            odd = np.zeros((40, 80))[:, ::2]
-            odd[...] = values
-        y, lams = rng.normal(size=40), np.logspace(-8, 0, 5)
-        want = solve_alpha("krr", values, y, 1e-3)
-        assert solve_alpha("krr", odd, y, 1e-3).tobytes() == want.tobytes()
-        want = alpha_paths(["krr"], values.copy(), y, lams)["krr"]
-        assert alpha_paths(["krr"], odd, y, lams)["krr"].tobytes() == want.tobytes()
+        symmetric = random_psd_matrix(40, m=40) + np.eye(40)
+        y, lams, schemes = rng.normal(size=40), np.logspace(-8, 0, 5), ("coefficient_l2", "krr")
+        ids, bags = tuple(f"b{i}" for i in range(40)), _dummy_bags(40)
+        for values in (symmetric, symmetric + 1e-3 * rng.normal(size=(40, 40))):
+            for scheme in schemes:
+                want = solve_alpha(scheme, values, y, 1e-3)
+                assert solve_alpha(scheme, in_layout(values, layout), y, 1e-3).tobytes() == (
+                    want.tobytes()
+                )
+            want = alpha_paths(schemes, values.copy(), y, lams)
+            got = alpha_paths(schemes, in_layout(values, layout), y, lams)
+            assert all(got[s].tobytes() == want[s].tobytes() for s in schemes)
+            for fit in (fit_coefficient, fit_krr):
+                (model, report), (want_model, want_report) = (
+                    fit(GramMatrix(v, ids), y, 1e-3, bags, PSD_KSPEC, ESPEC)
+                    for v in (in_layout(values, layout), values)
+                )
+                assert model.alpha.tobytes() == want_model.alpha.tobytes()
+                assert report.objective_value == want_report.objective_value
+                assert report.residual_norm == want_report.residual_norm
+                assert report.condition_estimate == want_report.condition_estimate
 
     @pytest.mark.parametrize("dtype", [np.float32, np.int64])
     def test_a_gram_of_another_dtype_gives_the_bits_of_its_float64_copy(self, dtype):
@@ -750,6 +776,98 @@ class TestLapackRoutes:
         got = alpha_paths(schemes, values.copy(), y, lams)
         for scheme in schemes:
             assert got[scheme].tobytes() == want[scheme].tobytes()
+
+
+# A tall G whose columns form a 5 x 5 system but whose length says 6 x 6: LAPACK
+# would read the system as 6 x 6, past its end.
+SIX_BY_FIVE = """
+import numpy as np
+from distreg import InputError
+from distreg.solver import solve_alpha
+try:
+    solve_alpha("coefficient_l2", np.random.default_rng(5).normal(size=(6, 5)), np.ones(6), 1e-3)
+except InputError as err:
+    print(err)
+else:
+    raise SystemExit("a 6 x 5 Gram was solved")
+"""
+
+MALFORMED = {
+    "non_square": (np.ones((3, 4)), np.ones(3), "Gram matrix must be nonempty and square"),
+    "empty": (np.zeros((0, 0)), np.zeros(0), "Gram matrix must be nonempty and square"),
+    "y_length": (np.eye(3), np.ones(2), "y has length 2, Gram matrix is 3 x 3"),
+    "non_finite_y": (np.eye(3), np.array([1.0, np.nan, 2.0]), "y contains non-finite values"),
+}
+
+
+def solver_outcomes(g, y) -> dict:
+    """What each public matrix-level solve gives on (g, y): its result as bytes or repr,
+    or the type and message of the InputError or NumericalError it raises. Any other
+    exception escapes. alpha_paths runs last, since it may reduce `g` in place."""
+    lams, schemes = [1e-3, 1e-1], ("coefficient_l2", "krr")
+    runs = {
+        "coefficient_l2": lambda: solve_alpha("coefficient_l2", g, y, 1e-3).tobytes(),
+        "krr": lambda: solve_alpha("krr", g, y, 1e-3).tobytes(),
+        "select_lambda_holdout": lambda: repr(select_lambda_holdout(g, y, lams, schemes, 0.25, 7)),
+        "alpha_paths": lambda: [a.tobytes() for a in alpha_paths(schemes, g, y, lams).values()],
+    }
+    outcomes = {}
+    for name, run in runs.items():
+        try:
+            outcomes[name] = run()
+        except (InputError, NumericalError) as err:
+            outcomes[name] = (type(err).__name__, str(err))
+    return outcomes
+
+
+class TestSolverInputs:
+    """Every matrix-level solve takes G and y through one step: a G of any layout or
+    dtype gives the bits of its C-ordered float64 copy, and a G that is empty or not
+    square, or a y of another length or not finite, is an InputError before LAPACK."""
+
+    @pytest.mark.parametrize("case", MALFORMED)
+    @pytest.mark.parametrize(
+        "route", ["coefficient_l2", "krr", "alpha_paths", "select_lambda_holdout"]
+    )
+    def test_a_malformed_gram_or_y_is_an_input_error(self, route, case):
+        g, y, message = MALFORMED[case]
+        kind, text = solver_outcomes(g.copy(), y)[route]
+        assert kind == "InputError" and text.startswith(message) and "\n" not in text
+
+    @pytest.mark.parametrize("fit", [fit_coefficient, fit_krr])
+    def test_a_fit_on_an_empty_gram_is_an_input_error(self, fit):
+        with pytest.raises(InputError, match=r"^Gram matrix must be nonempty and square"):
+            fit(GramMatrix(np.zeros((0, 0)), ()), np.zeros(0), 0.1, [], PSD_KSPEC, ESPEC)
+
+    def test_a_six_by_five_gram_never_reaches_lapack(self):
+        for _ in range(5):
+            out = run_fresh(SIX_BY_FIVE)
+            assert out == "Gram matrix must be nonempty and square, got shape (6, 5)\n"
+
+    @settings(max_examples=300)
+    @given(
+        rows=st.integers(0, 6),
+        cols=st.one_of(st.none(), st.integers(0, 6)),  # None: square
+        n_y=st.one_of(st.none(), st.integers(0, 6)),  # None: one label per row
+        bad_y=st.sampled_from([None, np.nan, np.inf, -np.inf]),
+        layout=st.sampled_from(["c", "fortran", "transposed_copy", "strided"]),
+        dtype=st.sampled_from([np.float64, np.float32, np.int64]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_any_layout_and_dtype_gives_the_c_ordered_float64_outcome(
+        self, rows, cols, n_y, bad_y, layout, dtype, seed
+    ):
+        cols, n_y = rows if cols is None else cols, rows if n_y is None else n_y
+        rng = np.random.default_rng(seed)
+        g, y = in_layout(3.0 * rng.normal(size=(rows, cols)), layout, dtype), rng.normal(size=n_y)
+        if bad_y is not None and n_y > 0:
+            y[rng.integers(n_y)] = bad_y
+        if rows == cols > 0 and n_y == rows and bad_y is None:
+            want = solver_outcomes(np.array(g, dtype=np.float64, order="C"), y)
+            assert solver_outcomes(g, y) == want
+        else:
+            for name, outcome in solver_outcomes(g, y).items():
+                assert outcome[0] == "InputError" and "\n" not in outcome[1], (name, outcome)
 
 
 def oracle_paths(schemes, values, y, lams):
